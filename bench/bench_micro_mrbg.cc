@@ -59,9 +59,7 @@ void BM_ApplyDelta(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyDelta)->Arg(8)->Arg(64)->Arg(512);
 
-/// range(0) = ReadMode, range(1) = layout (0 raw / 1 log-structured), so
-/// every store benchmark reports the paper-parity raw layout and the
-/// engine-default segmented layout side by side.
+/// range(0) = ReadMode.
 class StoreFixture : public benchmark::Fixture {
  public:
   void SetUp(const benchmark::State& state) override {
@@ -69,7 +67,6 @@ class StoreFixture : public benchmark::Fixture {
     RemoveAll(dir_).ok();
     MRBGStoreOptions options;
     options.read_mode = static_cast<ReadMode>(state.range(0));
-    options.log_structured = state.range(1) != 0;
     auto s = MRBGStore::Open(dir_, options);
     store_ = std::move(s.value());
     // Two batches of 2000 chunks.
@@ -90,8 +87,7 @@ class StoreFixture : public benchmark::Fixture {
   }
 
   static std::string Label(const benchmark::State& state) {
-    return std::string(ReadModeName(static_cast<ReadMode>(state.range(0)))) +
-           (state.range(1) != 0 ? "/log-structured" : "/raw");
+    return ReadModeName(static_cast<ReadMode>(state.range(0)));
   }
 
  protected:
@@ -112,14 +108,10 @@ BENCHMARK_DEFINE_F(StoreFixture, QuerySweep)(benchmark::State& state) {
   state.SetLabel(Label(state));
 }
 BENCHMARK_REGISTER_F(StoreFixture, QuerySweep)
-    ->Args({static_cast<int>(ReadMode::kIndexOnly), 0})
-    ->Args({static_cast<int>(ReadMode::kSingleFixedWindow), 0})
-    ->Args({static_cast<int>(ReadMode::kMultiFixedWindow), 0})
-    ->Args({static_cast<int>(ReadMode::kMultiDynamicWindow), 0})
-    ->Args({static_cast<int>(ReadMode::kIndexOnly), 1})
-    ->Args({static_cast<int>(ReadMode::kSingleFixedWindow), 1})
-    ->Args({static_cast<int>(ReadMode::kMultiFixedWindow), 1})
-    ->Args({static_cast<int>(ReadMode::kMultiDynamicWindow), 1});
+    ->Arg(static_cast<int>(ReadMode::kIndexOnly))
+    ->Arg(static_cast<int>(ReadMode::kSingleFixedWindow))
+    ->Arg(static_cast<int>(ReadMode::kMultiFixedWindow))
+    ->Arg(static_cast<int>(ReadMode::kMultiDynamicWindow));
 
 BENCHMARK_DEFINE_F(StoreFixture, MergeGroups)(benchmark::State& state) {
   for (auto _ : state) {
@@ -136,10 +128,8 @@ BENCHMARK_DEFINE_F(StoreFixture, MergeGroups)(benchmark::State& state) {
   state.SetLabel(Label(state));
 }
 BENCHMARK_REGISTER_F(StoreFixture, MergeGroups)
-    ->Args({static_cast<int>(ReadMode::kIndexOnly), 0})
-    ->Args({static_cast<int>(ReadMode::kMultiDynamicWindow), 0})
-    ->Args({static_cast<int>(ReadMode::kIndexOnly), 1})
-    ->Args({static_cast<int>(ReadMode::kMultiDynamicWindow), 1});
+    ->Arg(static_cast<int>(ReadMode::kIndexOnly))
+    ->Arg(static_cast<int>(ReadMode::kMultiDynamicWindow));
 
 BENCHMARK_DEFINE_F(StoreFixture, Compact)(benchmark::State& state) {
   for (auto _ : state) {
@@ -155,8 +145,7 @@ BENCHMARK_DEFINE_F(StoreFixture, Compact)(benchmark::State& state) {
   state.SetLabel(Label(state));
 }
 BENCHMARK_REGISTER_F(StoreFixture, Compact)
-    ->Args({static_cast<int>(ReadMode::kMultiDynamicWindow), 0})
-    ->Args({static_cast<int>(ReadMode::kMultiDynamicWindow), 1})
+    ->Arg(static_cast<int>(ReadMode::kMultiDynamicWindow))
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -7,10 +7,9 @@
 //   multi-dynamic-window - Algorithm 1 windows: fewer bytes than fixed,
 //                          best merge time (the i2MapReduce default)
 //
-// Each strategy is measured on both on-disk layouts: the raw single-file
-// layout (paper parity — what Table 4 in the paper describes) and the
-// log-structured segment layout (the engine default), whose compaction
-// keeps superseded chunk versions from accumulating across refreshes.
+// The store runs its one on-disk layout (segment log + background
+// compaction, the engine default), so the footprint column also shows that
+// superseded chunk versions do not accumulate across refreshes.
 #include "apps/pagerank.h"
 #include "bench_util.h"
 #include "core/incr_iter_engine.h"
@@ -29,7 +28,6 @@ int main() {
 
   struct Row {
     ReadMode mode;
-    bool log_structured = false;
     uint64_t reads = 0;
     double rsize_mb = 0;
     double merge_ms = 0;
@@ -38,73 +36,57 @@ int main() {
   };
   std::vector<Row> rows;
 
-  for (bool log_structured : {false, true}) {
-    for (ReadMode mode :
-         {ReadMode::kIndexOnly, ReadMode::kSingleFixedWindow,
-          ReadMode::kMultiFixedWindow, ReadMode::kMultiDynamicWindow}) {
-      auto graph = GenGraph(gen);
-      std::string root = std::string("table4_") +
-                         (log_structured ? "ls_" : "raw_") +
-                         ReadModeName(mode);
-      LocalCluster cluster(BenchRoot(root), Workers(), PaperCosts());
-      IncrIterOptions options;
-      options.filter_threshold = 0.1;
-      options.store_options.read_mode = mode;
-      options.store_options.fixed_window_bytes = 64u << 10;
-      // Keep the paper's read-strategy comparison pure: the engine-default
-      // appended-tail cache would absorb reads identically across all modes.
-      options.store_options.tail_cache_bytes = 0;
-      options.store_options.log_structured = log_structured;
-      options.store_options.background_compaction = log_structured;
-      IncrementalIterativeEngine engine(
-          &cluster, pagerank::MakeIterSpec("table4", Workers(), 40, 1e-3),
-          options);
-      I2MR_CHECK(engine.RunInitial(graph, UnitState(graph)).ok());
+  for (ReadMode mode :
+       {ReadMode::kIndexOnly, ReadMode::kSingleFixedWindow,
+        ReadMode::kMultiFixedWindow, ReadMode::kMultiDynamicWindow}) {
+    auto graph = GenGraph(gen);
+    std::string root = std::string("table4_") + ReadModeName(mode);
+    LocalCluster cluster(BenchRoot(root), Workers(), PaperCosts());
+    IncrIterOptions options;
+    options.filter_threshold = 0.1;
+    options.store_options.read_mode = mode;
+    options.store_options.fixed_window_bytes = 64u << 10;
+    // Keep the paper's read-strategy comparison pure: the engine-default
+    // appended-tail cache would absorb reads identically across all modes.
+    options.store_options.tail_cache_bytes = 0;
+    IncrementalIterativeEngine engine(
+        &cluster, pagerank::MakeIterSpec("table4", Workers(), 40, 1e-3),
+        options);
+    I2MR_CHECK(engine.RunInitial(graph, UnitState(graph)).ok());
 
-      // Several refreshes so the MRBGraph file accumulates multiple sorted
-      // batches (the multi-window motivation, §5.2).
-      Row row;
-      row.mode = mode;
-      row.log_structured = log_structured;
-      for (int round = 0; round < 3; ++round) {
-        GraphDeltaOptions dopt;
-        dopt.update_fraction = 0.1;
-        dopt.seed = 100 + round;
-        auto delta = GenGraphDelta(gen, dopt, &graph);
-        auto refresh = engine.RunIncremental(delta);
-        I2MR_CHECK(refresh.ok()) << refresh.status().ToString();
-        row.reads += refresh->store_io_reads;
-        row.rsize_mb += refresh->store_bytes_read / 1e6;
-        for (const auto& it : refresh->iterations) row.merge_ms += it.merge_ms;
-        row.refresh_ms += refresh->wall_ms;
-      }
-      auto bytes = engine.MrbgFileBytes();
-      if (bytes.ok()) row.mrbg_mb = *bytes / 1e6;
-      rows.push_back(row);
+    // Several refreshes so the MRBGraph store accumulates multiple sorted
+    // batches (the multi-window motivation, §5.2).
+    Row row;
+    row.mode = mode;
+    for (int round = 0; round < 3; ++round) {
+      GraphDeltaOptions dopt;
+      dopt.update_fraction = 0.1;
+      dopt.seed = 100 + round;
+      auto delta = GenGraphDelta(gen, dopt, &graph);
+      auto refresh = engine.RunIncremental(delta);
+      I2MR_CHECK(refresh.ok()) << refresh.status().ToString();
+      row.reads += refresh->store_io_reads;
+      row.rsize_mb += refresh->store_bytes_read / 1e6;
+      for (const auto& it : refresh->iterations) row.merge_ms += it.merge_ms;
+      row.refresh_ms += refresh->wall_ms;
     }
+    auto bytes = engine.MrbgFileBytes();
+    if (bytes.ok()) row.mrbg_mb = *bytes / 1e6;
+    rows.push_back(row);
   }
 
-  for (bool log_structured : {false, true}) {
-    std::printf("\n-- %s layout %s\n",
-                log_structured ? "log-structured" : "raw",
-                log_structured ? "(engine default; segments + compaction)"
-                               : "(paper parity, Table 4)");
-    std::printf("%-22s %10s %12s %12s %12s %12s\n", "technique", "# reads",
-                "rsize (MB)", "merge time", "refresh", "mrbg (MB)");
-    for (const auto& r : rows) {
-      if (r.log_structured != log_structured) continue;
-      std::printf("%-22s %10llu %12.1f %10.0fms %10.0fms %12.1f\n",
-                  ReadModeName(r.mode),
-                  static_cast<unsigned long long>(r.reads), r.rsize_mb,
-                  r.merge_ms, r.refresh_ms, r.mrbg_mb);
-    }
+  std::printf("%-22s %10s %12s %12s %12s %12s\n", "technique", "# reads",
+              "rsize (MB)", "merge time", "refresh", "mrbg (MB)");
+  for (const auto& r : rows) {
+    std::printf("%-22s %10llu %12.1f %10.0fms %10.0fms %12.1f\n",
+                ReadModeName(r.mode), static_cast<unsigned long long>(r.reads),
+                r.rsize_mb, r.merge_ms, r.refresh_ms, r.mrbg_mb);
   }
   std::printf(
       "\npaper shape (Table 4): index-only has the smallest rsize but the\n"
       "most reads; single-fix-window reads vastly more bytes (obsolete\n"
       "chunks of other batches); multi-dynamic-window needs fewer bytes\n"
-      "than multi-fix-window and achieves the best merge time. The\n"
-      "log-structured layout matches the raw read behaviour while its\n"
-      "compaction keeps the on-disk footprint bounded across refreshes.\n");
+      "than multi-fix-window and achieves the best merge time. Compaction\n"
+      "keeps the on-disk footprint bounded across refreshes.\n");
   return 0;
 }

@@ -221,10 +221,9 @@ StatusOr<uint64_t> IncrementalIterativeEngine::MrbgFileBytes() const {
     auto files = MRBGStore::ListStoreFiles(MrbgDir(r));
     if (!files.ok()) return files.status();
     for (const auto& path : *files) {
-      // Data footprint only: skip the MANIFEST / mrbg.idx metadata.
-      if ((path.size() >= 4 && path.compare(path.size() - 4, 4, ".idx") == 0) ||
-          (path.size() >= 8 &&
-           path.compare(path.size() - 8, 8, "MANIFEST") == 0)) {
+      // Data footprint only: skip the MANIFEST metadata.
+      if (path.size() >= 8 &&
+          path.compare(path.size() - 8, 8, "MANIFEST") == 0) {
         continue;
       }
       if (!FileExists(path)) continue;
@@ -351,34 +350,26 @@ Status IncrementalIterativeEngine::Checkpoint(int iteration) {
     if (stores_.size() > static_cast<size_t>(p) && stores_[p] != nullptr) {
       // Flush pending appends so the on-disk files are complete.
       I2MR_RETURN_IF_ERROR(stores_[p]->FinishBatch());
-      if (stores_[p]->log_structured()) {
-        // Cut a frozen hard-link image (the segment set can change under a
-        // background compaction pass) and checkpoint its files, plus a
-        // small list naming them so the restore knows the file set.
-        std::string tmp = MrbgDir(p) + ".ckpt";
-        I2MR_RETURN_IF_ERROR(ResetDir(tmp));
-        std::vector<std::string> files;
-        I2MR_RETURN_IF_ERROR(stores_[p]->SnapshotInto(tmp, &files));
-        std::string list;
-        for (const auto& f : files) {
-          size_t slash = f.find_last_of('/');
-          std::string name =
-              slash == std::string::npos ? f : f.substr(slash + 1);
-          list += name + "\n";
-          I2MR_RETURN_IF_ERROR(
-              dfs->CheckpointIn(f, base + "/mrbg-" + name + tag));
-        }
-        std::string list_path = JoinPath(tmp, "mrbg.list");
-        I2MR_RETURN_IF_ERROR(WriteStringToFile(list_path, list));
+      // Cut a frozen hard-link image (the segment set can change under a
+      // background compaction pass) and checkpoint its files, plus a small
+      // list naming them so the restore knows the file set.
+      std::string tmp = MrbgDir(p) + ".ckpt";
+      I2MR_RETURN_IF_ERROR(ResetDir(tmp));
+      std::vector<std::string> files;
+      I2MR_RETURN_IF_ERROR(stores_[p]->SnapshotInto(tmp, &files));
+      std::string list;
+      for (const auto& f : files) {
+        size_t slash = f.find_last_of('/');
+        std::string name = slash == std::string::npos ? f : f.substr(slash + 1);
+        list += name + "\n";
         I2MR_RETURN_IF_ERROR(
-            dfs->CheckpointIn(list_path, base + "/mrbg.list" + tag));
-        I2MR_RETURN_IF_ERROR(RemoveAll(tmp));
-      } else {
-        I2MR_RETURN_IF_ERROR(dfs->CheckpointIn(stores_[p]->data_path(),
-                                               base + "/mrbg.dat" + tag));
-        I2MR_RETURN_IF_ERROR(dfs->CheckpointIn(stores_[p]->index_path(),
-                                               base + "/mrbg.idx" + tag));
+            dfs->CheckpointIn(f, base + "/mrbg-" + name + tag));
       }
+      std::string list_path = JoinPath(tmp, "mrbg.list");
+      I2MR_RETURN_IF_ERROR(WriteStringToFile(list_path, list));
+      I2MR_RETURN_IF_ERROR(
+          dfs->CheckpointIn(list_path, base + "/mrbg.list" + tag));
+      I2MR_RETURN_IF_ERROR(RemoveAll(tmp));
     }
   }
   return Status::OK();
@@ -399,8 +390,8 @@ Status IncrementalIterativeEngine::RestorePartition(int iteration,
   bool have_store = stores_.size() > static_cast<size_t>(partition) &&
                     stores_[partition] != nullptr;
   if (have_store && dfs->CheckpointExists(base + "/mrbg.list" + tag)) {
-    // Log-structured checkpoint: wipe the partition's store directory and
-    // repopulate it with the checkpointed file set (the list names them).
+    // Wipe the partition's store directory and repopulate it with the
+    // checkpointed file set (the list names them).
     std::string dir = MrbgDir(partition);
     I2MR_RETURN_IF_ERROR(stores_[partition]->Close());
     stores_[partition].reset();
@@ -422,16 +413,6 @@ Status IncrementalIterativeEngine::RestorePartition(int iteration,
     }
     I2MR_RETURN_IF_ERROR(RemoveAll(list_path));
     auto s = MRBGStore::Open(dir, options_.store_options);
-    if (!s.ok()) return s.status();
-    stores_[partition] = std::move(s.value());
-  } else if (have_store && dfs->CheckpointExists(base + "/mrbg.dat" + tag)) {
-    std::string data_path = stores_[partition]->data_path();
-    std::string index_path = stores_[partition]->index_path();
-    I2MR_RETURN_IF_ERROR(stores_[partition]->Close());
-    stores_[partition].reset();
-    I2MR_RETURN_IF_ERROR(dfs->CheckpointOut(base + "/mrbg.dat" + tag, data_path));
-    I2MR_RETURN_IF_ERROR(dfs->CheckpointOut(base + "/mrbg.idx" + tag, index_path));
-    auto s = MRBGStore::Open(MrbgDir(partition), options_.store_options);
     if (!s.ok()) return s.status();
     stores_[partition] = std::move(s.value());
   }

@@ -36,15 +36,13 @@ namespace i2mr {
 
 /// Engine-default MRBG store options: the appended-tail cache is on, so
 /// iteration j+1's merge reads the chunks iteration j just appended from
-/// memory instead of the file tail, and the store is log-structured with
-/// background compaction so merge cost stays flat in epoch-history length
-/// (superseded chunk versions are reclaimed concurrently with refreshes).
-/// Raw MRBGStore users (and the paper's read-strategy / Table-4 parity
-/// experiments) default to the raw layout with tail_cache_bytes = 0.
+/// memory instead of the file tail, and background compaction keeps merge
+/// cost flat in epoch-history length (superseded chunk versions are
+/// reclaimed concurrently with refreshes). Plain MRBGStore users default
+/// to tail_cache_bytes = 0 and explicit compaction.
 inline MRBGStoreOptions DefaultIncrStoreOptions() {
   MRBGStoreOptions o;
   o.tail_cache_bytes = 4u << 20;
-  o.log_structured = true;
   o.background_compaction = true;
   return o;
 }

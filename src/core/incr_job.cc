@@ -366,6 +366,9 @@ Status IncrementalOneStepJob::RunReducePhaseIncremental(
         }
       }
       I2MR_RETURN_IF_ERROR(store.value()->FinishBatch());
+      // Every open starts a fresh segment, so a store reopened once per
+      // refresh needs the same segment-count bound the engine applies.
+      I2MR_RETURN_IF_ERROR(store.value()->CompactIfNeeded());
       io_reads.fetch_add(store.value()->stats().io_reads);
       bytes_read.fetch_add(store.value()->stats().bytes_read);
       I2MR_RETURN_IF_ERROR(store.value()->Close());

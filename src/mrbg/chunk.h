@@ -57,13 +57,13 @@ uint32_t EncodedChunkLength(const Chunk& chunk);
 
 /// Serialize a tombstone frame for `key` (appends to *out): same CRC
 /// framing as a chunk but with the tombstone magic and a zero-size value
-/// payload (just the key). The log-structured store appends one to delete
+/// payload (just the key). The MRBG store appends one to delete
 /// a chunk durably; a sequential scan replays it as an index erase.
 /// Returns the encoded length.
 uint32_t EncodeTombstone(const std::string& key, std::string* out);
 
 /// One frame of the append-only chunk log, parsed in place by the
-/// log-structured store's open-time scan: either a live chunk version
+/// MRBG store's open-time scan: either a live chunk version
 /// (`tombstone == false`; the `length`-byte prefix decodes with
 /// DecodeChunk) or a zero-size tombstone deleting `key`.
 struct ScannedFrame {

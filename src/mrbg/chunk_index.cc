@@ -8,11 +8,6 @@
 #include "io/env.h"
 
 namespace i2mr {
-namespace {
-
-constexpr uint32_t kIndexMagic = 0x49445832;  // "IDX2"
-
-}  // namespace
 
 const ChunkLocation* ChunkIndex::Lookup(const std::string& key) const {
   auto it = map_.find(key);
@@ -28,64 +23,6 @@ void ChunkIndex::Erase(const std::string& key) { map_.erase(key); }
 void ChunkIndex::Clear() {
   map_.clear();
   batches_.clear();
-}
-
-Status ChunkIndex::Save(const std::string& path) const {
-  std::string buf;
-  PutFixed32(&buf, kIndexMagic);
-  PutFixed32(&buf, static_cast<uint32_t>(batches_.size()));
-  for (const auto& b : batches_) {
-    PutFixed64(&buf, b.start);
-    PutFixed64(&buf, b.end);
-    PutFixed64(&buf, b.segment);
-  }
-  PutFixed64(&buf, map_.size());
-  for (const auto& [key, loc] : map_) {
-    PutLengthPrefixed(&buf, key);
-    PutFixed64(&buf, loc.offset);
-    PutFixed32(&buf, loc.length);
-    PutFixed32(&buf, loc.batch);
-    PutFixed64(&buf, loc.segment);
-  }
-  std::string tmp = path + ".tmp";
-  I2MR_RETURN_IF_ERROR(WriteStringToFile(tmp, buf));
-  return RenameFile(tmp, path);
-}
-
-Status ChunkIndex::Load(const std::string& path) {
-  auto data = ReadFileToString(path);
-  if (!data.ok()) return data.status();
-  Decoder dec(*data);
-  uint32_t magic;
-  if (!dec.GetFixed32(&magic) || magic != kIndexMagic) {
-    return Status::Corruption("bad index magic: " + path);
-  }
-  Clear();
-  uint32_t num_batches;
-  if (!dec.GetFixed32(&num_batches)) return Status::Corruption("bad index");
-  for (uint32_t i = 0; i < num_batches; ++i) {
-    BatchInfo b;
-    if (!dec.GetFixed64(&b.start) || !dec.GetFixed64(&b.end) ||
-        !dec.GetFixed64(&b.segment)) {
-      return Status::Corruption("bad batch info");
-    }
-    batches_.push_back(b);
-  }
-  uint64_t n;
-  if (!dec.GetFixed64(&n)) return Status::Corruption("bad index size");
-  map_.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string key;
-    ChunkLocation loc;
-    if (!dec.GetLengthPrefixed(&key) || !dec.GetFixed64(&loc.offset) ||
-        !dec.GetFixed32(&loc.length) || !dec.GetFixed32(&loc.batch) ||
-        !dec.GetFixed64(&loc.segment)) {
-      return Status::Corruption("bad index entry");
-    }
-    map_[std::move(key)] = loc;
-  }
-  if (!dec.done()) return Status::Corruption("index trailing bytes");
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

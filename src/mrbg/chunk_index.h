@@ -1,7 +1,8 @@
-// Hash index over the MRBGraph file: K2 -> latest chunk location (paper
-// §3.4: "we employ a hash-based implementation for the index... preloaded
-// into memory before Reduce computation"). Persisted alongside the data
-// file, together with the batch boundaries (§5.2).
+// Hash index over the MRBGraph segments: K2 -> latest chunk location
+// (paper §3.4: "we employ a hash-based implementation for the index...
+// preloaded into memory before Reduce computation"), plus the batch
+// boundaries (§5.2). Never persisted: MRBGStore rebuilds it on open by
+// scanning the committed segments.
 #ifndef I2MR_MRBG_CHUNK_INDEX_H_
 #define I2MR_MRBG_CHUNK_INDEX_H_
 
@@ -17,15 +18,13 @@
 
 namespace i2mr {
 
-/// Location of the latest version of a chunk. In the raw single-file
-/// layout `segment` is always 0 and `offset` is a mrbg.dat offset; in the
-/// log-structured layout `segment` is a segment file id and `offset` is
-/// relative to that segment.
+/// Location of the latest version of a chunk: `segment` is a segment file
+/// id and `offset` is relative to that segment.
 struct ChunkLocation {
   uint64_t offset = 0;
   uint32_t length = 0;
   uint32_t batch = 0;    // which sorted batch the chunk belongs to
-  uint64_t segment = 0;  // which segment file holds it (0 in raw mode)
+  uint64_t segment = 0;  // which segment file holds it
 
   friend bool operator==(const ChunkLocation& a, const ChunkLocation& b) {
     return a.offset == b.offset && a.length == b.length && a.batch == b.batch &&
@@ -34,7 +33,7 @@ struct ChunkLocation {
 };
 
 /// Byte range of one sorted batch of chunks (one merge epoch / iteration),
-/// within `segment` (raw mode: segment 0, whole-file offsets).
+/// within `segment`.
 struct BatchInfo {
   uint64_t start = 0;
   uint64_t end = 0;
@@ -72,10 +71,6 @@ class ChunkIndex {
   void SetBatches(std::vector<BatchInfo> batches) {
     batches_ = std::move(batches);
   }
-
-  /// Persist to / load from an index file.
-  Status Save(const std::string& path) const;
-  Status Load(const std::string& path);
 
  private:
   std::unordered_map<std::string, ChunkLocation> map_;

@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "common/trace.h"
 #include "io/env.h"
+#include "io/fault_env.h"
 
 namespace i2mr {
 namespace {
@@ -118,8 +119,6 @@ StatusOr<std::unique_ptr<MRBGStore>> MRBGStore::Open(
 
 MRBGStore::~MRBGStore() { (void)Close(); }
 
-std::string MRBGStore::data_path() const { return JoinPath(dir_, "mrbg.dat"); }
-std::string MRBGStore::index_path() const { return JoinPath(dir_, "mrbg.idx"); }
 std::string MRBGStore::ManifestPath() const {
   return JoinPath(dir_, kManifestName);
 }
@@ -132,36 +131,6 @@ std::string MRBGStore::SegmentPath(uint64_t id) const {
 // ---------------------------------------------------------------------------
 
 Status MRBGStore::OpenFiles() {
-  // The on-disk format wins: a directory that already holds a MANIFEST is
-  // log-structured no matter what the caller asked for.
-  log_structured_ = options_.log_structured || FileExists(ManifestPath());
-  return log_structured_ ? OpenLogStructured() : OpenRaw();
-}
-
-Status MRBGStore::OpenRaw() {
-  if (FileExists(index_path())) {
-    I2MR_RETURN_IF_ERROR(index_.Load(index_path()));
-  }
-  if (FileExists(data_path())) {
-    auto sz = FileSize(data_path());
-    if (!sz.ok()) return sz.status();
-    file_end_ = *sz;
-  } else {
-    file_end_ = 0;
-  }
-  live_bytes_ = 0;
-  index_.ForEach([&](const std::string&, const ChunkLocation& loc) {
-    live_bytes_ += loc.length;
-  });
-  auto w = WritableFile::Create(data_path(), /*append=*/true);
-  if (!w.ok()) return w.status();
-  writer_ = std::move(w.value());
-  reader_.reset();
-  reader_stale_ = true;
-  return Status::OK();
-}
-
-Status MRBGStore::OpenLogStructured() {
   bool have_manifest = FileExists(ManifestPath());
   segments_.clear();
   next_segment_id_ = 1;
@@ -178,36 +147,21 @@ Status MRBGStore::OpenLogStructured() {
     }
   }
 
-  // Drop strays: tmp files of an interrupted rewrite, segments a crashed
-  // compaction renamed but never committed to the manifest (or, with no
-  // manifest at all, of an uncommitted migration), and — once a manifest
-  // exists — the raw-layout working files a committed migration left
-  // behind. The manifest is the commit point; anything it doesn't name is
-  // garbage.
+  // Drop strays: tmp files of an interrupted rewrite and segments a
+  // crashed compaction renamed but never committed to the manifest. The
+  // manifest is the commit point; anything it doesn't name is garbage.
   std::unordered_set<uint64_t> referenced;
   for (const auto& seg : segments_) referenced.insert(seg.id);
   auto files = ListFiles(dir_);
   if (!files.ok()) return files.status();
   for (const auto& path : *files) {
     std::string name = Basename(path);
-    bool stray = EndsWith(name, ".tmp") || EndsWith(name, ".compact");
+    bool stray = EndsWith(name, ".tmp");
     uint64_t id;
     if (ParseSegmentFileName(name, &id)) {
       stray = !have_manifest || referenced.count(id) == 0;
     }
-    if (have_manifest && (name == "mrbg.dat" || name == "mrbg.idx")) {
-      stray = true;
-    }
     if (stray) I2MR_RETURN_IF_ERROR(RemoveAll(path));
-  }
-
-  if (!have_manifest) {
-    if (FileExists(index_path())) {
-      I2MR_RETURN_IF_ERROR(MigrateRawToLogStructuredLocked());
-    } else if (FileExists(data_path())) {
-      // Raw data without its index is unreadable in either layout.
-      I2MR_RETURN_IF_ERROR(RemoveAll(data_path()));
-    }
   }
 
   // Rebuild the chunk index by sequentially scanning the committed
@@ -239,8 +193,6 @@ Status MRBGStore::OpenLogStructured() {
     sealed_bytes_ += segments_[i].length;
   }
   crashed_ = false;
-  reader_.reset();
-  reader_stale_ = true;
 
   // A compaction interrupted mid-pass left its waste behind; the policy
   // check re-triggers it, which is how a half-finished pass "resumes".
@@ -286,59 +238,6 @@ Status MRBGStore::ScanSegmentLocked(size_t pos) {
   return Status::OK();
 }
 
-Status MRBGStore::MigrateRawToLogStructuredLocked() {
-  // Live chunks are defined by the raw index — scanning mrbg.dat instead
-  // would resurrect raw-mode deletions, which live only in the index.
-  ChunkIndex raw;
-  I2MR_RETURN_IF_ERROR(raw.Load(index_path()));
-  std::vector<std::pair<std::string, ChunkLocation>> entries;
-  entries.reserve(raw.size());
-  raw.ForEach([&](const std::string& key, const ChunkLocation& loc) {
-    entries.emplace_back(key, loc);
-  });
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  const uint64_t out_id = 1;
-  uint64_t out_len = 0;
-  if (!entries.empty()) {
-    auto r = RandomAccessFile::Open(data_path());
-    if (!r.ok()) return r.status();
-    std::string tmp = SegmentPath(out_id) + ".tmp";
-    auto w = WritableFile::Create(tmp);
-    if (!w.ok()) return w.status();
-    std::string buf;
-    ScannedFrame frame;
-    for (const auto& [key, loc] : entries) {
-      I2MR_RETURN_IF_ERROR((*r)->Read(loc.offset, loc.length, &buf));
-      if (buf.size() < loc.length) {
-        return Status::Corruption("short chunk read migrating " + key);
-      }
-      Status st = ScanFrame(buf, &frame);
-      if (!st.ok() || frame.tombstone || frame.key != key) {
-        return Status::Corruption("bad chunk migrating " + key);
-      }
-      I2MR_RETURN_IF_ERROR(w.value()->Append(buf));
-      out_len += loc.length;
-    }
-    I2MR_RETURN_IF_ERROR(w.value()->Close());
-    I2MR_RETURN_IF_ERROR(RenameFile(tmp, SegmentPath(out_id)));
-  }
-  segments_.clear();
-  if (out_len > 0) {
-    Segment seg;
-    seg.id = out_id;
-    seg.length = out_len;
-    segments_.push_back(std::move(seg));
-  }
-  next_segment_id_ = out_id + 1;
-  // Commit point: once the manifest exists the store is log-structured and
-  // the raw files are garbage (a crash in between redoes the migration).
-  I2MR_RETURN_IF_ERROR(WriteManifestLocked());
-  I2MR_RETURN_IF_ERROR(RemoveAll(data_path()));
-  return RemoveAll(index_path());
-}
-
 Status MRBGStore::WriteManifestLocked() {
   if (crashed_) return Status::OK();
   std::vector<ManifestEntry> entries;
@@ -371,24 +270,8 @@ Status MRBGStore::CloseLocked() {
     // flush, no batch record, no manifest.
     (void)writer_->Close();
     writer_.reset();
-    reader_.reset();
     for (auto& s : segments_) s.reader.reset();
     return Status::OK();
-  }
-  if (!log_structured_) {
-    uint64_t closed_end =
-        index_.batches().empty() ? 0 : index_.batches().back().end;
-    if (file_end_ > closed_end || !append_buf_.empty()) {
-      I2MR_RETURN_IF_ERROR(FinishBatchLocked(/*persist_index=*/true));
-    } else if (file_end_ > 0) {
-      // A raw-mode delete after the last batch lives only in the index;
-      // persist it, or Close would silently resurrect the chunk.
-      I2MR_RETURN_IF_ERROR(index_.Save(index_path()));
-    }
-    Status st = writer_->Close();
-    writer_.reset();
-    reader_.reset();
-    return st;
   }
   I2MR_RETURN_IF_ERROR(FlushAppendBufferLocked());
   if (file_end_ > batch_start_) {
@@ -408,7 +291,6 @@ Status MRBGStore::CloseLocked() {
   }
   I2MR_RETURN_IF_ERROR(WriteManifestLocked());
   for (auto& s : segments_) s.reader.reset();
-  reader_.reset();
   return st;
 }
 
@@ -428,7 +310,6 @@ Status MRBGStore::Reload() {
       I2MR_RETURN_IF_ERROR(writer_->Close());
       writer_.reset();
     }
-    reader_.reset();
     segments_.clear();
     next_segment_id_ = 1;
     batch_start_ = 0;
@@ -473,28 +354,22 @@ Status MRBGStore::FlushAppendBufferLocked() {
     }
   }
   append_buf_.clear();
-  reader_stale_ = true;
-  if (log_structured_) segments_.back().reader.reset();  // file grew
+  segments_.back().reader.reset();  // file grew
   return Status::OK();
 }
 
 Status MRBGStore::AppendChunkLocked(const Chunk& chunk) {
   if (const ChunkLocation* old = index_.Lookup(chunk.key)) {
     live_bytes_ -= old->length;
-    if (log_structured_ && old->segment == active_id_locked()) {
-      live_active_bytes_ -= old->length;
-    }
+    if (old->segment == active_id_locked()) live_active_bytes_ -= old->length;
   }
   uint64_t offset = file_end_;
   uint32_t len = EncodeChunk(chunk, &append_buf_);
   file_end_ += len;
   live_bytes_ += len;
-  uint64_t seg = 0;
-  if (log_structured_) {
-    seg = active_id_locked();
-    live_active_bytes_ += len;
-  }
-  index_.Put(chunk.key, ChunkLocation{offset, len, open_batch_id_locked(), seg});
+  live_active_bytes_ += len;
+  index_.Put(chunk.key, ChunkLocation{offset, len, open_batch_id_locked(),
+                                      active_id_locked()});
   ++stats_.chunks_appended;
   stats_.bytes_appended += len;
   if (append_buf_.size() >= options_.append_buffer_bytes) {
@@ -506,20 +381,15 @@ Status MRBGStore::AppendChunkLocked(const Chunk& chunk) {
 Status MRBGStore::RemoveChunkLocked(const std::string& key) {
   const ChunkLocation* old = index_.Lookup(key);
   if (old == nullptr) return Status::OK();
-  uint32_t old_len = old->length;
-  uint64_t old_seg = old->segment;
-  live_bytes_ -= old_len;
-  if (log_structured_) {
-    if (old_seg == active_id_locked()) live_active_bytes_ -= old_len;
-    // A durable delete: the tombstone replays as an erase when the index
-    // is rebuilt by scan.
-    uint32_t tlen = EncodeTombstone(key, &append_buf_);
-    file_end_ += tlen;
-    ++stats_.tombstones_appended;
-  }
+  live_bytes_ -= old->length;
+  if (old->segment == active_id_locked()) live_active_bytes_ -= old->length;
+  // A durable delete: the tombstone replays as an erase when the index is
+  // rebuilt by scan.
+  file_end_ += EncodeTombstone(key, &append_buf_);
+  ++stats_.tombstones_appended;
   index_.Erase(key);
   ++stats_.chunks_removed;
-  if (log_structured_ && append_buf_.size() >= options_.append_buffer_bytes) {
+  if (append_buf_.size() >= options_.append_buffer_bytes) {
     return FlushAppendBufferLocked();
   }
   return Status::OK();
@@ -528,32 +398,19 @@ Status MRBGStore::RemoveChunkLocked(const std::string& key) {
 Status MRBGStore::FinishBatchLocked(bool persist_index) {
   if (crashed_) return Status::OK();
   I2MR_RETURN_IF_ERROR(FlushAppendBufferLocked());
-  if (log_structured_) {
-    if (file_end_ > batch_start_) {
-      index_.AddBatch(BatchInfo{batch_start_, file_end_, active_id_locked()});
-      batch_start_ = file_end_;
-    }
-    segments_.back().length = file_end_;
-    if (file_end_ >= options_.segment_target_bytes) {
-      I2MR_RETURN_IF_ERROR(RotateActiveLocked());
-    }
-  } else {
-    uint64_t start =
-        index_.batches().empty() ? 0 : index_.batches().back().end;
-    if (file_end_ > start) {
-      index_.AddBatch(BatchInfo{start, file_end_, 0});
-    }
+  if (file_end_ > batch_start_) {
+    index_.AddBatch(BatchInfo{batch_start_, file_end_, active_id_locked()});
+    batch_start_ = file_end_;
   }
-  if (persist_index) I2MR_RETURN_IF_ERROR(PersistIndexLocked());
-  if (log_structured_ && options_.background_compaction &&
-      ShouldCompactLocked()) {
+  segments_.back().length = file_end_;
+  if (file_end_ >= options_.segment_target_bytes) {
+    I2MR_RETURN_IF_ERROR(RotateActiveLocked());
+  }
+  if (persist_index) I2MR_RETURN_IF_ERROR(WriteManifestLocked());
+  if (options_.background_compaction && ShouldCompactLocked()) {
     RequestCompactionLocked();
   }
   return Status::OK();
-}
-
-Status MRBGStore::PersistIndexLocked() {
-  return log_structured_ ? WriteManifestLocked() : index_.Save(index_path());
 }
 
 Status MRBGStore::RotateActiveLocked() {
@@ -596,7 +453,7 @@ Status MRBGStore::FinishBatch(bool persist_index) {
 
 Status MRBGStore::PersistIndex() {
   std::lock_guard<std::mutex> lk(mu_);
-  return PersistIndexLocked();
+  return WriteManifestLocked();
 }
 
 // ---------------------------------------------------------------------------
@@ -611,24 +468,21 @@ Status MRBGStore::PrepareQueries(std::vector<std::string> sorted_keys) {
   return Status::OK();
 }
 
-Status MRBGStore::EnsureReaderLocked() {
-  if (reader_ != nullptr && !reader_stale_) return Status::OK();
-  auto r = RandomAccessFile::Open(data_path());
-  if (!r.ok()) return r.status();
-  reader_ = std::move(r.value());
-  reader_stale_ = false;
-  return Status::OK();
-}
-
-MRBGStore::Segment* MRBGStore::FindSegmentLocked(uint64_t id) {
-  for (auto& s : segments_) {
-    if (s.id == id) return &s;
+StatusOr<RandomAccessFile*> MRBGStore::SegmentReaderLocked(uint64_t id) {
+  for (auto& seg : segments_) {
+    if (seg.id != id) continue;
+    if (seg.reader == nullptr) {
+      auto r = RandomAccessFile::Open(SegmentPath(seg.id));
+      if (!r.ok()) return r.status();
+      seg.reader = std::shared_ptr<RandomAccessFile>(std::move(r.value()));
+    }
+    return seg.reader.get();
   }
-  return nullptr;
+  return Status::Corruption("chunk in unknown segment " + std::to_string(id));
 }
 
 uint64_t MRBGStore::SegmentFlushedEndLocked(const ChunkLocation& loc) const {
-  if (!log_structured_ || loc.segment == segments_.back().id) {
+  if (loc.segment == segments_.back().id) {
     return file_end_ - append_buf_.size();
   }
   for (const auto& s : segments_) {
@@ -661,10 +515,10 @@ uint64_t MRBGStore::DynamicWindowEndLocked(const ChunkLocation& loc,
 
 StatusOr<std::string_view> MRBGStore::ReadChunkBytesLocked(
     const ChunkLocation& loc) {
-  bool in_active = !log_structured_ || loc.segment == active_id_locked();
+  bool in_active = loc.segment == active_id_locked();
 
   // Recently flushed? Serve from the retained tail copy, no I/O. (The tail
-  // cache covers the raw file / the active segment only.)
+  // cache covers the active segment only.)
   size_t tail_live = tail_buf_.size() - tail_dead_;
   if (in_active && tail_live > 0 && loc.offset >= tail_start_ &&
       loc.offset + loc.length <= tail_start_ + tail_live) {
@@ -674,23 +528,9 @@ StatusOr<std::string_view> MRBGStore::ReadChunkBytesLocked(
         loc.length);
   }
 
-  RandomAccessFile* reader = nullptr;
-  if (log_structured_) {
-    Segment* seg = FindSegmentLocked(loc.segment);
-    if (seg == nullptr) {
-      return Status::Corruption("chunk in unknown segment " +
-                                std::to_string(loc.segment));
-    }
-    if (seg->reader == nullptr) {
-      auto r = RandomAccessFile::Open(SegmentPath(seg->id));
-      if (!r.ok()) return r.status();
-      seg->reader = std::shared_ptr<RandomAccessFile>(std::move(r.value()));
-    }
-    reader = seg->reader.get();
-  } else {
-    I2MR_RETURN_IF_ERROR(EnsureReaderLocked());
-    reader = reader_.get();
-  }
+  auto reader_or = SegmentReaderLocked(loc.segment);
+  if (!reader_or.ok()) return reader_or.status();
+  RandomAccessFile* reader = *reader_or;
 
   if (options_.read_mode == ReadMode::kIndexOnly) {
     Window& w = windows_[~0ull];  // scratch window
@@ -706,15 +546,10 @@ StatusOr<std::string_view> MRBGStore::ReadChunkBytesLocked(
     return std::string_view(w.buf.data(), loc.length);
   }
 
-  // Offsets are segment-relative in the log-structured layout, so windows
-  // are keyed per segment there — even in single-window mode.
-  uint64_t wkey;
-  if (options_.read_mode == ReadMode::kSingleFixedWindow) {
-    wkey = log_structured_ ? (loc.segment << 32) : 0;
-  } else {
-    wkey = log_structured_ ? ((loc.segment << 32) | loc.batch)
-                           : static_cast<uint64_t>(loc.batch);
-  }
+  // Offsets are segment-relative, so windows are keyed per segment — even
+  // in single-window mode.
+  uint64_t wkey = loc.segment << 32;
+  if (options_.read_mode != ReadMode::kSingleFixedWindow) wkey |= loc.batch;
   Window& w = windows_[wkey];
   if (loc.offset >= w.start && loc.offset + loc.length <= w.end &&
       !w.buf.empty()) {
@@ -772,7 +607,7 @@ StatusOr<Chunk> MRBGStore::QueryLocked(const std::string& key) {
   if (loc == nullptr) return Status::NotFound("no chunk for key " + key);
 
   // Chunk still sitting (entirely or partly) in the append buffer?
-  bool in_active = !log_structured_ || loc->segment == active_id_locked();
+  bool in_active = loc->segment == active_id_locked();
   uint64_t flushed_end = file_end_ - append_buf_.size();
   if (in_active && loc->offset >= flushed_end) {
     std::string_view view(append_buf_.data() + (loc->offset - flushed_end),
@@ -849,21 +684,9 @@ Status MRBGStore::ForEachChunkLocked(
             [](const auto& a, const auto& b) { return a.first < b.first; });
   std::string buf;
   for (const auto& [key, loc] : entries) {
-    RandomAccessFile* reader = nullptr;
-    if (log_structured_) {
-      Segment* seg = FindSegmentLocked(loc.segment);
-      if (seg == nullptr) return Status::Corruption("chunk in unknown segment");
-      if (seg->reader == nullptr) {
-        auto r = RandomAccessFile::Open(SegmentPath(seg->id));
-        if (!r.ok()) return r.status();
-        seg->reader = std::shared_ptr<RandomAccessFile>(std::move(r.value()));
-      }
-      reader = seg->reader.get();
-    } else {
-      I2MR_RETURN_IF_ERROR(EnsureReaderLocked());
-      reader = reader_.get();
-    }
-    I2MR_RETURN_IF_ERROR(reader->Read(loc.offset, loc.length, &buf));
+    auto reader = SegmentReaderLocked(loc.segment);
+    if (!reader.ok()) return reader.status();
+    I2MR_RETURN_IF_ERROR((*reader)->Read(loc.offset, loc.length, &buf));
     if (buf.size() < loc.length) return Status::Corruption("short read");
     Chunk chunk;
     I2MR_RETURN_IF_ERROR(DecodeChunk(buf, &chunk));
@@ -877,50 +700,8 @@ Status MRBGStore::ForEachChunk(const std::function<Status(const Chunk&)>& fn) {
   return ForEachChunkLocked(fn);
 }
 
-Status MRBGStore::CompactRawLocked() {
-  I2MR_RETURN_IF_ERROR(FlushAppendBufferLocked());
-  std::string tmp_path = data_path() + ".compact";
-  auto w = WritableFile::Create(tmp_path);
-  if (!w.ok()) return w.status();
-
-  ChunkIndex new_index;
-  uint64_t offset = 0;
-  std::string buf;
-  Status st = ForEachChunkLocked([&](const Chunk& chunk) -> Status {
-    buf.clear();
-    uint32_t len = EncodeChunk(chunk, &buf);
-    I2MR_RETURN_IF_ERROR(w.value()->Append(buf));
-    new_index.Put(chunk.key, ChunkLocation{offset, len, 0, 0});
-    offset += len;
-    return Status::OK();
-  });
-  if (!st.ok()) return st;
-  I2MR_RETURN_IF_ERROR(w.value()->Close());
-
-  // Swap in the compacted file.
-  I2MR_RETURN_IF_ERROR(writer_->Close());
-  writer_.reset();
-  I2MR_RETURN_IF_ERROR(RenameFile(tmp_path, data_path()));
-  if (offset > 0) new_index.AddBatch(BatchInfo{0, offset, 0});
-  index_ = std::move(new_index);
-  file_end_ = offset;
-  live_bytes_ = offset;
-  I2MR_RETURN_IF_ERROR(index_.Save(index_path()));
-
-  auto w2 = WritableFile::Create(data_path(), /*append=*/true);
-  if (!w2.ok()) return w2.status();
-  writer_ = std::move(w2.value());
-  reader_.reset();
-  reader_stale_ = true;
-  windows_.clear();
-  tail_buf_.clear();
-  tail_dead_ = 0;
-  tail_start_ = 0;
-  return Status::OK();
-}
-
 bool MRBGStore::ShouldCompactLocked() const {
-  if (!log_structured_ || segments_.size() <= 1) return false;
+  if (segments_.size() <= 1) return false;
   if (segments_.size() - 1 > options_.compact_max_segments) return true;
   // Only sealed waste is reclaimable (victims are the sealed segments), so
   // the ratio must ignore the active segment or it would re-trigger
@@ -941,15 +722,20 @@ void MRBGStore::RequestCompactionLocked() {
   compact_cv_.notify_all();
 }
 
+bool MRBGStore::CrashAt(const char* stage) {
+  if (!fault::FaultInjector::Instance()->AtCrashPoint(
+          std::string("mrbg/compact/") + stage)) {
+    return false;
+  }
+  LOG_WARN << "mrbg " << dir_ << ": simulated crash at compaction stage '"
+           << stage << "'";
+  std::lock_guard<std::mutex> lk(mu_);
+  crashed_ = true;
+  return true;
+}
+
 Status MRBGStore::CompactPass(bool all) {
   TRACE_SPAN("mrbg.compact", "all=%d", all ? 1 : 0);
-  auto crash_at = [&](const char* stage) {
-    if (!options_.compact_crash_hook) return false;
-    if (!options_.compact_crash_hook(stage)) return false;
-    std::lock_guard<std::mutex> lk(mu_);
-    crashed_ = true;
-    return true;
-  };
 
   struct Victim {
     uint64_t id;
@@ -961,7 +747,7 @@ Status MRBGStore::CompactPass(bool all) {
   {
     TRACE_SPAN("compact.snapshot");
     std::lock_guard<std::mutex> lk(mu_);
-    if (crashed_ || !log_structured_ || writer_ == nullptr) {
+    if (crashed_ || writer_ == nullptr) {
       return Status::OK();
     }
     if (all) {
@@ -1028,12 +814,12 @@ Status MRBGStore::CompactPass(bool all) {
       out_len += loc.length;
     }
     I2MR_RETURN_IF_ERROR(w.value()->Close());
-    if (crash_at("rewrite")) return Status::OK();
+    if (CrashAt("rewrite")) return Status::OK();
     I2MR_RETURN_IF_ERROR(RenameFile(tmp, SegmentPath(out_id)));
-    if (crash_at("rename")) return Status::OK();
+    if (CrashAt("rename")) return Status::OK();
   } else {
-    if (crash_at("rewrite")) return Status::OK();
-    if (crash_at("rename")) return Status::OK();
+    if (CrashAt("rewrite")) return Status::OK();
+    if (CrashAt("rename")) return Status::OK();
   }
 
   // ---- Install phase: swap segment list, index entries and MANIFEST
@@ -1123,7 +909,7 @@ Status MRBGStore::CompactPass(bool all) {
     I2MR_RETURN_IF_ERROR(WriteManifestLocked());
     for (const auto& v : victims) victim_paths.push_back(SegmentPath(v.id));
   }
-  if (crash_at("manifest")) return Status::OK();
+  if (CrashAt("manifest")) return Status::OK();
 
   // Unlink the victims. Epoch snapshots that hard-linked them keep their
   // bytes alive until the snapshot dir itself is garbage-collected.
@@ -1135,17 +921,13 @@ Status MRBGStore::CompactPass(bool all) {
   return Status::OK();
 }
 
-Status MRBGStore::Compact() {
-  if (!log_structured_) {
-    std::lock_guard<std::mutex> lk(mu_);
-    return CompactRawLocked();
-  }
+Status MRBGStore::RunCompactPass(bool all) {
   std::unique_lock<std::mutex> clk(compact_mu_);
   compact_cv_.wait(clk, [&] { return !compact_running_; });
   compact_running_ = true;
   compact_requested_ = false;
   clk.unlock();
-  Status st = CompactPass(/*all=*/true);
+  Status st = CompactPass(all);
   clk.lock();
   compact_running_ = false;
   clk.unlock();
@@ -1153,22 +935,14 @@ Status MRBGStore::Compact() {
   return st;
 }
 
+Status MRBGStore::Compact() { return RunCompactPass(/*all=*/true); }
+
 Status MRBGStore::CompactIfNeeded() {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (!log_structured_ || !ShouldCompactLocked()) return Status::OK();
+    if (!ShouldCompactLocked()) return Status::OK();
   }
-  std::unique_lock<std::mutex> clk(compact_mu_);
-  compact_cv_.wait(clk, [&] { return !compact_running_; });
-  compact_running_ = true;
-  compact_requested_ = false;
-  clk.unlock();
-  Status st = CompactPass(/*all=*/false);
-  clk.lock();
-  compact_running_ = false;
-  clk.unlock();
-  compact_cv_.notify_all();
-  return st;
+  return RunCompactPass(/*all=*/false);
 }
 
 void MRBGStore::WaitForCompaction() {
@@ -1201,7 +975,7 @@ void MRBGStore::CompactorMain() {
 }
 
 void MRBGStore::StartCompactor() {
-  if (!options_.background_compaction || !log_structured_) return;
+  if (!options_.background_compaction) return;
   if (compactor_.joinable()) return;
   {
     std::lock_guard<std::mutex> lk(compact_mu_);
@@ -1234,17 +1008,6 @@ Status MRBGStore::SnapshotInto(const std::string& dst_dir,
   I2MR_RETURN_IF_ERROR(CreateDirs(dst_dir));
   std::lock_guard<std::mutex> lk(mu_);
   I2MR_RETURN_IF_ERROR(FlushAppendBufferLocked());
-  if (!log_structured_) {
-    std::string idx = JoinPath(dst_dir, "mrbg.idx");
-    if (FileExists(data_path())) {
-      std::string dat = JoinPath(dst_dir, "mrbg.dat");
-      I2MR_RETURN_IF_ERROR(LinkOrCopyFile(data_path(), dat));
-      if (files != nullptr) files->push_back(dat);
-    }
-    I2MR_RETURN_IF_ERROR(index_.Save(idx));
-    if (files != nullptr) files->push_back(idx);
-    return Status::OK();
-  }
   // Hard-link every non-empty segment at its current committed length and
   // write a snapshot MANIFEST capping it there. The active segment keeps
   // growing through the original path afterwards, but only past what this
@@ -1270,23 +1033,15 @@ StatusOr<std::vector<std::string>> MRBGStore::ListStoreFiles(
     const std::string& dir) {
   std::vector<std::string> out;
   std::string manifest = JoinPath(dir, kManifestName);
-  if (FileExists(manifest)) {
-    auto data = ReadFileToString(manifest);
-    if (!data.ok()) return data.status();
-    uint64_t next_id;
-    std::vector<ManifestEntry> entries;
-    I2MR_RETURN_IF_ERROR(ParseManifest(*data, &next_id, &entries));
-    out.push_back(manifest);
-    for (const auto& e : entries) {
-      out.push_back(JoinPath(dir, SegmentFileName(e.id)));
-    }
-    return out;
-  }
-  std::string idx = JoinPath(dir, "mrbg.idx");
-  if (FileExists(idx)) {
-    std::string dat = JoinPath(dir, "mrbg.dat");
-    if (FileExists(dat)) out.push_back(dat);
-    out.push_back(idx);
+  if (!FileExists(manifest)) return out;
+  auto data = ReadFileToString(manifest);
+  if (!data.ok()) return data.status();
+  uint64_t next_id;
+  std::vector<ManifestEntry> entries;
+  I2MR_RETURN_IF_ERROR(ParseManifest(*data, &next_id, &entries));
+  out.push_back(manifest);
+  for (const auto& e : entries) {
+    out.push_back(JoinPath(dir, SegmentFileName(e.id)));
   }
   return out;
 }
@@ -1297,7 +1052,7 @@ StatusOr<std::vector<std::string>> MRBGStore::ListStoreFiles(
 
 uint64_t MRBGStore::file_bytes() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return log_structured_ ? sealed_bytes_ + file_end_ : file_end_;
+  return sealed_bytes_ + file_end_;
 }
 
 uint64_t MRBGStore::live_bytes() const {
@@ -1307,14 +1062,13 @@ uint64_t MRBGStore::live_bytes() const {
 
 uint64_t MRBGStore::wasted_bytes() const {
   std::lock_guard<std::mutex> lk(mu_);
-  uint64_t total = log_structured_ ? sealed_bytes_ + file_end_ : file_end_;
+  uint64_t total = sealed_bytes_ + file_end_;
   return total > live_bytes_ ? total - live_bytes_ : 0;
 }
 
 size_t MRBGStore::num_segments() const {
   std::lock_guard<std::mutex> lk(mu_);
-  if (log_structured_) return segments_.size();
-  return file_end_ > 0 ? 1 : 0;
+  return segments_.size();
 }
 
 }  // namespace i2mr

@@ -1,7 +1,7 @@
 // MRBG-Store (paper §3.4 + §5.2): preserves fine-grain MRBGraph state
-// (chunks of (K2, {MK, V2})) in an append-only file with a hash chunk
-// index, an append buffer for incremental storage, and a read cache with
-// four read strategies:
+// (chunks of (K2, {MK, V2})) in append-only segment files with a hash
+// chunk index, an append buffer for incremental storage, and a read cache
+// with four read strategies:
 //
 //   kIndexOnly          - one exact I/O per chunk (Table 4 "index-only")
 //   kSingleFixedWindow  - one fixed-size window shared across batches
@@ -11,24 +11,17 @@
 //                         queried chunks, per batch (the i2MapReduce
 //                         default)
 //
-// Two on-disk layouts share the query machinery:
-//
-//  * Raw (paper parity, the default): one append-only mrbg.dat plus a
-//    persisted mrbg.idx. Obsolete chunk versions remain as garbage until
-//    Compact() (the paper's off-line reconstruction), and deletions live
-//    only in the persisted index.
-//
-//  * Log-structured (options.log_structured; the incremental engine's
-//    default): CRC-framed chunk entries and zero-size tombstones appended
-//    to rotating segment files (seg-NNNNNN.dat), last-writer-wins per key.
-//    A small MANIFEST names the live segments in logical order with their
-//    committed lengths; the chunk index is rebuilt by sequentially
-//    scanning them on open. A compactor — inline at batch boundaries or
-//    on a background thread — rewrites live chunks into a fresh segment
-//    and drops superseded/tombstoned ones once the wasted-bytes ratio
-//    crosses a threshold. Sealed segments are immutable inodes, so epoch
-//    snapshots hard-link them (SnapshotInto) and pinned readers keep
-//    serving dropped segments until their links go away.
+// On-disk layout: CRC-framed chunk entries and zero-size tombstones
+// appended to rotating segment files (seg-NNNNNN.dat), last-writer-wins
+// per key. A small MANIFEST names the live segments in logical order with
+// their committed lengths; the chunk index is rebuilt by sequentially
+// scanning them on open. A compactor — inline at batch boundaries or on a
+// background thread — rewrites live chunks into a fresh segment and drops
+// superseded/tombstoned ones once the wasted-bytes ratio crosses a
+// threshold (the paper's reconstruction of the MRBGraph file, done
+// online). Sealed segments are immutable inodes, so epoch snapshots
+// hard-link them (SnapshotInto) and pinned readers keep serving dropped
+// segments until their links go away.
 #ifndef I2MR_MRBG_MRBG_STORE_H_
 #define I2MR_MRBG_MRBG_STORE_H_
 
@@ -82,14 +75,7 @@ struct MRBGStoreOptions {
   /// machinery the modes compare).
   size_t tail_cache_bytes = 0;
 
-  // ---- Log-structured layout (segment log + compaction) -------------------
-
-  /// Use the segmented log layout described in the file header. A store
-  /// directory that already holds a MANIFEST opens log-structured
-  /// regardless of this flag (the on-disk format wins); a raw-layout
-  /// directory opened with the flag set is migrated (live chunks rewritten
-  /// into the first segment).
-  bool log_structured = false;
+  // ---- Segment log + compaction ------------------------------------------
 
   /// Seal the active segment at the next batch boundary once it exceeds
   /// this size.
@@ -109,14 +95,6 @@ struct MRBGStoreOptions {
   /// Run compaction on a background thread woken at batch boundaries.
   /// Off: call CompactIfNeeded() (or Compact()) explicitly.
   bool background_compaction = false;
-
-  /// Test hook, called at named compaction stages: "rewrite" (tmp segment
-  /// fully written), "rename" (tmp renamed to its final name), "manifest"
-  /// (new MANIFEST swapped in, victims not yet unlinked). Returning true
-  /// simulates a crash at that point: the pass is abandoned and the store
-  /// stops touching disk (Close() skips its final flush), so a reopen sees
-  /// exactly what a killed process would have left behind.
-  std::function<bool(const std::string& stage)> compact_crash_hook;
 };
 
 struct MRBGStoreStats {
@@ -167,22 +145,19 @@ class MRBGStore {
   /// (the shuffle guarantees this for the engine).
   Status AppendChunk(const Chunk& chunk);
 
-  /// Delete a chunk: log-structured stores append a zero-size tombstone
-  /// frame (the delete survives an index rebuild by scan); raw stores drop
-  /// the index entry and the bytes become garbage.
+  /// Delete a chunk: appends a zero-size tombstone frame, so the delete
+  /// survives an index rebuild by scan.
   Status RemoveChunk(const std::string& key);
 
   /// Close the open batch: flush the append buffer, record the batch
-  /// boundary and (by default) persist the index (raw: mrbg.idx;
-  /// log-structured: the MANIFEST). Iterative jobs may defer persistence
-  /// to the end of the job (`persist_index = false`) and call
-  /// PersistIndex() once — checkpoints persist explicitly. Log-structured
-  /// stores also rotate an over-target active segment here and kick the
-  /// background compactor when the waste policy triggers.
+  /// boundary and (by default) write the MANIFEST. Iterative jobs may
+  /// defer persistence to the end of the job (`persist_index = false`) and
+  /// call PersistIndex() once — checkpoints persist explicitly. Also
+  /// rotates an over-target active segment and kicks the background
+  /// compactor when the waste policy triggers.
   Status FinishBatch(bool persist_index = true);
 
-  /// Write the in-memory index (raw) / segment MANIFEST (log-structured)
-  /// to disk.
+  /// Write the segment MANIFEST (the committed segment lengths) to disk.
   Status PersistIndex();
 
   /// Merge one delta group with the preserved chunk (index nested loop join
@@ -195,12 +170,12 @@ class MRBGStore {
 
   /// Full reconstruction: rewrite the store with only live chunks in key
   /// order as a single batch (paper: "The MRBGraph file is reconstructed
-  /// off-line when the worker is idle"). Log-structured stores compact
-  /// every segment into one fresh segment.
+  /// off-line when the worker is idle"): every segment is compacted into
+  /// one fresh segment.
   Status Compact();
 
-  /// Log-structured: run one compaction pass now if the waste policy
-  /// thresholds are crossed (no-op otherwise, and in raw mode).
+  /// Run one compaction pass now if the waste policy thresholds are
+  /// crossed (no-op otherwise).
   Status CompactIfNeeded();
 
   /// Block until the background compactor is idle (no requested or
@@ -210,7 +185,7 @@ class MRBGStore {
   // -- Snapshots / recovery -------------------------------------------------
 
   /// Hard-link a self-consistent frozen image of the store into `dst_dir`
-  /// (created if needed): the data file(s) plus an index/MANIFEST that
+  /// (created if needed): the segment files plus a MANIFEST that
   /// references exactly the linked bytes. Safe concurrently with appends
   /// and background compaction — the image is cut under the store lock,
   /// and links keep dropped segments alive for the snapshot. Appends the
@@ -221,7 +196,7 @@ class MRBGStore {
 
   /// The consistent on-disk file set of a closed store directory (for
   /// snapshotting/checkpointing without opening it): MANIFEST + its
-  /// segments, or mrbg.dat + mrbg.idx. Empty if nothing durable exists.
+  /// segments. Empty if nothing durable exists.
   static StatusOr<std::vector<std::string>> ListStoreFiles(
       const std::string& dir);
 
@@ -240,22 +215,15 @@ class MRBGStore {
     std::lock_guard<std::mutex> lk(mu_);
     stats_ = MRBGStoreStats{};
   }
-  /// Logical on-disk footprint (all segments / mrbg.dat, incl. unflushed
-  /// appends).
+  /// Logical on-disk footprint (all segments, incl. unflushed appends).
   uint64_t file_bytes() const;
   /// Bytes of live (indexed) chunk versions.
   uint64_t live_bytes() const;
   /// Bytes of superseded versions, tombstones and dead tails.
   uint64_t wasted_bytes() const;
-  /// Sealed + active segment files (raw mode: 1 if any data).
+  /// Sealed + active segment files.
   size_t num_segments() const;
-  bool log_structured() const { return log_structured_; }
   const std::string& dir() const { return dir_; }
-
-  /// Raw-layout paths (exposed for checkpointing; meaningless once a store
-  /// is log-structured — use ListStoreFiles/SnapshotInto there).
-  std::string data_path() const;
-  std::string index_path() const;
 
  private:
   MRBGStore(std::string dir, const MRBGStoreOptions& options)
@@ -267,7 +235,7 @@ class MRBGStore {
     std::string buf;
   };
 
-  /// One segment file of the log-structured layout. `length` is the
+  /// One segment file. `length` is the
   /// committed (scannable) byte count — a restored segment's physical file
   /// may be longer (a dead tail grown through a hard link after the
   /// snapshot), and those bytes are never read.
@@ -278,24 +246,18 @@ class MRBGStore {
   };
 
   Status OpenFiles();
-  Status OpenRaw();
-  Status OpenLogStructured();
-  Status MigrateRawToLogStructuredLocked();
   Status ScanSegmentLocked(size_t pos);
   Status FlushAppendBufferLocked();
-  Status EnsureReaderLocked();
   Status RotateActiveLocked();
   Status WriteManifestLocked();
   Status CloseLocked();
   Status FinishBatchLocked(bool persist_index);
-  Status PersistIndexLocked();
   Status AppendChunkLocked(const Chunk& chunk);
   Status RemoveChunkLocked(const std::string& key);
   StatusOr<Chunk> QueryLocked(const std::string& key);
   Status ForEachChunkLocked(const std::function<Status(const Chunk&)>& fn);
-  Status CompactRawLocked();
 
-  /// Waste policy check (log-structured).
+  /// Waste policy check.
   bool ShouldCompactLocked() const;
   /// One compaction pass over the current sealed segments: rewrite live
   /// chunks into a fresh segment (lock dropped during the rewrite), then
@@ -303,12 +265,20 @@ class MRBGStore {
   /// `all` additionally seals the active segment first so the result is a
   /// single segment (Compact() semantics).
   Status CompactPass(bool all);
+  /// Run CompactPass(all) in the foreground, serialized against the
+  /// background compactor.
+  Status RunCompactPass(bool all);
+  /// Simulated kill at compaction stage `stage` (fault-injected crash
+  /// point "mrbg/compact/<stage>"): marks the store crashed, so it stops
+  /// touching disk.
+  bool CrashAt(const char* stage);
   void RequestCompactionLocked();
   void CompactorMain();
   void StartCompactor();
   void StopCompactor();
 
-  Segment* FindSegmentLocked(uint64_t id);
+  /// Reader of segment `id` (opened lazily, cached on the Segment).
+  StatusOr<RandomAccessFile*> SegmentReaderLocked(uint64_t id);
   std::string SegmentPath(uint64_t id) const;
   std::string ManifestPath() const;
   uint64_t active_id_locked() const { return segments_.back().id; }
@@ -327,7 +297,6 @@ class MRBGStore {
 
   std::string dir_;
   MRBGStoreOptions options_;
-  bool log_structured_ = false;
 
   /// Guards everything below. Held by every public entry point; the
   /// background compactor holds it only for its short install phase, so
@@ -335,17 +304,13 @@ class MRBGStore {
   mutable std::mutex mu_;
 
   ChunkIndex index_;
-  std::unique_ptr<WritableFile> writer_;  // raw file / active segment
-  std::unique_ptr<RandomAccessFile> reader_;  // raw-mode reader
-  bool reader_stale_ = true;
+  std::unique_ptr<WritableFile> writer_;  // active segment
   std::string append_buf_;
-  /// Raw: logical mrbg.dat size incl. unflushed buffer. Log-structured:
-  /// logical active-segment size incl. unflushed buffer.
+  /// Logical active-segment size incl. unflushed buffer.
   uint64_t file_end_ = 0;
 
-  /// Log-structured state. segments_ is the logical scan order; back() is
-  /// the active (appendable) segment, everything before it is sealed and
-  /// immutable.
+  /// segments_ is the logical scan order; back() is the active
+  /// (appendable) segment, everything before it is sealed and immutable.
   std::vector<Segment> segments_;
   uint64_t next_segment_id_ = 1;
   uint64_t batch_start_ = 0;  // active-segment offset of the open batch
@@ -357,8 +322,8 @@ class MRBGStore {
   uint64_t live_bytes_ = 0;
   uint64_t live_active_bytes_ = 0;
   uint64_t sealed_bytes_ = 0;
-  /// Set when the crash hook fired: disk must stay exactly as the
-  /// abandoned pass left it, so Close() skips its final flush.
+  /// Set when a compaction crash point fired: disk must stay exactly as
+  /// the abandoned pass left it, so Close() skips its final flush.
   bool crashed_ = false;
 
   // Background compactor.
@@ -370,7 +335,7 @@ class MRBGStore {
   bool compact_stop_ = false;
 
   // Tail cache (see MRBGStoreOptions::tail_cache_bytes): a retained copy
-  // of the most recently flushed bytes of the raw file / active segment.
+  // of the most recently flushed bytes of the active segment.
   // The live region is tail_buf_[tail_dead_..end), covering file offsets
   // [tail_start_, tail_start_ + live size); eviction just grows the dead
   // prefix, and the buffer is compacted only when the dead prefix exceeds
@@ -381,9 +346,8 @@ class MRBGStore {
 
   std::vector<std::string> query_keys_;  // L, sorted
   size_t query_cursor_ = 0;
-  /// Keyed by (segment << 32) | batch — offsets are segment-relative in
-  /// the log-structured layout, so windows must never be shared across
-  /// segments (raw mode: segment 0 → plain batch id; single-window mode:
+  /// Keyed by (segment << 32) | batch — offsets are segment-relative, so
+  /// windows must never be shared across segments (single-window mode:
   /// (segment << 32); index-only scratch: ~0ull).
   std::map<uint64_t, Window> windows_;
 

@@ -23,7 +23,6 @@ constexpr size_t kFrameOverhead = kFrameHeader + 4;  // + crc
 constexpr size_t kPayloadOverhead = 8 + 1 + 4 + 4;   // seq + op + 2 lengths
 constexpr const char* kPurgeFile = "PURGE";
 constexpr const char* kArchiveDir = "archive";
-constexpr const char* kLegacyLog = "log.dat";
 
 // Parses one frame starting at data[pos]. Returns OK and advances *pos past
 // the frame, NotFound at a clean end (pos == size), Corruption otherwise.
@@ -156,22 +155,6 @@ StatusOr<std::unique_ptr<DeltaLog>> DeltaLog::Open(const std::string& dir,
 
 DeltaLog::~DeltaLog() { (void)Close(); }
 
-Status DeltaLog::MigrateLegacyLog() {
-  // Pre-segmentation layout: one rewrite-on-purge log.dat. Rename it into a
-  // segment named after its first sequence number; the normal scan then
-  // treats it like any other (last) segment, torn tail included.
-  std::string legacy = JoinPath(dir_, kLegacyLog);
-  if (!FileExists(legacy)) return Status::OK();
-  auto data = ReadFileToString(legacy);
-  if (!data.ok()) return data.status();
-  if (data->empty()) return RemoveAll(legacy);
-  size_t pos = 0;
-  SeqDelta first;
-  uint64_t first_seq = 1;
-  if (ParseFrame(*data, &pos, &first).ok()) first_seq = first.seq;
-  return RenameFile(legacy, JoinPath(dir_, DeltaLogSegmentName(first_seq)));
-}
-
 Status DeltaLog::ScanSegment(const std::string& path, bool is_last,
                              uint64_t prev_max, uint64_t* last_seq,
                              uint64_t* nrecords) {
@@ -254,12 +237,8 @@ Status DeltaLog::ScanSegment(const std::string& path, bool is_last,
 }
 
 Status DeltaLog::Recover() {
-  // Orphans from crashed maintenance: the legacy purge rewrite temp and a
-  // half-written PURGE mark are never authoritative.
-  if (FileExists(JoinPath(dir_, std::string(kLegacyLog) + ".purge"))) {
-    I2MR_RETURN_IF_ERROR(
-        RemoveAll(JoinPath(dir_, std::string(kLegacyLog) + ".purge")));
-  }
+  // A half-written PURGE mark from crashed maintenance is never
+  // authoritative.
   if (FileExists(JoinPath(dir_, std::string(kPurgeFile) + ".tmp"))) {
     I2MR_RETURN_IF_ERROR(
         RemoveAll(JoinPath(dir_, std::string(kPurgeFile) + ".tmp")));
@@ -268,7 +247,6 @@ Status DeltaLog::Recover() {
     I2MR_RETURN_IF_ERROR(
         ReadPurgeMark(JoinPath(dir_, kPurgeFile), &purge_watermark_));
   }
-  I2MR_RETURN_IF_ERROR(MigrateLegacyLog());
 
   auto files = ListFiles(dir_);
   if (!files.ok()) return files.status();

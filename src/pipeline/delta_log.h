@@ -99,8 +99,7 @@ class DeltaLog {
   };
 
   /// Open (or create) the log backed by segment files under `dir`,
-  /// recovering by scan. A legacy single-file `log.dat` is migrated to a
-  /// segment in place.
+  /// recovering by scan.
   static StatusOr<std::unique_ptr<DeltaLog>> Open(const std::string& dir,
                                                   DeltaLogOptions options = {});
 
@@ -187,7 +186,6 @@ class DeltaLog {
       : dir_(std::move(dir)), options_(std::move(options)) {}
 
   Status Recover();
-  Status MigrateLegacyLog();
   /// Scan one segment file; appends live records to records_. Fills
   /// *last_seq / *nrecords with what the segment holds. `is_last` enables
   /// torn-tail truncation; `prev_max` is the highest seq of any earlier

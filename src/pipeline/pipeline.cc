@@ -30,17 +30,16 @@ std::string PartDirName(int p) {
   return buf;
 }
 
-// MANIFEST: [u64 epoch][u64 watermark][u32 crc32-of-first-16-bytes], or —
-// when the pipeline belongs to a resharded (generation > 0) fleet —
-// [u64 epoch][u64 watermark][u64 generation][u32 crc32-of-first-24-bytes].
-// Generation-0 manifests keep the legacy 20-byte form so every existing
-// epoch dir (and replica verification of it) stays byte-compatible.
+// MANIFEST: [u64 epoch][u64 watermark][u64 generation]
+// [u32 crc32-of-first-24-bytes], always 28 bytes.
+constexpr size_t kManifestPayloadSize = 24;
+
 Status WriteManifest(const std::string& path, uint64_t epoch,
                      uint64_t watermark, uint64_t generation, bool sync) {
   std::string payload;
   PutFixed64(&payload, epoch);
   PutFixed64(&payload, watermark);
-  if (generation != 0) PutFixed64(&payload, generation);
+  PutFixed64(&payload, generation);
   std::string data = payload;
   PutFixed32(&data, Crc32(payload));
   return WriteStringToFile(path, data, sync);
@@ -50,19 +49,16 @@ Status ReadManifest(const std::string& path, uint64_t* epoch,
                     uint64_t* watermark, uint64_t* generation = nullptr) {
   auto data = ReadFileToString(path);
   if (!data.ok()) return data.status();
-  if (data->size() != 20 && data->size() != 28) {
+  if (data->size() != kManifestPayloadSize + 4) {
     return Status::Corruption("bad manifest size");
   }
-  const size_t payload_size = data->size() - 4;
-  std::string_view payload(data->data(), payload_size);
-  if (DecodeFixed32(data->data() + payload_size) != Crc32(payload)) {
+  std::string_view payload(data->data(), kManifestPayloadSize);
+  if (DecodeFixed32(data->data() + kManifestPayloadSize) != Crc32(payload)) {
     return Status::Corruption("manifest crc mismatch");
   }
   *epoch = DecodeFixed64(data->data());
   *watermark = DecodeFixed64(data->data() + 8);
-  if (generation != nullptr) {
-    *generation = payload_size == 24 ? DecodeFixed64(data->data() + 16) : 0;
-  }
+  if (generation != nullptr) *generation = DecodeFixed64(data->data() + 16);
   return Status::OK();
 }
 
@@ -194,9 +190,8 @@ Status Pipeline::RestoreCommitted() {
     I2MR_RETURN_IF_ERROR(ResetDir(engine_->PartitionDir(p)));
     // Hard links, not copies: O(1) per file. The engine never mutates
     // these inodes in place — every rewrite allocates a fresh inode
-    // (WritableFile fresh-inode semantics), and the MRBG store's in-place
-    // appends only grow an unindexed tail the committed mrbg.idx never
-    // references.
+    // (WritableFile fresh-inode semantics), and the MRBG store only
+    // appends to a fresh active segment, never to a restored one.
     I2MR_RETURN_IF_ERROR(LinkOrCopyFile(JoinPath(src, "structure.dat"),
                                         engine_->StructurePath(p)));
     I2MR_RETURN_IF_ERROR(
@@ -204,9 +199,8 @@ Status Pipeline::RestoreCommitted() {
     std::string mrbg_src = JoinPath(src, "mrbg");
     std::error_code mrbg_ec;
     if (std::filesystem::is_directory(mrbg_src, mrbg_ec)) {
-      // Epoch-committed MRBG store image (raw or log-structured): link
-      // every file back; MRBGStore::Open works out the layout from the
-      // file set (a MANIFEST means log-structured).
+      // Epoch-committed MRBG store image: link every file back;
+      // MRBGStore::Open rebuilds the index from the MANIFEST's segments.
       I2MR_RETURN_IF_ERROR(CreateDirs(engine_->MrbgDir(p)));
       auto files = ListFiles(mrbg_src);
       if (!files.ok()) return files.status();
@@ -215,15 +209,6 @@ Status Pipeline::RestoreCommitted() {
         I2MR_RETURN_IF_ERROR(
             LinkOrCopyFile(path, JoinPath(engine_->MrbgDir(p), name)));
       }
-    } else if (FileExists(JoinPath(src, "mrbg.dat"))) {
-      // Epochs staged before the store image moved under mrbg/.
-      I2MR_RETURN_IF_ERROR(CreateDirs(engine_->MrbgDir(p)));
-      I2MR_RETURN_IF_ERROR(
-          LinkOrCopyFile(JoinPath(src, "mrbg.dat"),
-                         JoinPath(engine_->MrbgDir(p), "mrbg.dat")));
-      I2MR_RETURN_IF_ERROR(
-          LinkOrCopyFile(JoinPath(src, "mrbg.idx"),
-                         JoinPath(engine_->MrbgDir(p), "mrbg.idx")));
     }
     if (FileExists(JoinPath(src, "remote.dat"))) {
       // Cross-shard remote-edge inbox: committed alongside the state so a
@@ -558,8 +543,8 @@ Status Pipeline::StageEpochLocked(uint64_t epoch, uint64_t watermark,
   // Snapshot the engine's working files by hard link — O(1) per file
   // instead of O(live bytes) per epoch. Safe because nothing ever mutates
   // a committed inode: rewrites allocate fresh inodes (WritableFile
-  // fresh-inode semantics), and the MRBG store's in-place appends only
-  // grow a tail past everything this epoch's mrbg.idx references.
+  // fresh-inode semantics), and the MRBG store's appends only grow its
+  // active segment past the length this epoch's MANIFEST records.
   // LinkOrCopyFile falls back to a byte copy across devices.
   std::vector<std::string> snapshot_files;
   for (int p = 0; p < n; ++p) {
@@ -573,7 +558,7 @@ Status Pipeline::StageEpochLocked(uint64_t epoch, uint64_t watermark,
     snapshot_files.push_back(JoinPath(pdir, "state.dat"));
     // MRBG store image under pdir/mrbg/: the engine picks the file set —
     // a frozen prefix of every segment plus a manifest naming exactly
-    // those lengths (log-structured), or mrbg.dat + mrbg.idx (raw). Safe
+    // those lengths. Safe
     // concurrently with the store's background compactor: compaction
     // installs fresh inodes and never mutates linked ones.
     size_t before = snapshot_files.size();

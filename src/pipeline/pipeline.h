@@ -90,8 +90,7 @@ struct PipelineOptions {
   /// Partition-map generation this pipeline's shard belongs to (0 for an
   /// unsharded pipeline or a generation-0 fleet). Stamped into every epoch
   /// MANIFEST so replicas detect that shipped state was partitioned by a
-  /// different map after an elastic reshard; generation 0 keeps the legacy
-  /// 20-byte manifest form.
+  /// different map after an elastic reshard.
   uint64_t generation = 0;
 
   /// Test hook simulating process death: return true to abandon the epoch
@@ -321,7 +320,7 @@ class Pipeline {
   static Status ReadEpochManifest(const std::string& dir, uint64_t* epoch,
                                   uint64_t* watermark);
   /// Variant that also returns the partition-map generation the epoch was
-  /// committed under (0 for legacy 20-byte manifests).
+  /// committed under.
   static Status ReadEpochManifest(const std::string& dir, uint64_t* epoch,
                                   uint64_t* watermark, uint64_t* generation);
 

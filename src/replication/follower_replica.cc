@@ -210,8 +210,8 @@ Status FollowerReplica::VerifyEpochDir(const std::string& dir,
   }
   // Same checks the primary's own crash recovery runs before restoring a
   // snapshot: CRC-scan every partition's record files, parse the serving
-  // store. (mrbg.dat is chunk-framed and validated lazily on first read,
-  // exactly as on the primary.)
+  // store. (MRBG segments are CRC-framed and validated by the index
+  // rebuild scan when the store opens, exactly as on the primary.)
   int parts = 0;
   auto entries = ListSubdirs(dir);
   if (!entries.ok()) return entries.status();

@@ -4,6 +4,7 @@
 // and the accumulator-Reduce fast path (§3.5).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -347,6 +348,48 @@ TEST_F(CoreIncrTest, StoreStatsReportIo) {
   EXPECT_GT(incr->store_io_reads, 0u);
   EXPECT_GT(incr->store_bytes_read, 0u);
   EXPECT_GE(incr->merge_ms, 0.0);
+}
+
+// Every refresh reopens the partition's MRBG store, and every open starts
+// a fresh segment: the store's segment count must stay bounded by the
+// compaction policy, not grow with the number of refreshes.
+TEST_F(CoreIncrTest, RepeatedRefreshesKeepSegmentCountBounded) {
+  LocalCluster cluster(root_, 2);
+  GraphGenOptions gen;
+  gen.num_vertices = 150;
+  gen.avg_degree = 4;
+  gen.weighted = true;
+  auto graph = GenGraph(gen);
+  ASSERT_TRUE(cluster.dfs()->WriteDataset("in", graph, 2).ok());
+  IncrJobSpec spec = InEdgeSumSpec("bounded", 2);
+  const size_t max_segments = spec.store_options.compact_max_segments + 1;
+  IncrementalOneStepJob job(&cluster, spec);
+  ASSERT_TRUE(job.RunInitial(*cluster.dfs()->Parts("in")).ok());
+
+  for (int round = 0; round < 12; ++round) {
+    GraphDeltaOptions dopt;
+    dopt.update_fraction = 0.05;
+    dopt.seed = 500 + round;
+    auto delta = GenGraphDelta(gen, dopt, &graph);
+    std::string name = "delta" + std::to_string(round);
+    ASSERT_TRUE(cluster.dfs()->WriteDeltaDataset(name, delta, 2).ok());
+    auto incr = job.RunIncremental(*cluster.dfs()->Parts(name));
+    ASSERT_TRUE(incr.ok()) << incr.status().ToString();
+    for (int r = 0; r < 2; ++r) {
+      char part[16];
+      std::snprintf(part, sizeof(part), "part-%03d", r);
+      auto files = ListFiles(
+          JoinPath(cluster.root(), std::string("state/bounded/") + part +
+                                       "/mrbg"));
+      ASSERT_TRUE(files.ok());
+      size_t segments = 0;
+      for (const auto& f : *files) {
+        if (f.find("/seg-") != std::string::npos) ++segments;
+      }
+      EXPECT_LE(segments, max_segments) << "round " << round << " " << part;
+    }
+  }
+  ExpectNear(ToDoubleMap(*job.Results()), InEdgeSumReference(graph), 1e-6);
 }
 
 }  // namespace

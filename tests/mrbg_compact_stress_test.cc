@@ -39,7 +39,6 @@ class MrbgCompactStressTest : public ::testing::Test {
 
 TEST_F(MrbgCompactStressTest, WriterVsBackgroundCompactor) {
   MRBGStoreOptions opts;
-  opts.log_structured = true;
   opts.background_compaction = true;
   opts.segment_target_bytes = 4 << 10;  // rotate constantly
   opts.compact_min_wasted_bytes = 0;
@@ -100,7 +99,6 @@ TEST_F(MrbgCompactStressTest, WriterVsBackgroundCompactor) {
 
 TEST_F(MrbgCompactStressTest, SnapshotsStayConsistentUnderCompaction) {
   MRBGStoreOptions opts;
-  opts.log_structured = true;
   opts.background_compaction = true;
   opts.segment_target_bytes = 4 << 10;
   opts.compact_min_wasted_bytes = 0;

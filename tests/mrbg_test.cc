@@ -1,4 +1,4 @@
-// Tests for the MRBG-Store: chunk codec, index persistence, append/batch
+// Tests for the MRBG-Store: chunk codec, chunk index, append/batch
 // behaviour, the four read modes, merge semantics, and compaction.
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 
 #include "common/codec.h"
 #include "io/env.h"
+#include "io/fault_env.h"
 #include "mrbg/chunk.h"
 #include "mrbg/chunk_index.h"
 #include "mrbg/mrbg_store.h"
@@ -153,35 +154,6 @@ TEST(ChunkIndexTest, PutLookupErase) {
   EXPECT_EQ(idx.Lookup("a")->batch, 1u);
   idx.Erase("a");
   EXPECT_EQ(idx.Lookup("a"), nullptr);
-}
-
-TEST(ChunkIndexTest, SaveLoadRoundTrip) {
-  std::string dir = ::testing::TempDir() + "/i2mr_idx_test";
-  ASSERT_TRUE(ResetDir(dir).ok());
-  ChunkIndex idx;
-  idx.Put("a", {1, 2, 0});
-  idx.Put("b", {3, 4, 1});
-  idx.AddBatch({0, 100});
-  idx.AddBatch({100, 250});
-  ASSERT_TRUE(idx.Save(JoinPath(dir, "idx")).ok());
-
-  ChunkIndex loaded;
-  ASSERT_TRUE(loaded.Load(JoinPath(dir, "idx")).ok());
-  EXPECT_EQ(loaded.size(), 2u);
-  ASSERT_NE(loaded.Lookup("b"), nullptr);
-  EXPECT_EQ(*loaded.Lookup("b"), (ChunkLocation{3, 4, 1}));
-  ASSERT_EQ(loaded.batches().size(), 2u);
-  EXPECT_EQ(loaded.batches()[1].start, 100u);
-  ASSERT_TRUE(RemoveAll(dir).ok());
-}
-
-TEST(ChunkIndexTest, LoadRejectsGarbage) {
-  std::string dir = ::testing::TempDir() + "/i2mr_idx_bad";
-  ASSERT_TRUE(ResetDir(dir).ok());
-  ASSERT_TRUE(WriteStringToFile(JoinPath(dir, "idx"), "garbage!").ok());
-  ChunkIndex idx;
-  EXPECT_FALSE(idx.Load(JoinPath(dir, "idx")).ok());
-  ASSERT_TRUE(RemoveAll(dir).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -533,7 +505,7 @@ TEST_F(MRBGStoreTest, LargeValuesSpanAppendBufferFlushes) {
 }
 
 // ---------------------------------------------------------------------------
-// Log-structured layout
+// Segment log: rotation, tombstones, compaction, snapshots
 // ---------------------------------------------------------------------------
 
 class LogStructuredStoreTest : public MRBGStoreTest {
@@ -542,7 +514,6 @@ class LogStructuredStoreTest : public MRBGStoreTest {
   /// zero so compaction thresholds are reachable with test-sized data.
   static MRBGStoreOptions LsOpts(size_t segment_target = 1024) {
     MRBGStoreOptions o;
-    o.log_structured = true;
     o.segment_target_bytes = segment_target;
     o.compact_min_wasted_bytes = 0;
     return o;
@@ -585,15 +556,13 @@ class LogStructuredStoreTest : public MRBGStoreTest {
 TEST_F(LogStructuredStoreTest, PersistsAcrossReopenWithRotation) {
   {
     auto store = OpenStore(LsOpts());
-    ASSERT_TRUE(store->log_structured());
     WriteRounds(store.get(), 4, 10);
     EXPECT_GT(store->num_segments(), 1u);  // tiny target forced rotation
     ASSERT_TRUE(store->Close().ok());
   }
   ASSERT_TRUE(FileExists(JoinPath(dir_, "store/MANIFEST")));
-  // Reopen without the flag: the on-disk MANIFEST wins.
+  // Reopen with default options: the index is rebuilt from the segments.
   auto store = OpenStore();
-  EXPECT_TRUE(store->log_structured());
   EXPECT_EQ(store->num_chunks(), 10u);
   ExpectRound(store.get(), 3, 10);
 }
@@ -669,26 +638,7 @@ TEST_F(LogStructuredStoreTest, BackgroundCompactionAtBatchBoundaries) {
   ExpectRound(reopened.get(), 9, 8);
 }
 
-TEST_F(LogStructuredStoreTest, MigratesRawStoreInPlace) {
-  {
-    auto raw = OpenStore();  // default: raw layout
-    ASSERT_FALSE(raw->log_structured());
-    WriteRounds(raw.get(), 3, 10);
-    // A raw-mode delete lives only in the persisted index; the migration
-    // must honour it rather than resurrect the chunk from mrbg.dat.
-    ASSERT_TRUE(raw->RemoveChunk(PaddedNum(4)).ok());
-    ASSERT_TRUE(raw->Close().ok());
-  }
-  auto store = OpenStore(LsOpts());
-  EXPECT_TRUE(store->log_structured());
-  EXPECT_EQ(store->num_chunks(), 9u);
-  ExpectRound(store.get(), 2, 10, /*gone=*/{4});
-  EXPECT_TRUE(FileExists(JoinPath(dir_, "store/MANIFEST")));
-  EXPECT_FALSE(FileExists(JoinPath(dir_, "store/mrbg.dat")));
-  EXPECT_FALSE(FileExists(JoinPath(dir_, "store/mrbg.idx")));
-}
-
-TEST_F(LogStructuredStoreTest, ReadModesReturnSameChunksAsRaw) {
+TEST_F(LogStructuredStoreTest, ReadModesAgreeAcrossSegments) {
   for (ReadMode mode :
        {ReadMode::kIndexOnly, ReadMode::kSingleFixedWindow,
         ReadMode::kMultiFixedWindow, ReadMode::kMultiDynamicWindow}) {
@@ -739,14 +689,13 @@ TEST_F(LogStructuredStoreTest, SnapshotIsFrozenAgainstLaterAppends) {
 
   auto snap_store = MRBGStore::Open(snap);
   ASSERT_TRUE(snap_store.ok()) << snap_store.status().ToString();
-  EXPECT_TRUE(snap_store.value()->log_structured());
   EXPECT_EQ(snap_store.value()->num_chunks(), 8u);
   ExpectRound(snap_store.value().get(), 2, 8);
   // And the source still serves its latest state.
   ExpectRound(store.get(), 1, 8, /*gone=*/{0});
 }
 
-TEST_F(LogStructuredStoreTest, ListStoreFilesCoversBothLayouts) {
+TEST_F(LogStructuredStoreTest, ListStoreFilesNamesManifestAndSegments) {
   // Nothing durable yet.
   auto empty = MRBGStore::ListStoreFiles(JoinPath(dir_, "nothing"));
   ASSERT_TRUE(empty.ok());
@@ -766,41 +715,34 @@ TEST_F(LogStructuredStoreTest, ListStoreFilesCoversBothLayouts) {
   }
   EXPECT_TRUE(has_manifest);
   EXPECT_TRUE(has_segment);
-
-  {
-    auto raw = MRBGStore::Open(JoinPath(dir_, "raw"));
-    ASSERT_TRUE(raw.ok());
-    ASSERT_TRUE(raw.value()->AppendChunk(MakeChunk("a", 1)).ok());
-    ASSERT_TRUE(raw.value()->Close().ok());
-  }
-  auto rf = MRBGStore::ListStoreFiles(JoinPath(dir_, "raw"));
-  ASSERT_TRUE(rf.ok());
-  EXPECT_EQ(rf->size(), 2u);  // mrbg.dat + mrbg.idx
 }
 
-// Crash injection at each compaction stage: a kill between the segment
-// rewrite and the index/manifest swap must recover to the old state or the
-// new state, never a torn mixture.
+// Crash injection at each compaction stage ("mrbg/compact/<stage>" crash
+// points): a kill between the segment rewrite and the index/manifest swap
+// must recover to the old state or the new state, never a torn mixture.
 class CompactionCrashTest : public LogStructuredStoreTest,
                             public ::testing::WithParamInterface<const char*> {
+ protected:
+  void TearDown() override {
+    fault::FaultInjector::Instance()->Reset();
+    LogStructuredStoreTest::TearDown();
+  }
 };
 
 TEST_P(CompactionCrashTest, RecoversToConsistentState) {
   const std::string stage = GetParam();
-  MRBGStoreOptions opts = LsOpts(512);
-  int fired = 0;
-  opts.compact_crash_hook = [&](const std::string& s) {
-    if (s != stage) return false;
-    ++fired;
-    return true;
-  };
   {
-    auto store = OpenStore(opts);
+    auto store = OpenStore(LsOpts(512));
     WriteRounds(store.get(), 6, 10);
     ASSERT_TRUE(store->RemoveChunk(PaddedNum(5)).ok());
     ASSERT_TRUE(store->FinishBatch().ok());
+    auto* faults = fault::FaultInjector::Instance();
+    ASSERT_TRUE(
+        faults->LoadSpec("op=crash,path=mrbg/compact/" + stage + ",kind=crash")
+            .ok());
     ASSERT_TRUE(store->Compact().ok());  // abandoned at `stage`
-    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(faults->injections(), 1u);
+    faults->Reset();
     // The crashed store must stop touching disk, like a killed process.
     ASSERT_TRUE(store->Close().ok());
   }

@@ -15,6 +15,7 @@
 #include "apps/kmeans.h"
 #include "apps/pagerank.h"
 #include "common/codec.h"
+#include "common/hash.h"
 #include "data/graph_gen.h"
 #include "data/points_gen.h"
 #include "io/env.h"
@@ -566,27 +567,6 @@ TEST_F(DeltaLogTest, GroupCommitKeepsBatchesContiguousAndAtomic) {
   }
 }
 
-TEST_F(DeltaLogTest, LegacySingleFileLogIsMigratedToSegments) {
-  // A pre-segmentation log.dat (first seq 5: its prefix was purged by the
-  // old rewrite-in-place path) must open as a segment, keeping its seqs.
-  std::string frames;
-  for (uint64_t s = 5; s <= 7; ++s) {
-    EncodeLogRecord(s, DeltaKV{DeltaOp::kInsert, "k" + std::to_string(s), "v"},
-                    &frames);
-  }
-  ASSERT_TRUE(WriteStringToFile(JoinPath(dir_, "log.dat"), frames).ok());
-
-  auto log = DeltaLog::Open(dir_);
-  ASSERT_TRUE(log.ok()) << log.status().ToString();
-  EXPECT_FALSE(FileExists(JoinPath(dir_, "log.dat")));
-  EXPECT_EQ(SegmentFilesIn(dir_).size(), 1u);
-  EXPECT_EQ((*log)->recovery_stats().records, 3u);
-  EXPECT_EQ((*log)->last_seq(), 7u);
-  auto seq = (*log)->Append(DeltaKV{DeltaOp::kInsert, "k8", "v"});
-  ASSERT_TRUE(seq.ok());
-  EXPECT_EQ(*seq, 8u);
-}
-
 // ---------------------------------------------------------------------------
 // Pipeline epochs
 // ---------------------------------------------------------------------------
@@ -930,6 +910,31 @@ TEST_F(PipelineTest, SegmentedLogWithArchivalAcrossEpochsAndRestart) {
     auto reference = pagerank::Reference(graph, 100, 1e-9);
     EXPECT_LT(pagerank::MeanError((*pipeline)->ServingSnapshot(), reference),
               1e-3);
+
+    // The epoch MANIFEST has one form, [epoch][watermark][generation][crc],
+    // even at generation 0.
+    EpochPin pin = (*pipeline)->PinServing();
+    auto manifest = FileSize(JoinPath(pin.dir(), "MANIFEST"));
+    ASSERT_TRUE(manifest.ok());
+    EXPECT_EQ(*manifest, 28u);
+    uint64_t epoch = 0, watermark = 0, generation = 1;
+    ASSERT_TRUE(Pipeline::ReadEpochManifest(pin.dir(), &epoch, &watermark,
+                                            &generation)
+                    .ok());
+    EXPECT_EQ(epoch, 2u);
+    EXPECT_EQ(generation, 0u);
+    // A well-formed 20-byte [epoch][watermark][crc] manifest is not that
+    // form: it reads as corruption.
+    std::string short_dir = JoinPath(root_, "short-manifest");
+    ASSERT_TRUE(ResetDir(short_dir).ok());
+    std::string payload;
+    PutFixed64(&payload, epoch);
+    PutFixed64(&payload, watermark);
+    std::string data = payload;
+    PutFixed32(&data, Crc32(payload));
+    ASSERT_TRUE(WriteStringToFile(JoinPath(short_dir, "MANIFEST"), data).ok());
+    EXPECT_TRUE(Pipeline::ReadEpochManifest(short_dir, &epoch, &watermark)
+                    .IsCorruption());
   }
 }
 
