@@ -1,6 +1,9 @@
-// MRBG-Store microbenchmarks (google-benchmark): chunk codec, appends,
-// point queries under each read mode, delta merge, compaction.
+// MRBG-Store microbenchmarks (google-benchmark): chunk codec, the double
+// text codec, appends, point queries under each read mode, delta merge,
+// compaction.
 #include <benchmark/benchmark.h>
+
+#include <cmath>
 
 #include "common/codec.h"
 #include "common/logging.h"
@@ -59,9 +62,42 @@ void BM_ApplyDelta(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyDelta)->Arg(8)->Arg(64)->Arg(512);
 
+/// A PageRank-like value whose "%.17g" text is 19 bytes (17 significant
+/// digits, as most ranks and shares print).
+double RankLike(int i) {
+  double d = 0.15 + i * 3.3333333e-7;
+  while (FormatDouble(d).size() != 19) d = std::nextafter(d, 1.0);
+  return d;
+}
+
+void BM_FormatDouble(benchmark::State& state) {
+  std::vector<double> values;
+  for (int i = 0; i < 1024; ++i) values.push_back(RankLike(i));
+  int i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(FormatDouble(values[i++ & 1023]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FormatDouble);
+
+void BM_ParseDouble(benchmark::State& state) {
+  std::vector<std::string> texts;
+  for (int i = 0; i < 1024; ++i) texts.push_back(FormatDouble(RankLike(i)));
+  int i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ParseDouble(texts[i++ & 1023]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ParseDouble);
+
 /// range(0) = ReadMode.
 class StoreFixture : public benchmark::Fixture {
  public:
+  /// The version of chunk `k` the store holds: 8 entries of 24-byte values.
+  virtual Chunk StoredChunk(int k) { return MakeChunk(PaddedNum(k), 8, 24); }
+
   void SetUp(const benchmark::State& state) override {
     dir_ = "/tmp/i2mr_bench/micro_mrbg";
     RemoveAll(dir_).ok();
@@ -72,7 +108,7 @@ class StoreFixture : public benchmark::Fixture {
     // Two batches of 2000 chunks.
     for (int b = 0; b < 2; ++b) {
       for (int k = 0; k < 2000; ++k) {
-        I2MR_CHECK_OK(store_->AppendChunk(MakeChunk(PaddedNum(k), 8, 24)));
+        I2MR_CHECK_OK(store_->AppendChunk(StoredChunk(k)));
       }
       I2MR_CHECK_OK(store_->FinishBatch());
     }
@@ -131,12 +167,45 @@ BENCHMARK_REGISTER_F(StoreFixture, MergeGroups)
     ->Arg(static_cast<int>(ReadMode::kIndexOnly))
     ->Arg(static_cast<int>(ReadMode::kMultiDynamicWindow));
 
+/// The refresh hot path's shape: chunks of 19-byte "%.17g" values and
+/// deltas that overwrite one of them with a new value.
+class DoubleStoreFixture : public StoreFixture {
+ public:
+  Chunk StoredChunk(int k) override {
+    Chunk c;
+    c.key = PaddedNum(k);
+    for (int i = 0; i < 8; ++i) {
+      c.entries.push_back(ChunkEntry{static_cast<uint64_t>(i * 7 + 1),
+                                     FormatDouble(RankLike(k * 8 + i))});
+    }
+    return c;
+  }
+};
+
+BENCHMARK_DEFINE_F(DoubleStoreFixture, MergeGroups)(benchmark::State& state) {
+  std::vector<DeltaEdge> deltas(1);
+  deltas[0].mk = 1;
+  deltas[0].v2 = FormatDouble(RankLike(-1));
+  for (auto _ : state) {
+    I2MR_CHECK_OK(store_->PrepareQueries(keys_));
+    Chunk merged;
+    for (const auto& k : keys_) {
+      I2MR_CHECK_OK(store_->MergeGroup(k, deltas, &merged));
+    }
+    I2MR_CHECK_OK(store_->FinishBatch());
+  }
+  state.SetItemsProcessed(state.iterations() * keys_.size());
+  state.SetLabel(Label(state));
+}
+BENCHMARK_REGISTER_F(DoubleStoreFixture, MergeGroups)
+    ->Arg(static_cast<int>(ReadMode::kMultiDynamicWindow));
+
 BENCHMARK_DEFINE_F(StoreFixture, Compact)(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     // Add garbage: overwrite every chunk once more.
     for (int k = 0; k < 2000; ++k) {
-      I2MR_CHECK_OK(store_->AppendChunk(MakeChunk(PaddedNum(k), 8, 24)));
+      I2MR_CHECK_OK(store_->AppendChunk(StoredChunk(k)));
     }
     I2MR_CHECK_OK(store_->FinishBatch());
     state.ResumeTiming();

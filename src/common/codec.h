@@ -139,10 +139,13 @@ std::string PaddedNum(uint64_t v, int width = 10);
 /// Parse a decimal string (with or without padding) to uint64.
 StatusOr<uint64_t> ParseNum(std::string_view s);
 
-/// Parse a double from text.
+/// Parse a double from text. Accepts exactly what strtod accepts over the
+/// whole of `s` without a range error (ERANGE), with the same value.
 StatusOr<double> ParseDouble(std::string_view s);
 
-/// Format a double with enough digits to round-trip.
+/// Format a double with enough digits to round-trip. The bytes are those of
+/// printf("%.17g"): stored states and MRBGraph values are compared and
+/// digested byte for byte, so this format is a contract.
 std::string FormatDouble(double d);
 
 }  // namespace i2mr

@@ -552,19 +552,16 @@ StatusOr<IterationStats> IncrementalIterativeEngine::RunIncrIteration(
       auto reader = ShuffleReader::Open(source, cluster_->cost(), &metrics);
       if (!reader.ok()) return reader.status();
 
-      // Group the delta MRBGraph.
+      // Group the delta MRBGraph. The group key is the edges' K2, so each
+      // DeltaEdge leaves its k2 empty (MergeGroup takes K2 separately).
       std::vector<std::pair<std::string, std::vector<DeltaEdge>>> groups;
       {
         std::string_view key;
         std::vector<std::string_view> values;
         while (reader.value()->NextGroup(&key, &values)) {
-          std::vector<DeltaEdge> edges;
-          edges.reserve(values.size());
-          for (const auto& enc : values) {
-            DeltaEdge e;
-            I2MR_RETURN_IF_ERROR(DecodeEdgeValue(enc, &e));
-            e.k2.assign(key);
-            edges.push_back(std::move(e));
+          std::vector<DeltaEdge> edges(values.size());
+          for (size_t i = 0; i < values.size(); ++i) {
+            I2MR_RETURN_IF_ERROR(DecodeEdgeValue(values[i], &edges[i]));
           }
           groups.emplace_back(std::string(key), std::move(edges));
         }
@@ -612,27 +609,32 @@ StatusOr<IterationStats> IncrementalIterativeEngine::RunIncrIteration(
       double local_diff = 0;
       {
         ScopedTimer t(&metrics.reduce_ns);
+        // Reused across groups: the merged chunk keeps its entry strings'
+        // capacity, and the reducer reads its values as views into it.
+        Chunk merged;
         std::vector<std::string_view> values;
+        std::string init;
         for (const auto& [dk, edges] : groups) {
-          Chunk merged;
           {
             ScopedTimer mt(&merge_ns);
             I2MR_RETURN_IF_ERROR(store->MergeGroup(dk, edges, &merged));
           }
           values.clear();
-          values.reserve(merged.entries.size());
           for (const auto& e : merged.entries) values.push_back(e.v2);
           // Cross-shard: the reduce input is the union of the preserved
           // local MRBGraph values and the routed-in remote edges.
           AppendRemoteValues(r, dk, &values);
 
+          // The previous state, or the initial one for a new DK; stays
+          // valid until the Put below.
           const std::string* prev = states_[r]->Get(dk);
-          std::string prev_str = prev != nullptr ? *prev
-                                : spec_.init_state ? spec_.init_state(dk)
-                                                   : std::string();
-          std::string next =
-              reducer->Reduce(dk, values, prev != nullptr ? prev : nullptr);
-          local_diff += spec_.difference(next, prev_str);
+          const std::string* prev_or_init = prev;
+          if (prev == nullptr) {
+            init = spec_.init_state ? spec_.init_state(dk) : std::string();
+            prev_or_init = &init;
+          }
+          std::string next = reducer->Reduce(dk, values, prev);
+          local_diff += spec_.difference(next, *prev_or_init);
 
           // Change propagation control (§5.3): accumulate changes since the
           // last emission; emit only when above the filter threshold.
@@ -641,8 +643,9 @@ StatusOr<IterationStats> IncrementalIterativeEngine::RunIncrIteration(
             emit = true;  // CPC disabled: always propagate
           } else {
             auto last_it = ctxr.last_emitted.find(dk);
-            const std::string& last =
-                last_it != ctxr.last_emitted.end() ? last_it->second : prev_str;
+            const std::string& last = last_it != ctxr.last_emitted.end()
+                                          ? last_it->second
+                                          : *prev_or_init;
             double accumulated = spec_.difference(next, last);
             emit = accumulated > options_.filter_threshold;
           }

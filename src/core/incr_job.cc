@@ -320,17 +320,14 @@ Status IncrementalOneStepJob::RunReducePhaseIncremental(
       }
 
       // MRBGraph mode: group the delta, then merge against preserved chunks.
+      // The group key is the edges' K2, so each DeltaEdge leaves k2 empty.
       std::vector<std::pair<std::string, std::vector<DeltaEdge>>> delta_groups;
       std::string_view key_view;
       std::vector<std::string_view> value_views;
       while (reader.value()->NextGroup(&key_view, &value_views)) {
-        std::vector<DeltaEdge> edges;
-        edges.reserve(value_views.size());
-        for (const auto& enc : value_views) {
-          DeltaEdge e;
-          I2MR_RETURN_IF_ERROR(DecodeEdgeValue(enc, &e));
-          e.k2.assign(key_view);
-          edges.push_back(std::move(e));
+        std::vector<DeltaEdge> edges(value_views.size());
+        for (size_t i = 0; i < value_views.size(); ++i) {
+          I2MR_RETURN_IF_ERROR(DecodeEdgeValue(value_views[i], &edges[i]));
         }
         delta_groups.emplace_back(std::string(key_view), std::move(edges));
       }
@@ -346,8 +343,10 @@ Status IncrementalOneStepJob::RunReducePhaseIncremental(
       auto reducer = spec_.reducer();
       {
         ScopedTimer t(&metrics->reduce_ns);
+        // Reused across groups, keeping their strings' capacity.
+        Chunk merged;
+        std::vector<std::string> v2s;
         for (const auto& [k2, edges] : delta_groups) {
-          Chunk merged;
           {
             ScopedTimer mt(&merge_ns);
             I2MR_RETURN_IF_ERROR(store.value()->MergeGroup(k2, edges, &merged));
@@ -355,9 +354,10 @@ Status IncrementalOneStepJob::RunReducePhaseIncremental(
           if (merged.empty()) {
             results->EraseInstance(k2);
           } else {
-            std::vector<std::string> v2s;
-            v2s.reserve(merged.entries.size());
-            for (const auto& e : merged.entries) v2s.push_back(e.v2);
+            v2s.resize(merged.entries.size());
+            for (size_t i = 0; i < v2s.size(); ++i) {
+              v2s[i].assign(merged.entries[i].v2);
+            }
             VectorReduceContext ctx;
             reducer->Reduce(k2, v2s, &ctx);
             results->SetInstanceOutputs(k2, ctx.Take());

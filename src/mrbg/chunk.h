@@ -49,7 +49,9 @@ struct DeltaEdge {
 uint32_t EncodeChunk(const Chunk& chunk, std::string* out);
 
 /// Parse one chunk from `data` (which must start at a chunk boundary and
-/// contain the complete chunk). Verifies magic and checksum.
+/// contain the complete chunk). Verifies magic and checksum. Overwrites
+/// *chunk in place, reusing its strings' capacity; on error its contents
+/// are unspecified.
 Status DecodeChunk(std::string_view data, Chunk* chunk);
 
 /// Byte length of the encoding of `chunk` without encoding it.
@@ -77,9 +79,12 @@ struct ScannedFrame {
 /// Corruption on a torn or garbled frame.
 Status ScanFrame(std::string_view data, ScannedFrame* frame);
 
-/// Apply a group of delta edges (all with k2 == chunk->key) to a chunk:
-/// deletions remove the matching MK; insertions upsert by MK (paper §3.3:
-/// "checks duplicates, inserts if no duplicate exists, else updates").
+/// Apply a group of delta edges (all for K2 chunk->key; their k2 field is
+/// not read) to a chunk: deletions remove the matching MK; insertions
+/// upsert by MK (paper §3.3: "checks duplicates, inserts if no duplicate
+/// exists, else updates"). The result, entry order included, is that of
+/// applying the deltas one at a time; new MKs are appended in the order of
+/// their first upsert.
 void ApplyDeltaToChunk(const std::vector<DeltaEdge>& deltas, Chunk* chunk);
 
 }  // namespace i2mr

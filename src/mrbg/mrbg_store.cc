@@ -594,7 +594,7 @@ StatusOr<std::string_view> MRBGStore::ReadChunkBytesLocked(
   return std::string_view(w.buf.data(), loc.length);
 }
 
-StatusOr<Chunk> MRBGStore::QueryLocked(const std::string& key) {
+Status MRBGStore::QueryLocked(const std::string& key, Chunk* chunk) {
   ++stats_.queries;
   // Advance the cursor to this key's position in L (queries arrive in
   // PrepareQueries order; unknown keys fall back to standalone lookups).
@@ -612,26 +612,25 @@ StatusOr<Chunk> MRBGStore::QueryLocked(const std::string& key) {
   if (in_active && loc->offset >= flushed_end) {
     std::string_view view(append_buf_.data() + (loc->offset - flushed_end),
                           loc->length);
-    Chunk chunk;
-    I2MR_RETURN_IF_ERROR(DecodeChunk(view, &chunk));
+    I2MR_RETURN_IF_ERROR(DecodeChunk(view, chunk));
     ++stats_.cache_hits;
-    return chunk;
+  } else {
+    auto bytes = ReadChunkBytesLocked(*loc);
+    if (!bytes.ok()) return bytes.status();
+    I2MR_RETURN_IF_ERROR(DecodeChunk(*bytes, chunk));
   }
-
-  auto bytes = ReadChunkBytesLocked(*loc);
-  if (!bytes.ok()) return bytes.status();
-  Chunk chunk;
-  I2MR_RETURN_IF_ERROR(DecodeChunk(*bytes, &chunk));
-  if (chunk.key != key) {
+  if (chunk->key != key) {
     return Status::Corruption("index points to wrong chunk: wanted " + key +
-                              " got " + chunk.key);
+                              " got " + chunk->key);
   }
-  return chunk;
+  return Status::OK();
 }
 
 StatusOr<Chunk> MRBGStore::Query(const std::string& key) {
   std::lock_guard<std::mutex> lk(mu_);
-  return QueryLocked(key);
+  Chunk chunk;
+  I2MR_RETURN_IF_ERROR(QueryLocked(key, &chunk));
+  return chunk;
 }
 
 bool MRBGStore::Contains(const std::string& key) const {
@@ -653,13 +652,12 @@ Status MRBGStore::MergeGroup(const std::string& k2,
                              const std::vector<DeltaEdge>& deltas,
                              Chunk* merged) {
   std::lock_guard<std::mutex> lk(mu_);
-  merged->key = k2;
-  merged->entries.clear();
-  auto existing = QueryLocked(k2);
-  if (existing.ok()) {
-    *merged = std::move(existing.value());
-  } else if (!existing.status().IsNotFound()) {
-    return existing.status();
+  Status st = QueryLocked(k2, merged);
+  if (st.IsNotFound()) {
+    merged->key = k2;
+    merged->entries.clear();
+  } else if (!st.ok()) {
+    return st;
   }
   ApplyDeltaToChunk(deltas, merged);
   if (merged->empty()) {

@@ -164,7 +164,9 @@ class MRBGStore {
   /// step of §3.4): loads the old chunk (if any), applies deletions and
   /// upserts, appends the merged result (or removes it if empty) and
   /// returns it in *merged. Must be called in sorted-K2 order after
-  /// PrepareQueries with the same key list.
+  /// PrepareQueries with the same key list. *merged is overwritten and its
+  /// storage reused: pass the same Chunk for every group of a batch so the
+  /// merge allocates nothing in steady state.
   Status MergeGroup(const std::string& k2, const std::vector<DeltaEdge>& deltas,
                     Chunk* merged);
 
@@ -254,7 +256,8 @@ class MRBGStore {
   Status FinishBatchLocked(bool persist_index);
   Status AppendChunkLocked(const Chunk& chunk);
   Status RemoveChunkLocked(const std::string& key);
-  StatusOr<Chunk> QueryLocked(const std::string& key);
+  /// Decode the latest chunk for `key` into *chunk (reusing its storage).
+  Status QueryLocked(const std::string& key, Chunk* chunk);
   Status ForEachChunkLocked(const std::function<Status(const Chunk&)>& fn);
 
   /// Waste policy check.

@@ -4,6 +4,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -163,6 +169,104 @@ TEST(CodecTest, ParseFormatDoubleRoundTrip) {
     EXPECT_DOUBLE_EQ(*parsed, d);
   }
   EXPECT_FALSE(ParseDouble("abc").ok());
+}
+
+// References: FormatDouble must produce printf's "%.17g" bytes, and
+// ParseDouble must give strtod's verdicts and values.
+std::string ReferenceFormatDouble(double d) {
+  char buf[40];
+  int n = std::snprintf(buf, sizeof(buf), "%.17g", d);
+  return std::string(buf, n);
+}
+
+StatusOr<double> ReferenceParseDouble(std::string_view s) {
+  std::string tmp(s);
+  errno = 0;
+  char* end = nullptr;
+  double d = std::strtod(tmp.c_str(), &end);
+  if (end != tmp.c_str() + tmp.size() || errno == ERANGE) {
+    return Status::InvalidArgument("bad double: " + tmp);
+  }
+  return d;
+}
+
+uint64_t Bits(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, 8);
+  return b;
+}
+
+void ExpectSameParse(const std::string& s) {
+  auto got = ParseDouble(s);
+  auto want = ReferenceParseDouble(s);
+  ASSERT_EQ(got.ok(), want.ok()) << "input \"" << s << "\"";
+  if (!want.ok()) return;
+  if (std::isnan(*want)) {
+    EXPECT_TRUE(std::isnan(*got)) << s;
+  } else {
+    EXPECT_EQ(Bits(*got), Bits(*want)) << s;
+  }
+}
+
+std::vector<double> DoubleSweep() {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> v = {0.0,
+                           -0.0,
+                           1.0,
+                           0.15,
+                           0.15000000000000002,
+                           std::numeric_limits<double>::denorm_min(),
+                           -std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::min() / 3,
+                           std::numeric_limits<double>::min(),
+                           std::numeric_limits<double>::max(),
+                           1e308,
+                           -1e308,
+                           1e-308,
+                           1e16,
+                           1e17,
+                           123456789012345678.0,
+                           inf,
+                           -inf,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(20240601);
+  for (int i = 0; i < 20000; ++i) {
+    uint64_t b = rng.Next();  // any bit pattern: subnormals, nan payloads
+    double d;
+    std::memcpy(&d, &b, 8);
+    v.push_back(d);
+  }
+  for (int i = 0; i < 20000; ++i) {
+    // PageRank-like magnitudes: ranks, shares, sums.
+    v.push_back(rng.NextDouble() * std::pow(10.0, rng.Uniform(9)) / 1000);
+  }
+  return v;
+}
+
+TEST(CodecTest, FormatDoubleMatchesPrintfBytes) {
+  for (double d : DoubleSweep()) {
+    ASSERT_EQ(FormatDouble(d), ReferenceFormatDouble(d))
+        << "bits 0x" << std::hex << Bits(d);
+  }
+}
+
+TEST(CodecTest, ParseDoubleMatchesStrtodVerdicts) {
+  for (const char* s :
+       {"+1", " 1", "1 ", "inf", "-inf", "infinity", "nan", "-nan", "0x1p3",
+        "1e-400", "1e400", "", ".", "1.5x", "-", "e5", "1e", "1.", ".5",
+        "-.5", "0", "-0", "0.0e0", "00012", "4.9406564584124654e-324",
+        "2.2250738585072014e-308", "1.7976931348623157e308",
+        "1.7976931348623159e308", "0.15000000000000002", "1e-310"}) {
+    ExpectSameParse(s);
+  }
+  for (double d : DoubleSweep()) {
+    std::string s = ReferenceFormatDouble(d);
+    ExpectSameParse(s);
+    ExpectSameParse(s + "x");
+    ExpectSameParse("+" + s);
+    ExpectSameParse(s.substr(0, s.size() / 2));
+  }
 }
 
 // ---------------------------------------------------------------------------

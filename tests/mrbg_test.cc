@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/codec.h"
+#include "common/random.h"
 #include "io/env.h"
 #include "io/fault_env.h"
 #include "mrbg/chunk.h"
@@ -85,9 +87,135 @@ TEST(ChunkCodecTest, BackToBackChunksDecodeAtBoundaries) {
   EXPECT_EQ(out.key, "b");
 }
 
+TEST(ChunkCodecTest, FrameBytesAreUnchanged) {
+  // Golden frames: the on-disk chunk and tombstone formats are fixed.
+  Chunk c;
+  c.key = "0000000042";
+  c.entries.push_back(ChunkEntry{7, "0.15000000000000002"});
+  c.entries.push_back(ChunkEntry{0x0102030405060708ull, ""});
+  std::string buf = "prefix";
+  uint32_t len = EncodeChunk(c, &buf);
+  const std::string chunk_frame(
+      "\x47\x42\x52\x4d\x3d\x00\x00\x00\x0a\x00\x00\x00\x30\x30\x30\x30"
+      "\x30\x30\x30\x30\x34\x32\x02\x00\x00\x00\x07\x00\x00\x00\x00\x00"
+      "\x00\x00\x13\x00\x00\x00\x30\x2e\x31\x35\x30\x30\x30\x30\x30\x30"
+      "\x30\x30\x30\x30\x30\x30\x30\x30\x32\x08\x07\x06\x05\x04\x03\x02"
+      "\x01\x00\x00\x00\x00\x01\x96\x90\x7a",
+      73);
+  EXPECT_EQ(len, chunk_frame.size());
+  EXPECT_EQ(buf, "prefix" + chunk_frame);
+
+  std::string tomb;
+  EXPECT_EQ(EncodeTombstone("k9", &tomb), 18u);
+  EXPECT_EQ(tomb, std::string("\x54\x42\x52\x4d\x06\x00\x00\x00\x02\x00"
+                              "\x00\x00\x6b\x39\x83\xb2\xc1\xec",
+                              18));
+}
+
+TEST(ChunkCodecTest, RejectsCountLargerThanPayload) {
+  Chunk c = MakeChunk("k", 1);
+  std::string buf;
+  EncodeChunk(c, &buf);
+  buf[8 + 4 + 1 + 3] = '\x7f';  // count's top byte: ~2^31 entries
+  Chunk out;
+  EXPECT_TRUE(DecodeChunk(buf, &out).IsCorruption());
+}
+
 // ---------------------------------------------------------------------------
 // ApplyDeltaToChunk
 // ---------------------------------------------------------------------------
+
+// Reference merge: index the whole chunk by MK, then apply the deltas one
+// at a time. ApplyDeltaToChunk must agree with it exactly, entry order
+// included (order fixes the reducer's sum order).
+void OneAtATimeApply(const std::vector<DeltaEdge>& deltas, Chunk* chunk) {
+  std::unordered_map<uint64_t, size_t> by_mk;
+  for (size_t i = 0; i < chunk->entries.size(); ++i) {
+    by_mk[chunk->entries[i].mk] = i;
+  }
+  std::vector<bool> dead(chunk->entries.size(), false);
+  for (const auto& d : deltas) {
+    auto it = by_mk.find(d.mk);
+    if (d.deleted) {
+      if (it != by_mk.end()) dead[it->second] = true;
+    } else if (it != by_mk.end()) {
+      chunk->entries[it->second].v2 = d.v2;
+      dead[it->second] = false;
+    } else {
+      chunk->entries.push_back(ChunkEntry{d.mk, d.v2});
+      dead.push_back(false);
+      by_mk[d.mk] = chunk->entries.size() - 1;
+    }
+  }
+  size_t w = 0;
+  for (size_t i = 0; i < chunk->entries.size(); ++i) {
+    if (dead[i]) continue;
+    if (w != i) chunk->entries[w] = std::move(chunk->entries[i]);
+    ++w;
+  }
+  chunk->entries.resize(w);
+}
+
+void ExpectSameAsOneAtATime(const Chunk& base,
+                            const std::vector<DeltaEdge>& deltas) {
+  Chunk want = base, got = base;
+  OneAtATimeApply(deltas, &want);
+  ApplyDeltaToChunk(deltas, &got);
+  ASSERT_EQ(got.entries, want.entries);
+}
+
+TEST(ApplyDeltaTest, MatchesOneAtATimeOracleRandomized) {
+  Rng rng(424242);
+  for (int trial = 0; trial < 4000; ++trial) {
+    // Small MK domains force repeated MKs in the chunk (the last entry
+    // with a MK is the one a delta hits) and among the deltas.
+    const uint64_t domain = 4 + rng.Uniform(40);
+    Chunk base;
+    base.key = "k";
+    const size_t n_entries = rng.Uniform(48);
+    for (size_t i = 0; i < n_entries; ++i) {
+      base.entries.push_back(
+          ChunkEntry{rng.Uniform(domain), "e" + std::to_string(i)});
+    }
+    std::vector<DeltaEdge> deltas;
+    const size_t n_deltas = rng.Uniform(trial % 4 == 0 ? 80 : 12);
+    for (size_t i = 0; i < n_deltas; ++i) {
+      bool deleted = rng.Uniform(5) < 2;
+      deltas.push_back(DeltaEdge{"", rng.Uniform(domain + 8),
+                                 deleted ? "" : "d" + std::to_string(i),
+                                 deleted});
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectSameAsOneAtATime(base, deltas))
+        << "trial " << trial;
+  }
+}
+
+TEST(ApplyDeltaTest, MatchesOracleOnOrderingCornerCases) {
+  Chunk base = MakeChunk("k", 4);  // mks 100..103
+  base.entries.push_back(ChunkEntry{101, "dup"});  // repeated MK
+  const std::vector<std::vector<DeltaEdge>> cases = {
+      // Delete then upsert of an existing MK: revived in place.
+      {{"", 101, "", true}, {"", 101, "back", false}},
+      // Upsert then delete of a new MK: never appears.
+      {{"", 700, "x", false}, {"", 700, "", true}},
+      // Upsert, delete, upsert of a new MK: appended at its first upsert.
+      {{"", 701, "a", false},
+       {"", 702, "b", false},
+       {"", 701, "", true},
+       {"", 701, "c", false}},
+      // Delete of a new MK before its upsert is a no-op.
+      {{"", 703, "", true}, {"", 704, "y", false}, {"", 703, "z", false}},
+      // Repeated upserts and a delete of the duplicated MK.
+      {{"", 102, "1", false}, {"", 102, "2", false}, {"", 101, "", true}},
+      // Upsert then delete of an existing MK.
+      {{"", 100, "u", false}, {"", 100, "", true}},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    ASSERT_NO_FATAL_FAILURE(ExpectSameAsOneAtATime(base, cases[i]))
+        << "case " << i;
+  }
+}
+
 
 TEST(ApplyDeltaTest, InsertNewEdges) {
   Chunk c = MakeChunk("k", 1);
@@ -297,6 +425,61 @@ TEST_F(MRBGStoreTest, MergeGroupInsertDeleteUpdate) {
   ASSERT_TRUE(j.ok());
   EXPECT_EQ(j->entries.size(), 3u);
   EXPECT_TRUE(store->Query("new").ok());
+}
+
+TEST_F(MRBGStoreTest, MergeGroupReusesOneChunkAcrossKeys) {
+  // One Chunk carried across groups (as the engine does) must come back
+  // exactly as a fresh Query would: nothing from the previous group leaks.
+  auto store = OpenStore();
+  ASSERT_TRUE(
+      store->AppendChunk(MakeChunk("a-large", 300, 1, "0.1500000000000000")).ok());
+  ASSERT_TRUE(store->AppendChunk(MakeChunk("b-small", 2, 5)).ok());
+  ASSERT_TRUE(store->AppendChunk(MakeChunk("d-removed", 3, 5)).ok());
+  ASSERT_TRUE(store->FinishBatch().ok());
+  ASSERT_TRUE(store->RemoveChunk("d-removed").ok());
+  ASSERT_TRUE(store->FinishBatch().ok());
+
+  const std::vector<std::pair<std::string, std::vector<DeltaEdge>>> groups = {
+      {"a-large", {{"", 7, "0.25000000000000006", false}}},
+      {"b-small", {{"", 5, "", true}, {"", 9000, "new", false}}},
+      // Deletes an MK the previous chunk held; the key has no chunk.
+      {"c-missing", {{"", 6, "", true}, {"", 12, "only", false}}},
+      {"d-removed", {}},
+  };
+  std::vector<std::string> keys;
+  for (const auto& [k, _] : groups) keys.push_back(k);
+  for (int pass = 0; pass < 2; ++pass) {
+    // Each pass: what the store holds now, plus the deltas.
+    std::vector<Chunk> expected;
+    ASSERT_TRUE(store->PrepareQueries(keys).ok());
+    for (const auto& [k, deltas] : groups) {
+      Chunk want;
+      auto before = store->Query(k);
+      if (before.ok()) want = std::move(before.value());
+      want.key = k;
+      ApplyDeltaToChunk(deltas, &want);
+      expected.push_back(std::move(want));
+    }
+    ASSERT_TRUE(store->PrepareQueries(keys).ok());
+    Chunk merged;
+    for (size_t i = 0; i < groups.size(); ++i) {
+      const auto& [k, deltas] = groups[i];
+      ASSERT_TRUE(store->MergeGroup(k, deltas, &merged).ok()) << k;
+      EXPECT_EQ(merged.key, k);
+      EXPECT_EQ(merged.entries, expected[i].entries) << k;
+      auto fresh = store->Query(k);
+      if (merged.empty()) {
+        EXPECT_TRUE(fresh.status().IsNotFound()) << k;
+      } else {
+        ASSERT_TRUE(fresh.ok()) << k;
+        EXPECT_EQ(fresh->key, k);
+        EXPECT_EQ(fresh->entries, merged.entries) << k;
+      }
+    }
+    ASSERT_TRUE(store->FinishBatch().ok());
+  }
+  EXPECT_FALSE(store->Contains("d-removed"));
+  EXPECT_TRUE(store->Contains("c-missing"));
 }
 
 TEST_F(MRBGStoreTest, MergeToEmptyRemovesChunk) {
