@@ -112,7 +112,6 @@ StatusOr<ShapeResult> MeasureShape(int from, int to, int num_vertices) {
   options.num_shards = from;
   options.workers_per_shard = 2;
   options.cost = bench::PaperCosts();
-  options.cross_shard_exchange = true;
   options.metrics = &metrics;
   options.pipeline.spec = pagerank::MakeIterSpec("rank", 2, 60, 1e-6);
   options.pipeline.engine.filter_threshold = 0.1;
@@ -234,7 +233,6 @@ StatusOr<ShapeResult> MeasureWarmReuse(int from, int to, int num_vertices) {
   options.num_shards = from;
   options.workers_per_shard = 2;
   options.cost = bench::PaperCosts();
-  options.cross_shard_exchange = true;
   options.metrics = &metrics;
   options.pipeline.spec =
       sssp::MakeIterSpec("rank", graph.front().key, 2, 200);

@@ -22,7 +22,6 @@ namespace {
 
 constexpr const char* kCurrentFile = "CURRENT";
 constexpr const char* kManifestFile = "MANIFEST";
-constexpr const char* kInflightDelta = "inflight.delta";
 
 std::string PartDirName(int p) {
   char buf[16];
@@ -258,8 +257,6 @@ Status Pipeline::GarbageCollect(const std::string& keep_dir_name) {
       I2MR_RETURN_IF_ERROR(RemoveAll(path));
     }
   }
-  std::string inflight = JoinPath(Dir(), kInflightDelta);
-  if (FileExists(inflight)) I2MR_RETURN_IF_ERROR(RemoveAll(inflight));
   return Status::OK();
 }
 
@@ -442,19 +439,11 @@ StatusOr<EpochStats> Pipeline::RunEpoch() {
   const uint64_t epoch = committed_epoch_.load() + 1;
   const uint64_t watermark = drained.back().seq;
 
-  // Materialize the drained batch as the engine's delta structure input
-  // (§3.3 delta file), preserving log order.
+  // The drained batch is the engine's delta structure input (§3.3 delta
+  // file), in log order; it stays in the log until the post-commit purge.
   std::vector<DeltaKV> deltas;
   deltas.reserve(drained.size());
   for (auto& rec : drained) deltas.push_back(std::move(rec.delta));
-  // The materialized delta-input file is epoch forensics: if the refresh
-  // crashes, the batch it was applying is inspectable on disk. Nothing
-  // re-reads it on the happy path (the engine consumes the vector), and
-  // recovery garbage-collects it.
-  std::string inflight = JoinPath(Dir(), kInflightDelta);
-  if (options_.materialize_inflight_delta) {
-    I2MR_RETURN_IF_ERROR(WriteDeltaRecords(inflight, deltas));
-  }
 
   if (SimulateCrash(epoch, "drain")) {
     return Status::Aborted("simulated crash after drain");
@@ -487,13 +476,6 @@ StatusOr<EpochStats> Pipeline::RunEpoch() {
     return st;
   }
 
-  // The epoch is committed; like Commit's own GC, cleanup failures here
-  // must not report a durably committed epoch as failed.
-  Status cleaned = RemoveAll(inflight);
-  if (!cleaned.ok()) {
-    LOG_WARN << "pipeline " << name_ << ": inflight cleanup failed ("
-             << cleaned.ToString() << ")";
-  }
   stats.epoch = epoch;
   stats.watermark = watermark;
   stats.deltas_applied = drained.size();
@@ -712,12 +694,10 @@ Status Pipeline::CleanupCommittedLocked() {
     LOG_WARN << "pipeline " << name_ << ": post-commit GC failed ("
              << gc.ToString() << "); stale dirs remain until next commit";
   }
-  if (options_.purge_log_on_commit) {
-    Status purged = log_->PurgeThrough(committed_watermark_.load());
-    if (!purged.ok()) {
-      LOG_WARN << "pipeline " << name_ << ": post-commit log purge failed ("
-               << purged.ToString() << "); consumed records retained";
-    }
+  Status purged = log_->PurgeThrough(committed_watermark_.load());
+  if (!purged.ok()) {
+    LOG_WARN << "pipeline " << name_ << ": post-commit log purge failed ("
+             << purged.ToString() << "); consumed records retained";
   }
   return Status::OK();
 }

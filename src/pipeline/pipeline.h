@@ -77,16 +77,6 @@ struct PipelineOptions {
   /// long, even below min_batch (< 0 disables the lag trigger).
   double max_lag_ms = -1;
 
-  /// Drop consumed log records after each commit (keeps the log bounded).
-  bool purge_log_on_commit = true;
-
-  /// Materialize each epoch's drained batch as an inflight.delta file
-  /// before refreshing (epoch forensics: a crashed epoch's input is
-  /// inspectable on disk). Costs one extra sequential write of the batch
-  /// per epoch; turn off for hot paths — the same records remain
-  /// reconstructible from the log until the post-commit purge.
-  bool materialize_inflight_delta = true;
-
   /// Partition-map generation this pipeline's shard belongs to (0 for an
   /// unsharded pipeline or a generation-0 fleet). Stamped into every epoch
   /// MANIFEST so replicas detect that shipped state was partitioned by a

@@ -24,7 +24,6 @@ ReplicaSet::ReplicaSet(ShardRouter* router, std::string replicas_root,
 ReplicaSet::~ReplicaSet() {
   for (auto& st : shards_) {
     if (st->shipper != nullptr) st->shipper->Stop();
-    if (st->promoted_manager != nullptr) st->promoted_manager->Stop();
   }
 }
 
@@ -117,7 +116,6 @@ Status ReplicaSet::Rebind() {
   // callbacks into their FollowerReplica instances.
   for (auto& st : old) {
     if (st->shipper != nullptr) st->shipper->Stop();
-    if (st->promoted_manager != nullptr) st->promoted_manager->Stop();
     for (auto& f : st->followers) f->RetireMetrics();
   }
   // One critical section for the map swap AND the rebuild: a reader must
@@ -170,9 +168,11 @@ bool ReplicaSet::StaleLocked(const ShardState& st, int i) const {
   return lag > options_.max_replica_lag_epochs;
 }
 
-int ReplicaSet::SelectSlotLocked(ShardState& st) const {
+int ReplicaSet::SelectSlotLocked(int shard) const {
+  ShardState& st = *shards_[shard];
+  const bool dead = router_->primary_lost(shard);
   std::vector<int> eligible;
-  if (!st.dead && options_.read_from_primary) eligible.push_back(0);
+  if (!dead && options_.read_from_primary) eligible.push_back(0);
   for (size_t i = 0; i < st.followers.size(); ++i) {
     if (!StaleLocked(st, static_cast<int>(i))) {
       eligible.push_back(1 + static_cast<int>(i));
@@ -183,7 +183,7 @@ int ReplicaSet::SelectSlotLocked(ShardState& st) const {
   }
   // Degraded fallbacks: a live primary even when excluded from rotation,
   // else the freshest follower that can still serve at all.
-  if (!st.dead) return 0;
+  if (!dead) return 0;
   int best = -1;
   uint64_t best_epoch = 0;
   for (size_t i = 0; i < st.followers.size(); ++i) {
@@ -215,7 +215,7 @@ StatusOr<ShardSnapshot> ReplicaSet::PinSnapshot() const {
   snap.map_ = std::make_shared<const PartitionMap>(bound_map_);
   for (int s = 0; s < num_shards(); ++s) {
     ShardState& st = *shards_[s];
-    int idx = SelectSlotLocked(st);
+    int idx = SelectSlotLocked(s);
     EpochPin pin;
     if (idx == 0) {
       pin = st.primary->PinServing();
@@ -242,7 +242,7 @@ StatusOr<std::string> ReplicaSet::Get(const std::string& key) const {
     I2MR_RETURN_IF_ERROR(CheckGenerationLocked());
     int s = bound_map_.ShardOf(key);
     ShardState& st = *shards_[s];
-    int idx = SelectSlotLocked(st);
+    int idx = SelectSlotLocked(s);
     if (idx == 0) {
       pin = st.primary->PinServing();
     } else if (idx > 0) {
@@ -259,30 +259,23 @@ StatusOr<std::string> ReplicaSet::Get(const std::string& key) const {
   return pin.Lookup(key);
 }
 
+// Writes go through the router, so they meet its refusals (poison, lost
+// primaries) and, mid-reshard, its dual journal.
+
 StatusOr<uint64_t> ReplicaSet::Append(const DeltaKV& delta) {
-  Pipeline* primary = nullptr;
-  int s = 0;
   {
     std::lock_guard<std::mutex> lock(route_mu_);
     I2MR_RETURN_IF_ERROR(CheckGenerationLocked());
-    s = bound_map_.ShardOf(delta.key);
-    ShardState& st = *shards_[s];
-    if (st.dead) {
-      return Status::FailedPrecondition(
-          "shard " + std::to_string(s) +
-          " primary is dead; promote a replica first");
-    }
-    primary = st.primary;
   }
-  return primary->Append(delta);
+  return router_->Append(delta);
 }
 
 Status ReplicaSet::AppendBatch(const std::vector<DeltaKV>& deltas) {
-  for (const DeltaKV& d : deltas) {
-    auto seq = Append(d);
-    if (!seq.ok()) return seq.status();
+  {
+    std::lock_guard<std::mutex> lock(route_mu_);
+    I2MR_RETURN_IF_ERROR(CheckGenerationLocked());
   }
-  return Status::OK();
+  return router_->AppendBatch(deltas);
 }
 
 Status ReplicaSet::DrainAll() {
@@ -290,18 +283,7 @@ Status ReplicaSet::DrainAll() {
     std::lock_guard<std::mutex> lock(route_mu_);
     I2MR_RETURN_IF_ERROR(CheckGenerationLocked());
   }
-  for (int s = 0; s < num_shards(); ++s) {
-    PipelineManager* manager = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(route_mu_);
-      ShardState& st = *shards_[s];
-      if (st.dead) continue;
-      manager = st.promoted_manager != nullptr ? st.promoted_manager.get()
-                                               : router_->manager(s);
-    }
-    I2MR_RETURN_IF_ERROR(manager->DrainAll());
-  }
-  return Status::OK();
+  return router_->DrainAll();
 }
 
 Status ReplicaSet::SyncAll() {
@@ -310,9 +292,8 @@ Status ReplicaSet::SyncAll() {
     ReplicaShipper* shipper = nullptr;
     {
       std::lock_guard<std::mutex> lock(route_mu_);
-      ShardState& st = *shards_[s];
-      if (st.dead) continue;
-      shipper = st.shipper.get();
+      if (router_->primary_lost(s)) continue;  // its shipper is stopped
+      shipper = shards_[s]->shipper.get();
     }
     Status st = shipper->SyncNow();
     if (!st.ok() && first_error.ok()) first_error = st;
@@ -363,42 +344,34 @@ Status ReplicaSet::RestartReplica(int shard, int i) {
 }
 
 Status ReplicaSet::KillPrimary(int shard) {
-  if (router_->coordinated()) {
-    return Status::FailedPrecondition(
-        "per-shard failover requires an independent (non-coordinated) "
-        "router");
-  }
   ReplicaShipper* shipper = nullptr;
-  PipelineManager* manager = nullptr;
   {
     std::lock_guard<std::mutex> lock(route_mu_);
+    I2MR_RETURN_IF_ERROR(CheckGenerationLocked());
     ShardState& st = *shards_[shard];
-    if (st.dead) return Status::OK();
+    if (router_->primary_lost(shard)) return Status::OK();
     if (st.transitioning) {
       return Status::FailedPrecondition(
           "shard " + std::to_string(shard) + " failover is in progress");
     }
     st.transitioning = true;
-    st.dead = true;
     shipper = st.shipper.get();
-    manager = st.promoted_manager != nullptr ? st.promoted_manager.get()
-                                             : router_->manager(shard);
   }
-  // Outside route_mu_: both stops join threads / wait out in-flight work.
-  // The captured pointers stay valid: Promote (the only code that replaces
-  // them) refuses to start while `transitioning` is held.
-  shipper->Stop();
-  manager->Stop();
+  // Outside route_mu_: both wait out in-flight work (the router an epoch
+  // and appends, the shipper a ship pass). The captured shipper stays
+  // valid: Promote (the only code that replaces it) refuses to start
+  // while `transitioning` is held.
+  Status lost = router_->MarkPrimaryLost(shard);
+  if (lost.ok()) shipper->Stop();
   {
     std::lock_guard<std::mutex> lock(route_mu_);
     shards_[shard]->transitioning = false;
   }
-  return Status::OK();
+  return lost;
 }
 
 bool ReplicaSet::primary_dead(int shard) const {
-  std::lock_guard<std::mutex> lock(route_mu_);
-  return shards_[shard]->dead;
+  return router_->primary_lost(shard);
 }
 
 Pipeline* ReplicaSet::primary(int shard) const {
@@ -411,7 +384,8 @@ StatusOr<int> ReplicaSet::Promote(int shard) {
   int best = -1;
   {
     std::lock_guard<std::mutex> lock(route_mu_);
-    if (!st.dead) {
+    I2MR_RETURN_IF_ERROR(CheckGenerationLocked());
+    if (!router_->primary_lost(shard)) {
       return Status::FailedPrecondition("shard primary is alive");
     }
     if (st.transitioning) {
@@ -438,8 +412,8 @@ StatusOr<int> ReplicaSet::Promote(int shard) {
   // `transitioning` keeps a second Promote — or a racing KillPrimary —
   // from touching the same follower root or shipper until we finish. The
   // guard clears the flag on every exit path, success included: after the
-  // cutover st.dead is false again, so a late second Promote fails the
-  // liveness check instead.
+  // cutover the primary is no longer lost, so a late second Promote fails
+  // the liveness check instead.
   struct TransitionGuard {
     ReplicaSet* set;
     ShardState* st;
@@ -456,40 +430,22 @@ StatusOr<int> ReplicaSet::Promote(int shard) {
   I2MR_RETURN_IF_ERROR(f->DiscardStaged());
   I2MR_RETURN_IF_ERROR(f->VerifyCurrent());
 
-  // Open the real pipeline over the follower's root. Its CURRENT names the
-  // last epoch the primary durably committed; recovery restores the engine
-  // from that snapshot and replays shipped log segments past its
-  // watermark. The follower keeps serving reads until the cutover below.
-  auto cluster = std::make_unique<LocalCluster>(
-      f->root(), options_.promoted_workers, router_->options().cost,
-      /*reset=*/false);
-  PipelineManagerOptions mo = router_->options().manager;
-  mo.metrics = metrics_;
-  mo.metrics_prefix = MetricsPrefix(shard) + ".promoted";
-  auto manager = std::make_unique<PipelineManager>(cluster.get(), mo);
-  auto pipeline = manager->Register(router_->name(),
-                                    router_->options().pipeline);
-  if (!pipeline.ok()) return pipeline.status();
-  if ((*pipeline)->committed_epoch() < f->applied_epoch()) {
-    return Status::Corruption(
-        "promoted pipeline recovered epoch " +
-        std::to_string((*pipeline)->committed_epoch()) +
-        " below the replica's applied epoch " +
-        std::to_string(f->applied_epoch()));
-  }
-  manager->Start();
+  // The router opens the shard's pipeline over the follower's root — its
+  // CURRENT names the last epoch the primary durably committed; recovery
+  // restores the engine from that snapshot and replays shipped log
+  // segments past its watermark — and swaps it in as the shard's primary.
+  // The follower keeps serving reads until the cutover below.
+  auto promoted = router_->PromotePrimary(shard, f->root(), f->applied_epoch());
+  if (!promoted.ok()) return promoted.status();
 
-  // Cutover: the promoted pipeline becomes the shard's primary, the
-  // follower leaves the read rotation (its pins keep their stores), and a
-  // fresh shipper feeds the surviving followers from the new primary.
+  // Cutover: the promoted pipeline is the shard's primary, the follower
+  // leaves the read rotation (its pins keep their stores), and a fresh
+  // shipper feeds the surviving followers from the new primary.
   {
     std::lock_guard<std::mutex> lock(route_mu_);
-    st.promoted_cluster = std::move(cluster);
-    st.promoted_manager = std::move(manager);
-    st.primary = *pipeline;
+    st.primary = *promoted;
     st.promoted_replica = best;
     st.enabled[best] = false;
-    st.dead = false;
   }
   f->Close();
   f->RetireMetrics();

@@ -3,9 +3,9 @@
 // For every shard of a sharded computation, the set runs N FollowerReplica
 // instances (roots under `<replicas_root>/shard-NNN/replica-<i>`), each fed
 // by that shard's ReplicaShipper. Reads load-balance round-robin across the
-// shard's primary and its caught-up followers; writes always go to the
-// primary (followers are read-only). A follower that is disabled, closed,
-// or lagging more than max_replica_lag_epochs behind the primary's
+// shard's primary and its caught-up followers; writes and epochs go through
+// the router (followers are read-only). A follower that is disabled,
+// closed, or lagging more than max_replica_lag_epochs behind the primary's
 // committed epoch is skipped by routing until shipping catches it up.
 //
 // Snapshot reads reuse the serving layer unchanged: PinSnapshot() returns
@@ -13,16 +13,20 @@
 // may come from a follower instead of the primary — point gets, range
 // scans and top-k all run against the selected backends' pinned epochs.
 //
-// Failover (independent mode): KillPrimary(s) stops the shard's manager;
-// reads continue from followers. Promote(s) then picks the freshest
-// caught-up follower and promotes it through the A/B flow — discard any
-// uncommitted pre-staged slot, re-verify the applied epoch's manifest and
-// record-file CRCs, and open a real Pipeline over the follower's root (its
-// CURRENT names exactly the last epoch the dead primary durably committed;
-// recovery replays shipped log segments past the manifest watermark). The
-// promoted pipeline becomes the shard's primary — writes resume, a new
-// shipper feeds the surviving followers — while pins taken before the
-// promotion keep serving untouched.
+// Failover: KillPrimary(s) marks the shard's primary lost in the router —
+// appends to the shard, coordinated epochs and reshards are refused — and
+// stops its shipper; reads continue from followers. Promote(s) then picks
+// the freshest caught-up follower and promotes it through the A/B flow —
+// discard any uncommitted pre-staged slot, re-verify the applied epoch's
+// manifest and record-file CRCs, and hand the follower's root to
+// ShardRouter::PromotePrimary, which opens the shard's pipeline over it
+// (its CURRENT names exactly the last epoch the dead primary durably
+// committed; recovery replays shipped log segments past the manifest
+// watermark) and swaps it in as the shard's primary. In a fleet of more
+// than one shard the follower must have applied the epoch every other
+// shard committed. Writes and epochs resume, a new shipper feeds the
+// surviving followers, and pins taken before the promotion keep serving
+// untouched.
 //
 // Each backend slot publishes under
 // "serving.<name>.shard<s>.replica<i>.*" (shipped_bytes, applied_epochs,
@@ -59,9 +63,6 @@ struct ReplicaSetOptions {
 
   /// Follower durability (the primary's own durability is the router's).
   DurabilityMode durability = DurabilityMode::kProcessCrash;
-
-  /// Workers for the cluster a promoted follower's pipeline runs on.
-  int promoted_workers = 2;
 
   /// Simulated per-backend service time per point read, charged under the
   /// backend's slot mutex (the CostModel idiom: capacity is modeled by
@@ -101,12 +102,12 @@ class ReplicaSet {
   /// charges its slot's service time, reads its committed epoch.
   StatusOr<std::string> Get(const std::string& key) const;
 
-  // -- Writes (primary-only) -------------------------------------------------
+  // -- Writes (through the router) ------------------------------------------
 
+  /// ShardRouter::Append / AppendBatch / DrainAll, refused while the set is
+  /// bound to a generation the router left (call Rebind()).
   StatusOr<uint64_t> Append(const DeltaKV& delta);
   Status AppendBatch(const std::vector<DeltaKV>& deltas);
-
-  /// Run epochs on every live primary until nothing is pending.
   Status DrainAll();
 
   /// One synchronous ship pass on every shard (tests: reach a known
@@ -120,17 +121,16 @@ class ReplicaSet {
   /// Reopen a killed follower; the shipper catches it back up.
   Status RestartReplica(int shard, int i);
 
-  /// Kill shard `shard`'s primary: its manager stops scheduling, writes to
-  /// the shard fail, reads continue from caught-up followers. Independent
-  /// (non-coordinated) routers only — a barrier-committed fleet fails over
-  /// as a fleet, not per shard.
+  /// Kill shard `shard`'s primary: the router marks it lost (writes to the
+  /// shard, coordinated epochs and reshards are refused), its shipper
+  /// stops, reads continue from caught-up followers.
   Status KillPrimary(int shard);
   bool primary_dead(int shard) const;
 
   /// Promote the freshest caught-up follower of a dead-primary shard to
-  /// primary (A/B verify + pipeline open over its root). Returns the
-  /// promoted follower's index. Writes to the shard succeed again after
-  /// this returns.
+  /// primary (A/B verify + ShardRouter::PromotePrimary over its root).
+  /// Returns the promoted follower's index. Writes and epochs succeed
+  /// again after this returns.
   StatusOr<int> Promote(int shard);
 
   // -- Introspection ---------------------------------------------------------
@@ -161,7 +161,8 @@ class ReplicaSet {
   ReplicaShipper* shipper(int shard) const {
     return shards_[shard]->shipper.get();
   }
-  /// The shard's current primary (the promoted pipeline after failover).
+  /// The shard's current primary (the router's promoted pipeline after
+  /// failover).
   Pipeline* primary(int shard) const;
   ShardRouter* router() const { return router_; }
 
@@ -173,8 +174,8 @@ class ReplicaSet {
   };
 
   struct ShardState {
-    Pipeline* primary = nullptr;  // router's shard, or promoted_manager's
-    bool dead = false;
+    /// The router's pipeline for this shard (borrowed; Promote repoints it).
+    Pipeline* primary = nullptr;
     /// A KillPrimary/Promote transition is in flight (set/cleared under
     /// route_mu_). Serializes failover steps that must run outside the
     /// lock: concurrent promotions of one shard would both open a pipeline
@@ -184,6 +185,7 @@ class ReplicaSet {
     int promoted_replica = -1;
     std::vector<std::unique_ptr<FollowerReplica>> followers;
     std::vector<bool> enabled;
+    /// Stopped while the primary is dead; Promote starts a new one.
     std::unique_ptr<ReplicaShipper> shipper;
     /// Maps follower index -> index in the live shipper's follower list
     /// (-1 after that follower was promoted out).
@@ -191,9 +193,6 @@ class ReplicaSet {
     /// slots[0] = primary, slots[1 + i] = follower i.
     std::vector<std::unique_ptr<Slot>> slots;
     std::atomic<uint64_t> rr{0};
-    /// Ownership of a promoted primary's runtime.
-    std::unique_ptr<LocalCluster> promoted_cluster;
-    std::unique_ptr<PipelineManager> promoted_manager;
   };
 
   ReplicaSet(ShardRouter* router, std::string replicas_root,
@@ -211,9 +210,9 @@ class ReplicaSet {
   /// Committed epoch of the shard's primary (frozen while it is dead).
   uint64_t PrimaryEpoch(const ShardState& st) const;
   bool StaleLocked(const ShardState& st, int i) const;
-  /// Round-robin pick of an eligible backend slot index (0 = primary,
-  /// 1 + i = follower i); -1 when nothing can serve.
-  int SelectSlotLocked(ShardState& st) const;
+  /// Round-robin pick of an eligible backend slot index for shard `shard`
+  /// (0 = primary, 1 + i = follower i); -1 when nothing can serve.
+  int SelectSlotLocked(int shard) const;
   void ChargeService(Slot* slot) const;
   void StartShipper(ShardState& st, int shard);
 

@@ -30,9 +30,9 @@
 //      durable RESHARD marker (the new map's encoding) commits the
 //      decision, the PARTMAP record is rewritten, and the router adopts
 //      the staging topology in one seqlock-bracketed pointer swap. The
-//      marker is then retired and the donors' managers stop. Donor slices
-//      stay alive (retired) so snapshots pinned before the flip keep
-//      serving the old map with zero failed reads.
+//      marker is then retired. Donor slices stay alive (retired) so
+//      snapshots pinned before the flip keep serving the old map with
+//      zero failed reads.
 //
 // Crash story: the RESHARD marker is the commit point. A crash anywhere
 // before it recovers (reset=false reopen) to exactly the old map — the

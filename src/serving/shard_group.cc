@@ -162,27 +162,25 @@ StatusOr<ShardSnapshot> ShardGroup::PinSnapshot(
   ShardSnapshot snap;
   snap.router_ = router_;
   snap.pool_ = &scatter_pool_;
-  // Coordinated mode: bracket the per-shard pins with the router's
-  // barrier-flip seqlock so the vector is always one uniform cut — a
-  // barrier commit landing mid-pin (it flips CURRENTs one shard at a
-  // time) just makes us retry. The flip window is a few renames in the
-  // default durability mode but per-shard fsyncs under kPowerFailure, so
-  // the wait backs off from yields to short sleeps instead of burning a
-  // core. Independent mode pins whatever each shard committed, as before.
-  // Pins always come from one atomically-grabbed TopologyView, so even a
-  // reshard cutover landing mid-pin can only yield a uniform vector of
-  // ONE generation (retired donor slices stay pinnable); the seqlock —
-  // which the cutover also brackets — then retries onto the new map.
-  const bool coordinated = router_->coordinated();
+  // Bracket the per-shard pins with the router's barrier-flip seqlock so
+  // the vector is always one uniform cut — a barrier commit landing
+  // mid-pin (it flips CURRENTs one shard at a time) just makes us retry.
+  // The flip window is a few renames in the default durability mode but
+  // per-shard fsyncs under kPowerFailure, so the wait backs off from
+  // yields to short sleeps instead of burning a core. Pins always come
+  // from one atomically-grabbed TopologyView, so even a reshard cutover
+  // landing mid-pin can only yield a uniform vector of ONE generation
+  // (retired donor slices stay pinnable); the seqlock — which the cutover
+  // also brackets — then retries onto the new map.
   int spins = 0;
   for (;;) {
-    if (coordinated && router_->poisoned()) {
+    if (router_->poisoned()) {
       return Status::FailedPrecondition(
           "a barrier commit was left incomplete; reopen the router "
           "(reset=false) to recover");
     }
     uint64_t seq = router_->commit_seq();
-    if (coordinated && (seq & 1) != 0) {
+    if ((seq & 1) != 0) {
       // A flip is in progress.
       if (++spins < 64) {
         std::this_thread::yield();
@@ -205,7 +203,7 @@ StatusOr<ShardSnapshot> ShardGroup::PinSnapshot(
       snap.epochs_.push_back(pin.epoch());
       snap.pins_.push_back(std::move(pin));
     }
-    if (!coordinated || router_->commit_seq() == seq) {
+    if (router_->commit_seq() == seq) {
       snap.map_ = view.map;
       snap.shard_reads_ = ReadsFor(*view.map);
       break;

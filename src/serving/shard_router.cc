@@ -21,6 +21,11 @@
 namespace i2mr {
 namespace {
 
+/// Safety cap on exchange rounds per coordinated epoch. Like the engine's
+/// max_iterations, hitting it logs a warning and commits the best state
+/// reached instead of failing the epoch.
+constexpr int kMaxExchangeRounds = 256;
+
 std::string PipelineDirOf(const std::string& root, const std::string& name,
                           const PartitionMap& map, int s) {
   return JoinPath(JoinPath(root, map.ShardDirName(s)), "pipeline/" + name);
@@ -100,13 +105,10 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
   if (options.num_shards <= 0 && options.partition_map.num_shards <= 0) {
     return Status::InvalidArgument("num_shards must be > 0");
   }
-  if (options.cross_shard_exchange &&
-      options.pipeline.spec.projector != nullptr &&
-      options.pipeline.spec.projector->dep_type() == DepType::kAllToOne) {
-    // Global reduce state cannot partition by key; run such apps on one
-    // shard in independent mode instead.
+  if (!options.cross_shard_exchange) {
     return Status::InvalidArgument(
-        "cross_shard_exchange requires a partition-by-key app");
+        "cross_shard_exchange=false is no longer supported: coordinated "
+        "refresh is the only multi-shard mode");
   }
   if (options.metrics == nullptr) options.metrics = MetricsRegistry::Default();
   if (options.health == nullptr) options.health = HealthRegistry::Default();
@@ -143,6 +145,14 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
       map = *loaded;
     }
   }
+  if (map.num_shards > 1 && options.pipeline.spec.projector != nullptr &&
+      options.pipeline.spec.projector->dep_type() == DepType::kAllToOne) {
+    // Global reduce state cannot partition by key; such apps run on a
+    // one-shard map.
+    return Status::InvalidArgument(
+        "an all-to-one app runs on one shard, not " +
+        std::to_string(map.num_shards));
+  }
   options.num_shards = map.num_shards;
   options.pipeline.generation = map.generation;
   if (options.persist_partition_map) {
@@ -163,75 +173,62 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
   router->health_ = router->options_.health;
   router->map_ = std::make_shared<const PartitionMap>(map);
   const ShardRouterOptions& opts = router->options_;
-  if (opts.cross_shard_exchange) {
-    if (opts.reset) {
-      // Fresh deployment: a leftover barrier record belongs to wiped state.
-      I2MR_RETURN_IF_ERROR(RemoveAll(BarrierPathFor(root, name, map)));
-    } else {
-      // A crash inside a barrier commit left the decision record behind:
-      // roll every shard back to the previous epoch before the pipelines
-      // open, so no reader (and no replay) ever observes a mixed vector.
-      I2MR_RETURN_IF_ERROR(RecoverBarrier(root, name, opts, map));
-    }
+  if (opts.reset) {
+    // Fresh deployment: a leftover barrier record belongs to wiped state.
+    I2MR_RETURN_IF_ERROR(RemoveAll(BarrierPathFor(root, name, map)));
+  } else {
+    // A crash inside a barrier commit left the decision record behind:
+    // roll every shard back to the previous epoch before the pipelines
+    // open, so no reader (and no replay) ever observes a mixed vector.
+    I2MR_RETURN_IF_ERROR(RecoverBarrier(root, name, opts, map));
   }
   for (int s = 0; s < map.num_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
     // Each shard's cluster root is disjoint by construction; reset=false
     // re-attaches all of them for crash recovery (collision-free now that
     // LocalCluster job dirs are instance-namespaced).
-    shard->cluster = std::make_unique<LocalCluster>(
-        JoinPath(root, map.ShardDirName(s)), opts.workers_per_shard, opts.cost,
-        opts.reset);
-    PipelineManagerOptions mopts = opts.manager;
-    mopts.metrics = opts.metrics;
-    mopts.metrics_prefix = map.ShardMetricsPrefix(name, s);
-    if (!opts.cross_shard_exchange && opts.admission != nullptr &&
-        !opts.tenant.empty()) {
-      // The tenant's epoch quota gates every shard's refresh scheduling.
-      // (Coordinated mode consults the same quota once per coordinated
-      // epoch, in the coordinator loop.)
-      AdmissionController* admission = opts.admission;
-      std::string tenant = opts.tenant;
-      mopts.epoch_gate = [admission, tenant](const Pipeline&) {
-        return admission->AdmitEpoch(tenant);
-      };
-    }
-    shard->manager =
-        std::make_unique<PipelineManager>(shard->cluster.get(), mopts);
-    PipelineOptions popts = opts.pipeline;
-    if (opts.cross_shard_exchange) {
-      // The engine-boundary hook: this shard owns exactly the keys the
-      // partition map assigns to it, so map emissions to any other key are
-      // captured for the exchange instead of reducing here as phantoms.
-      // The map is captured by value: a shard slice belongs to exactly one
-      // generation, and keeps its own-map semantics even while a reshard
-      // builds the next generation alongside.
-      popts.spec.owns_key = [map, s](std::string_view key) {
-        return map.ShardOf(key) == s;
-      };
-    }
-    auto pipeline = shard->manager->Register(name, popts);
-    if (!pipeline.ok()) return pipeline.status();
-    shard->pipeline = pipeline.value();
-    router->shards_.push_back(std::move(shard));
+    auto shard = router->OpenShard(JoinPath(root, map.ShardDirName(s)),
+                                   opts.reset, map, s);
+    if (!shard.ok()) return shard.status();
+    router->shards_.push_back(std::move(*shard));
   }
   router->deltas_routed_ =
       opts.metrics->Get("serving." + name + ".router.deltas_routed");
   router->lookups_routed_ =
       opts.metrics->Get("serving." + name + ".router.lookups_routed");
-  if (opts.cross_shard_exchange) {
-    router->exchange_ = std::make_unique<CrossShardExchange>(
-        map.num_shards,
-        [map](std::string_view key) { return map.ShardOf(key); }, opts.cost,
-        opts.metrics, "serving." + name + ".exchange");
-    for (int s = 0; s < map.num_shards; ++s) {
-      router->shard_epochs_committed_.push_back(opts.metrics->Get(
-          map.ShardMetricsPrefix(name, s) + ".epochs_committed"));
-      router->shard_deltas_applied_.push_back(opts.metrics->Get(
-          map.ShardMetricsPrefix(name, s) + ".deltas_applied"));
-    }
+  router->exchange_ = std::make_unique<CrossShardExchange>(
+      map.num_shards, [map](std::string_view key) { return map.ShardOf(key); },
+      opts.cost, opts.metrics, "serving." + name + ".exchange");
+  for (int s = 0; s < map.num_shards; ++s) {
+    router->shard_epochs_committed_.push_back(opts.metrics->Get(
+        map.ShardMetricsPrefix(name, s) + ".epochs_committed"));
+    router->shard_deltas_applied_.push_back(opts.metrics->Get(
+        map.ShardMetricsPrefix(name, s) + ".deltas_applied"));
   }
   return router;
+}
+
+StatusOr<std::unique_ptr<ShardRouter::Shard>> ShardRouter::OpenShard(
+    const std::string& cluster_root, bool reset, const PartitionMap& map,
+    int s) const {
+  auto shard = std::make_unique<Shard>();
+  shard->cluster = std::make_unique<LocalCluster>(
+      cluster_root, options_.workers_per_shard, options_.cost, reset);
+  PipelineOptions popts = options_.pipeline;
+  if (map.num_shards > 1) {
+    // The engine-boundary hook: this shard owns exactly the keys the
+    // partition map assigns to it, so map emissions to any other key are
+    // captured for the exchange instead of reducing here as phantoms.
+    // The map is captured by value: a shard slice belongs to exactly one
+    // generation, and keeps its own-map semantics even while a reshard
+    // builds the next generation alongside.
+    popts.spec.owns_key = [map, s](std::string_view key) {
+      return map.ShardOf(key) == s;
+    };
+  }
+  auto pipeline = Pipeline::Open(shard->cluster.get(), name_, std::move(popts));
+  if (!pipeline.ok()) return pipeline.status();
+  shard->pipeline = std::move(*pipeline);
+  return shard;
 }
 
 int ShardRouter::ShardOf(std::string_view key) const {
@@ -249,7 +246,9 @@ ShardRouter::TopologyView ShardRouter::topology() const {
   TopologyView view;
   view.map = map_;
   view.pipelines.reserve(shards_.size());
-  for (const auto& shard : shards_) view.pipelines.push_back(shard->pipeline);
+  for (const auto& shard : shards_) {
+    view.pipelines.push_back(shard->pipeline.get());
+  }
   return view;
 }
 
@@ -260,17 +259,7 @@ int ShardRouter::num_shards() const {
 
 Pipeline* ShardRouter::shard(int i) const {
   std::shared_lock<std::shared_mutex> topo(topo_mu_);
-  return shards_[i]->pipeline;
-}
-
-PipelineManager* ShardRouter::manager(int i) const {
-  std::shared_lock<std::shared_mutex> topo(topo_mu_);
-  return shards_[i]->manager.get();
-}
-
-LocalCluster* ShardRouter::cluster(int i) const {
-  std::shared_lock<std::shared_mutex> topo(topo_mu_);
-  return shards_[i]->cluster.get();
+  return shards_[i]->pipeline.get();
 }
 
 // ---------------------------------------------------------------------------
@@ -288,26 +277,7 @@ Status ShardRouter::Bootstrap(const std::vector<KV>& structure,
   for (const auto& kv : initial_state) {
     state_parts[view.map->ShardOf(kv.key)].push_back(kv);
   }
-  if (options_.cross_shard_exchange) {
-    return BootstrapCoordinated(std::move(structure_parts),
-                                std::move(state_parts));
-  }
-  // Shards bootstrap concurrently: each runs its full computation on its
-  // own cluster's worker pool.
-  std::vector<Status> status(n);
-  ForEachShard(n, [&](int s) {
-    status[s] =
-        view.pipelines[s]->Bootstrap(structure_parts[s], state_parts[s]);
-  });
-  return FirstError(status);
-}
-
-Status ShardRouter::BootstrapCoordinated(
-    std::vector<std::vector<KV>> structure_parts,
-    std::vector<std::vector<KV>> state_parts) {
   std::lock_guard<std::mutex> lock(coord_mu_);
-  TopologyView view = topology();
-  const int n = view.map->num_shards;
   // Phase 1: every shard's full computation over its own subgraph — no
   // commit yet. Emissions to non-owned keys are captured, not reduced.
   std::vector<Status> status(n);
@@ -355,22 +325,39 @@ bool ShardRouter::bootstrapped() const {
 // Routed ingestion + lookups
 // ---------------------------------------------------------------------------
 
-StatusOr<uint64_t> ShardRouter::Append(const DeltaKV& delta) {
+Status ShardRouter::Refusal(int shard) const {
   if (poisoned_.load()) {
     // A durable decision (a barrier record or a reshard marker) already
     // supersedes the live topology: an ack against this generation's log
     // could be discarded by the recovery that resolves the poison. Refuse
     // like Lookup does — an acked append must survive recovery.
     return Status::FailedPrecondition(
-        "a barrier commit or reshard cutover was left incomplete; appends "
-        "are refused until recovery");
+        "a barrier commit or reshard cutover was left incomplete; refused "
+        "until recovery");
   }
+  std::shared_lock<std::shared_mutex> topo(topo_mu_);
+  for (int s = 0; s < static_cast<int>(shards_.size()); ++s) {
+    if ((shard < 0 || shard == s) && shards_[s]->lost) {
+      return Status::FailedPrecondition(
+          "shard " + std::to_string(s) +
+          " lost its primary; promote a follower first");
+    }
+  }
+  return Status::OK();
+}
+
+StatusOr<uint64_t> ShardRouter::Append(const DeltaKV& delta) {
   // The gate is shared for normal traffic; a reshard holds it exclusive
   // only for the watermark fence and the final cutover, so appends pause
-  // for microseconds-to-one-epoch, never for the whole move.
+  // for microseconds-to-one-epoch, never for the whole move. A lost
+  // primary is marked (MarkPrimaryLost) and replaced (PromotePrimary) only
+  // while the gate is held exclusive, so the view taken here and the
+  // refusal asked next see the same slice.
   std::shared_lock<std::shared_mutex> gate(append_gate_);
   TopologyView view = topology();
-  auto seq = view.pipelines[view.map->ShardOf(delta.key)]->Append(delta);
+  const int s = view.map->ShardOf(delta.key);
+  I2MR_RETURN_IF_ERROR(Refusal(s));
+  auto seq = view.pipelines[s]->Append(delta);
   // Successes only: a failed log append was not routed into any shard.
   if (seq.ok()) {
     deltas_routed_->Increment();
@@ -386,11 +373,6 @@ StatusOr<uint64_t> ShardRouter::Append(const DeltaKV& delta) {
 }
 
 Status ShardRouter::AppendBatch(const std::vector<DeltaKV>& deltas) {
-  if (poisoned_.load()) {
-    return Status::FailedPrecondition(
-        "a barrier commit or reshard cutover was left incomplete; appends "
-        "are refused until recovery");
-  }
   std::shared_lock<std::shared_mutex> gate(append_gate_);
   TopologyView view = topology();
   const int n = view.map->num_shards;
@@ -398,7 +380,9 @@ Status ShardRouter::AppendBatch(const std::vector<DeltaKV>& deltas) {
   for (const auto& d : deltas) parts[view.map->ShardOf(d.key)].push_back(d);
   std::vector<int> targets;
   for (int s = 0; s < n; ++s) {
-    if (!parts[s].empty()) targets.push_back(s);
+    if (parts[s].empty()) continue;
+    I2MR_RETURN_IF_ERROR(Refusal(s));  // before any shard logs its part
+    targets.push_back(s);
   }
   auto journal_part = [this](const std::vector<DeltaKV>& part) {
     if (!journal_) return;
@@ -461,20 +445,14 @@ StatusOr<std::string> ShardRouter::Lookup(const std::string& key) const {
 // ---------------------------------------------------------------------------
 
 void ShardRouter::Start() {
-  if (!options_.cross_shard_exchange) {
-    std::shared_lock<std::shared_mutex> topo(topo_mu_);
-    for (const auto& shard : shards_) shard->manager->Start();
-    return;
-  }
   bool expected = false;
   if (!coordinating_.compare_exchange_strong(expected, true)) return;
   // One coordinator instead of per-shard schedulers: epochs must advance
   // in lockstep or the exchange would fold contributions into the wrong
-  // epoch. Polls like the managers do; consults the tenant's epoch quota
-  // once per coordinated epoch.
+  // epoch. Consults the tenant's epoch quota once per coordinated epoch.
   coordinator_ = std::thread([this] {
     const auto poll = std::chrono::microseconds(
-        static_cast<int64_t>(options_.manager.poll_interval_ms * 1000));
+        static_cast<int64_t>(options_.poll_interval_ms * 1000));
     // Failure backoff: consecutive failed coordinated epochs (a sick disk
     // fails every tick) back off exponentially instead of hammering the
     // same fault at poll rate. Sliced sleeps keep Stop() responsive.
@@ -495,9 +473,10 @@ void ShardRouter::Start() {
       }
       // A pending roll-forward counts as ready even with the router
       // poisoned: RefreshCoordinated resumes the interrupted barrier
-      // before (or instead of) taking new work.
+      // before (or instead of) taking new work. A lost primary waits for
+      // its promotion.
       const bool resumable = pending_flip_epoch_.load() != 0;
-      if ((ready && !poisoned_.load()) || resumable) {
+      if ((ready && Refusal(-1).ok()) || resumable) {
         bool admitted = resumable || options_.admission == nullptr ||
                         options_.tenant.empty() ||
                         options_.admission->AdmitEpoch(options_.tenant);
@@ -530,33 +509,14 @@ void ShardRouter::Stop() {
   if (coordinating_.exchange(false)) {
     if (coordinator_.joinable()) coordinator_.join();
   }
-  {
-    std::shared_lock<std::shared_mutex> topo(topo_mu_);
-    for (const auto& shard : shards_) shard->manager->Stop();
-    for (const auto& shard : retired_) shard->manager->Stop();
-  }
 }
 
 Status ShardRouter::DrainAll() {
-  if (options_.cross_shard_exchange) {
-    while (true) {
-      auto st = RefreshCoordinated();
-      if (!st.ok()) return st.status();
-      if (TotalPending() == 0) return Status::OK();
-    }
+  while (true) {
+    auto st = RefreshCoordinated();
+    if (!st.ok()) return st.status();
+    if (TotalPending() == 0) return Status::OK();
   }
-  TopologyView view = topology();
-  const int n = static_cast<int>(view.pipelines.size());
-  std::vector<Status> status(n);
-  {
-    std::shared_lock<std::shared_mutex> topo(topo_mu_);
-    std::vector<PipelineManager*> managers;
-    managers.reserve(n);
-    for (const auto& shard : shards_) managers.push_back(shard->manager.get());
-    topo.unlock();
-    ForEachShard(n, [&](int s) { status[s] = managers[s]->DrainAll(); });
-  }
-  return FirstError(status);
 }
 
 uint64_t ShardRouter::TotalPending() const {
@@ -607,7 +567,7 @@ StatusOr<int> ShardRouter::RunExchangeRounds(
     if (edges_exchanged != nullptr) {
       for (const auto& batch : inbound) *edges_exchanged += batch.size();
     }
-    if (absorb_and_stop || rounds >= options_.max_exchange_rounds) {
+    if (absorb_and_stop || rounds >= kMaxExchangeRounds) {
       // The previous round's refreshes moved state by at most the
       // convergence epsilon (or we hit the safety cap — same contract as
       // the engine silently stopping at max_iterations), so these final
@@ -619,11 +579,11 @@ StatusOr<int> ShardRouter::RunExchangeRounds(
       // round's own re-exports are dropped; receivers pick those values
       // up when the emitting instances next re-execute, keeping the
       // deviation inside the same epsilon bound.
-      if (rounds >= options_.max_exchange_rounds) {
+      if (rounds >= kMaxExchangeRounds) {
         LOG_WARN << "serving " << name_ << ": exchange hit the "
-                 << options_.max_exchange_rounds
+                 << kMaxExchangeRounds
                  << "-round cap before the joint fixpoint; committing the "
-                 << "state reached (raise max_exchange_rounds or epsilon)";
+                 << "state reached (raise the spec's epsilon)";
       }
       std::vector<Status> status(n);
       ForEachShard(n, [&](int s) {
@@ -679,10 +639,6 @@ ShardRouter::RefreshCoordinatedLocked() {
   WallTimer wall;
   TRACE_SPAN("serving.coordinated_epoch", "router=%s shards=%d", name_.c_str(),
              num_shards());
-  if (!options_.cross_shard_exchange) {
-    return Status::FailedPrecondition(
-        "RefreshCoordinated requires cross_shard_exchange");
-  }
   if (poisoned_.load()) {
     if (pending_flip_epoch_.load() != 0) {
       // The interrupted barrier was *decided* (record durable, staged
@@ -700,6 +656,7 @@ ShardRouter::RefreshCoordinatedLocked() {
           "(reset=false) to recover");
     }
   }
+  I2MR_RETURN_IF_ERROR(Refusal(-1));
   if (!bootstrapped()) {
     return Status::FailedPrecondition("router not bootstrapped");
   }
@@ -745,8 +702,8 @@ ShardRouter::RefreshCoordinatedLocked() {
   }
   stats.rounds = *rounds;
 
-  // Everyone commits the same epoch N (vectors stay uniform: coordinated
-  // mode is the only committer).
+  // Everyone commits the same epoch N (vectors stay uniform: the barrier
+  // is the only committer).
   uint64_t epoch = 0;
   for (uint64_t e : CommittedEpochs()) epoch = std::max(epoch, e);
   ++epoch;
@@ -1028,6 +985,88 @@ Status ShardRouter::RecoverBarrier(const std::string& root,
   return Status::OK();
 }
 
+// ---------------------------------------------------------------------------
+// Per-shard failover
+// ---------------------------------------------------------------------------
+
+Status ShardRouter::MarkPrimaryLost(int shard) {
+  // coord_mu_ waits out an in-flight coordinated epoch, the exclusive
+  // append gate waits out in-flight appends: once the flag is up, nothing
+  // reaches the dead primary.
+  std::lock_guard<std::mutex> coord(coord_mu_);
+  std::unique_lock<std::shared_mutex> gate(append_gate_);
+  std::unique_lock<std::shared_mutex> topo(topo_mu_);
+  if (shard < 0 || shard >= static_cast<int>(shards_.size())) {
+    return Status::InvalidArgument("no shard " + std::to_string(shard));
+  }
+  shards_[shard]->lost = true;
+  LOG_WARN << "serving " << name_ << ": shard " << shard
+           << " lost its primary; appends to it, coordinated epochs and "
+           << "reshards are refused until a promotion";
+  return Status::OK();
+}
+
+bool ShardRouter::primary_lost(int shard) const {
+  std::shared_lock<std::shared_mutex> topo(topo_mu_);
+  return shard >= 0 && shard < static_cast<int>(shards_.size()) &&
+         shards_[shard]->lost;
+}
+
+StatusOr<Pipeline*> ShardRouter::PromotePrimary(int shard,
+                                                const std::string& root,
+                                                uint64_t epoch) {
+  std::lock_guard<std::mutex> coord(coord_mu_);
+  TopologyView view = topology();
+  const int n = view.map->num_shards;
+  if (!primary_lost(shard)) {
+    return Status::FailedPrecondition("shard " + std::to_string(shard) +
+                                      " primary is not lost");
+  }
+  // Epochs are refused while the primary is lost, so the other shards'
+  // committed epochs are stable here; the promoted slice must rejoin at
+  // exactly that epoch, or the vector stops being uniform (a behind
+  // follower would also miss boundary contributions the other shards
+  // already folded in).
+  for (int s = 0; s < n; ++s) {
+    const uint64_t committed = view.pipelines[s]->committed_epoch();
+    if (s != shard && committed != epoch) {
+      return Status::FailedPrecondition(
+          "shard " + std::to_string(shard) + " follower applied epoch " +
+          std::to_string(epoch) + " but shard " + std::to_string(s) +
+          " committed epoch " + std::to_string(committed));
+    }
+  }
+  auto opened = OpenShard(root, /*reset=*/false, *view.map, shard);
+  if (!opened.ok()) return opened.status();
+  std::unique_ptr<Shard> promoted = std::move(*opened);
+  if (promoted->pipeline->committed_epoch() != epoch) {
+    return Status::Corruption(
+        "promoted pipeline recovered epoch " +
+        std::to_string(promoted->pipeline->committed_epoch()) +
+        " instead of the follower's applied epoch " + std::to_string(epoch));
+  }
+  Pipeline* pipeline = promoted->pipeline.get();
+  // The swap, like AdoptTopology's: pins retry around it, and the lost
+  // slice retires alive so pins taken from it keep serving. The exclusive
+  // append gate clears the lost flag: an append takes its topology view
+  // and asks Refusal under one shared hold, so it either sees the lost
+  // slice and is refused or routes to the promoted one — it never passes
+  // the check and then writes to the retired primary.
+  {
+    std::unique_lock<std::shared_mutex> gate(append_gate_);
+    commit_seq_.fetch_add(1, std::memory_order_acq_rel);
+    {
+      std::unique_lock<std::shared_mutex> topo(topo_mu_);
+      retired_.push_back(std::move(shards_[shard]));
+      shards_[shard] = std::move(promoted);
+    }
+    commit_seq_.fetch_add(1, std::memory_order_acq_rel);
+  }
+  LOG_INFO << "serving " << name_ << ": shard " << shard
+           << " promoted a follower at epoch " << epoch;
+  return pipeline;
+}
+
 void ShardRouter::AdoptTopology(std::vector<std::unique_ptr<Shard>> shards,
                                 std::unique_ptr<CrossShardExchange> exchange,
                                 std::shared_ptr<const PartitionMap> map,
@@ -1036,9 +1075,8 @@ void ShardRouter::AdoptTopology(std::vector<std::unique_ptr<Shard>> shards,
   // The swap itself: pointer moves under the exclusive topology lock,
   // bracketed by the barrier-flip seqlock so coordinated pins retry
   // instead of pinning across two generations. Old slices move to
-  // retired_ (the caller stops their managers afterwards); their
-  // pipelines stay alive so pre-cutover pins and views keep serving the
-  // old map until the router dies.
+  // retired_; their pipelines stay alive so pre-cutover pins and views
+  // keep serving the old map until the router dies.
   commit_seq_.fetch_add(1, std::memory_order_acq_rel);
   {
     std::unique_lock<std::shared_mutex> topo(topo_mu_);

@@ -1,9 +1,8 @@
 // ShardRouter: hash-partitions one continuously-refreshed computation
-// across N shards. Each shard is a full vertical slice — its own
-// LocalCluster (under <root>/<shard-dir>/), its own Pipeline (own DeltaLog,
-// epoch dirs, engine state) and its own PipelineManager scheduling that
-// pipeline's epochs — so shards ingest, refresh and serve independently;
-// nothing is shared but the process.
+// across N shards. Each shard is a vertical slice — its own LocalCluster
+// (under <root>/<shard-dir>/) and its own Pipeline (own DeltaLog, epoch
+// dirs, engine state) — and one coordinator drives every slice through
+// the same epochs.
 //
 // Routing is by key through the router's versioned PartitionMap (see
 // serving/partition_map.h) — one stable key-hash partition function,
@@ -16,25 +15,21 @@
 // atomic cutover; retired donor slices stay alive until the router dies
 // so pre-cutover pins keep serving the old map.
 //
-// Two consistency modes:
+// Consistency: every engine's map emissions to non-owned keys are captured
+// at the boundary, routed to the owning shard by a CrossShardExchange, and
+// folded into that shard's refresh; RefreshCoordinated() iterates rounds
+// under a barrier to the joint fixpoint, so the sharded result equals the
+// unsharded computation. All shards then commit the same epoch N with a
+// two-phase protocol — stage every epoch dir, write the coordinator
+// BARRIER record, flip every CURRENT, clean up — and recovery rolls an
+// incomplete barrier back to N-1 everywhere, so readers never observe a
+// mixed epoch vector. Apps whose reduce state is global (all-to-one, e.g.
+// k-means' single centroid record) run on a one-shard map.
 //
-//  * Independent (cross_shard_exchange = false, the default): each shard
-//    refreshes and commits on its own schedule. Correct only for apps
-//    whose reduce input partitions with the keys — cross-shard data
-//    dependencies (e.g. PageRank contributions along edges that cross the
-//    partition) are silently confined to their shard. Apps with global
-//    state (k-means' single centroid record) belong on one shard.
-//
-//  * Coordinated (cross_shard_exchange = true): every engine's map
-//    emissions to non-owned keys are captured at the boundary, routed to
-//    the owning shard by a CrossShardExchange, and folded into that
-//    shard's refresh; RefreshCoordinated() iterates rounds under a
-//    barrier to the joint fixpoint, so the sharded result equals the
-//    unsharded computation. All shards then commit the same epoch N with
-//    a two-phase protocol — stage every epoch dir, write the coordinator
-//    BARRIER record, flip every CURRENT, clean up — and recovery rolls an
-//    incomplete barrier back to N-1 everywhere, so readers never observe
-//    a mixed epoch vector.
+// Per-shard failover (driven by replication/replica_set.h): a lost
+// primary refuses appends routed to its shard, coordinated epochs and
+// reshards until PromotePrimary() swaps a caught-up follower's root in as
+// that shard's pipeline — the router owns every shard's primary.
 //
 // Epoch-consistent cross-shard reads and per-tenant admission live one
 // layer up, in ShardGroup / AdmissionController.
@@ -53,7 +48,8 @@
 
 #include "common/hash.h"
 #include "mr/cluster.h"
-#include "pipeline/pipeline_manager.h"
+#include "common/metrics.h"
+#include "pipeline/pipeline.h"
 #include "serving/admission.h"
 #include "serving/exchange.h"
 #include "serving/partition_map.h"
@@ -67,16 +63,9 @@ struct ShardRouterOptions {
   int num_shards = 4;
   int workers_per_shard = 2;
 
-  /// Coordinated mode (see the header comment): exchange out-of-partition
-  /// map/reduce contributions between shards and commit epochs under a
-  /// cross-shard barrier, making sharded results equal the unsharded
-  /// computation. Requires a partition-by-key app (not all-to-one).
-  bool cross_shard_exchange = false;
-
-  /// Safety cap on exchange rounds per coordinated epoch. Like the
-  /// engine's max_iterations, hitting it logs a warning and commits the
-  /// best state reached instead of failing the epoch.
-  int max_exchange_rounds = 256;
+  /// Must stay true: coordinated refresh (see the header comment) is the
+  /// only multi-shard mode, and Open rejects false.
+  bool cross_shard_exchange = true;
 
   /// Test hook simulating coordinator death inside the barrier commit.
   /// Stages: "staged" (every shard's epoch dir staged, BARRIER not yet
@@ -104,15 +93,12 @@ struct ShardRouterOptions {
   /// durability). The spec's partition count applies per shard.
   PipelineOptions pipeline;
 
-  /// Template for every shard's manager; metrics_prefix is overridden with
-  /// the partition map's per-shard prefix ("serving.<name>.shard<i>" at
-  /// generation 0) so one registry holds per-shard counter families, and
-  /// epoch_gate is overridden when admission is wired below.
-  PipelineManagerOptions manager;
+  /// Background coordinator poll cadence for Start().
+  double poll_interval_ms = 10;
 
-  /// Owning tenant + admission control: when both are set, every shard
-  /// manager's epoch_gate consults admission->AdmitEpoch(tenant), so this
-  /// computation's delta backlog competes for refresh slots under the
+  /// Owning tenant + admission control: when both are set, the coordinator
+  /// consults admission->AdmitEpoch(tenant) once per coordinated epoch, so
+  /// this computation's delta backlog competes for refresh slots under the
   /// tenant's epoch quota.
   std::string tenant;
   AdmissionController* admission = nullptr;
@@ -169,33 +155,35 @@ class ShardRouter {
   };
   TopologyView topology() const;
 
-  /// Split the initial structure/state by key and run every shard's full
-  /// computation + epoch-0 commit. Shards bootstrap concurrently.
+  /// Split the initial structure/state by key, run every shard's full
+  /// computation concurrently, exchange boundary contributions to the
+  /// joint fixpoint, and commit epoch 0 on every shard under the barrier.
   Status Bootstrap(const std::vector<KV>& structure,
                    const std::vector<KV>& initial_state);
   bool bootstrapped() const;
 
   /// Durably append one update to its key's shard. Refused (like Lookup)
-  /// while the router is poisoned: a durable barrier/reshard decision
+  /// while the router is poisoned — a durable barrier/reshard decision
   /// already supersedes the live topology, and recovery could discard an
-  /// ack made against it.
+  /// ack made against it — and while the key's shard has lost its primary.
   StatusOr<uint64_t> Append(const DeltaKV& delta);
   /// Partition a batch by key and append per shard (one group per shard).
+  /// Refused whole, before any shard logs it, when one of its shards is
+  /// refused.
   Status AppendBatch(const std::vector<DeltaKV>& deltas);
 
   /// Point lookup from the key's shard's latest committed epoch.
   StatusOr<std::string> Lookup(const std::string& key) const;
 
-  /// Background epoch scheduling: per-shard managers in independent mode,
-  /// one coordinator thread driving RefreshCoordinated in coordinated mode.
+  /// Background epoch scheduling: one coordinator thread driving
+  /// RefreshCoordinated whenever a shard's epoch trigger fires.
   void Start();
   void Stop();
-  /// Run epochs everywhere until no shard has pending deltas; blocks.
-  /// Coordinated mode drains through RefreshCoordinated (barrier commits).
+  /// Run coordinated epochs until no shard has pending deltas; blocks.
   Status DrainAll();
 
-  /// One coordinated epoch across all shards (cross_shard_exchange mode):
-  /// every shard drains + refreshes, boundary contributions are exchanged
+  /// One coordinated epoch across all shards: every shard drains +
+  /// refreshes, boundary contributions are exchanged
   /// and re-reduced under a barrier until the joint fixpoint, then every
   /// shard's epoch N commits atomically (two-phase; see RecoverBarrier in
   /// the implementation for the crash story). Returns committed=false
@@ -218,14 +206,13 @@ class ShardRouter {
   std::vector<uint64_t> CommittedEpochs() const;
 
   int num_shards() const;
-  bool coordinated() const { return options_.cross_shard_exchange; }
 
   /// Barrier-flip seqlock for uniform reads: even = stable, odd = a
-  /// barrier commit (or a reshard cutover) is mid-flip. ShardGroup::
-  /// PinSnapshot brackets its per-shard pins with this (wait while odd,
-  /// retry if it moved), so a coordinated-mode pin is always a uniform
-  /// epoch vector of one generation even while flips land one CURRENT at
-  /// a time.
+  /// barrier commit, a reshard cutover or a primary promotion is mid-flip.
+  /// ShardGroup::PinSnapshot brackets its per-shard pins with this (wait
+  /// while odd, retry if it moved), so a pin is always a uniform epoch
+  /// vector of one generation even while flips land one CURRENT at a
+  /// time.
   uint64_t commit_seq() const {
     return commit_seq_.load(std::memory_order_acquire);
   }
@@ -240,16 +227,32 @@ class ShardRouter {
   /// of requiring a reopen. Zero otherwise.
   uint64_t pending_flip_epoch() const { return pending_flip_epoch_.load(); }
 
+  // -- Per-shard failover ----------------------------------------------------
+
+  /// Mark shard `shard`'s primary lost: waits out an in-flight coordinated
+  /// epoch and in-flight appends, after which appends routed to the shard,
+  /// coordinated epochs and reshards are refused (FailedPrecondition naming
+  /// the shard) until PromotePrimary. Reads of the committed state go on.
+  Status MarkPrimaryLost(int shard);
+  bool primary_lost(int shard) const;
+
+  /// Replace lost shard `shard`'s primary with a pipeline opened over
+  /// `root` (a follower's replicated root, its CURRENT naming `epoch`)
+  /// with the shard's own pipeline options. In a fleet of more than one
+  /// shard, `epoch` must equal the other shards' committed epoch — any
+  /// other follower would break the uniform epoch vector. The swap is
+  /// bracketed by the barrier-flip seqlock like a reshard cutover; the
+  /// retired pipeline stays alive so pins taken from it keep serving.
+  /// Returns the new primary.
+  StatusOr<Pipeline*> PromotePrimary(int shard, const std::string& root,
+                                     uint64_t epoch);
+
   const std::string& name() const { return name_; }
   const std::string& tenant() const { return options_.tenant; }
   Pipeline* shard(int i) const;
-  PipelineManager* manager(int i) const;
-  LocalCluster* cluster(int i) const;
   MetricsRegistry* metrics() const { return options_.metrics; }
   /// Effective options (metrics defaulted, templates as applied; after a
-  /// reshard, num_shards and pipeline.generation track the live map). The
-  /// replication layer clones the pipeline/cost templates from here when
-  /// it promotes a follower into a primary.
+  /// reshard, num_shards and pipeline.generation track the live map).
   const ShardRouterOptions& options() const { return options_; }
 
  private:
@@ -257,16 +260,26 @@ class ShardRouter {
 
   struct Shard {
     std::unique_ptr<LocalCluster> cluster;
-    std::unique_ptr<PipelineManager> manager;
-    Pipeline* pipeline = nullptr;  // owned by manager
+    std::unique_ptr<Pipeline> pipeline;  // destroyed before its cluster
+    /// The primary died (MarkPrimaryLost); guarded by topo_mu_.
+    bool lost = false;
   };
 
   ShardRouter(std::string name, std::string root, ShardRouterOptions options);
 
-  /// Coordinated bootstrap: per-shard full computation, exchange rounds to
-  /// the joint fixpoint, then the epoch-0 barrier commit.
-  Status BootstrapCoordinated(std::vector<std::vector<KV>> structure_parts,
-                              std::vector<std::vector<KV>> state_parts);
+  /// Open shard `s`'s slice of generation `map` over cluster root
+  /// `cluster_root` (wiped first when `reset`): the shard's pipeline
+  /// options own exactly the keys the map assigns to `s` (on a map of more
+  /// than one shard).
+  StatusOr<std::unique_ptr<Shard>> OpenShard(const std::string& cluster_root,
+                                             bool reset,
+                                             const PartitionMap& map,
+                                             int s) const;
+
+  /// FailedPrecondition while the router is poisoned or while shard
+  /// `shard`'s primary is lost (shard = -1: any shard's); OK otherwise.
+  /// Every state-changing entry point asks this before it changes state.
+  Status Refusal(int shard) const;
 
   /// RefreshCoordinated body; caller holds coord_mu_ (the reshard
   /// coordinator drains donors while holding the lock for the whole move).
@@ -324,8 +337,8 @@ class ShardRouter {
   /// The reshard cutover: replace the whole topology (map, shard slices,
   /// exchange, per-shard counters, options' shard count + generation)
   /// with the staging fleet's, bracketed by the barrier-flip seqlock.
-  /// Retired slices (managers stopped by the caller) are kept alive until
-  /// the router dies so pre-cutover pins and views keep serving.
+  /// Retired slices are kept alive until the router dies so pre-cutover
+  /// pins and views keep serving.
   void AdoptTopology(std::vector<std::unique_ptr<Shard>> shards,
                      std::unique_ptr<CrossShardExchange> exchange,
                      std::shared_ptr<const PartitionMap> map,
@@ -340,18 +353,21 @@ class ShardRouter {
 
   /// Guards the live topology — map_, shards_, exchange_, the per-shard
   /// counter vectors — shared for every read/route, exclusive only for
-  /// the reshard cutover's pointer swap. Lock order: append_gate_ (when
+  /// the pointer swaps of a reshard cutover, a lost-primary mark and a
+  /// promotion. Lock order: append_gate_ (when
   /// taken) before topo_mu_ before anything inside a pipeline.
   mutable std::shared_mutex topo_mu_;
   std::shared_ptr<const PartitionMap> map_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Donor slices of previous generations, retired at cutover: managers
-  /// stopped, pipelines alive so pre-cutover pins stay valid.
+  /// Donor slices of previous generations (retired at cutover) and lost
+  /// primaries (retired at promotion), kept alive so pins taken from them
+  /// stay valid.
   std::vector<std::unique_ptr<Shard>> retired_;
 
   /// Append gate: appends hold it shared; the reshard coordinator takes
   /// it exclusive for the brief watermark fence (enable dual-journaling
-  /// against a drained fleet) and the final cutover. Reads never touch it.
+  /// against a drained fleet) and the final cutover, and failover for
+  /// setting and clearing a shard's lost flag. Reads never touch it.
   mutable std::shared_mutex append_gate_;
   /// Dual-journal sink (set only mid-reshard, under the exclusive gate):
   /// every successfully routed append is also offered to the destination
@@ -366,9 +382,9 @@ class ShardRouter {
   Counter* deltas_routed_ = nullptr;
   Counter* lookups_routed_ = nullptr;
 
-  /// Coordinated mode: serializes RefreshCoordinated / DrainAll / the
-  /// coordinator thread (and, for the length of a move, the reshard
-  /// coordinator).
+  /// Serializes RefreshCoordinated / DrainAll / the coordinator thread /
+  /// failover transitions (and, for the length of a move, the reshard
+  /// coordinator). Lock order: coord_mu_ before append_gate_.
   std::mutex coord_mu_;
   std::unique_ptr<CrossShardExchange> exchange_;
   std::thread coordinator_;
@@ -384,8 +400,8 @@ class ShardRouter {
   std::atomic<uint64_t> pending_flip_epoch_{0};
   /// Resolved health registry (options_.health or Default()).
   HealthRegistry* health_ = nullptr;
-  /// Per-shard commit counters (the manager publishes these for solo
-  /// epochs; the router does for barrier commits). Guarded by topo_mu_.
+  /// Per-shard commit counters, published per barrier commit. Guarded by
+  /// topo_mu_.
   std::vector<Counter*> shard_epochs_committed_;
   std::vector<Counter*> shard_deltas_applied_;
 };

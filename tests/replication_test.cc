@@ -1,57 +1,40 @@
 // Tests for the read-replica subsystem: delta-log + epoch shipping to
 // followers, pinned reads over replica backends, kill-a-replica
 // availability (reads keep succeeding, lag recovers after restart),
-// compressed-archive shipping, and promote-on-primary-death failover (the
-// promoted follower serves exactly the pre-crash committed epoch and the
-// shard keeps ingesting). Runs in the TSan matrix: the concurrent-reader
-// sections double as race checks on the shipper/cutover paths.
+// compressed-archive shipping, and promote-on-primary-death failover on a
+// coordinated fleet (a lost primary refuses writes, epochs and reshards;
+// the promoted follower serves exactly the pre-crash committed epoch and
+// the fleet keeps ingesting, equal to the unsharded answer). Runs in the
+// TSan matrix: the concurrent-reader sections double as race checks on the
+// shipper/cutover paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/pagerank.h"
+#include "apps/sssp.h"
+#include "common/codec.h"
 #include "data/graph_gen.h"
 #include "io/compress.h"
 #include "io/env.h"
 #include "pipeline/delta_log.h"
 #include "replication/replica_set.h"
+#include "serving/reshard.h"
 #include "serving/shard_router.h"
+#include "shard_test_util.h"
 
 namespace i2mr {
 namespace {
 
-std::vector<KV> UnitState(const std::vector<KV>& structure) {
-  std::vector<KV> state;
-  for (const auto& kv : structure) state.push_back(KV{kv.key, "1"});
-  return state;
-}
-
-ShardRouterOptions PageRankShards(int num_shards, int partitions = 2) {
-  ShardRouterOptions options;
-  options.num_shards = num_shards;
-  options.workers_per_shard = 2;
-  options.pipeline.spec = pagerank::MakeIterSpec("pr", partitions, 100, 1e-9);
-  options.pipeline.engine.filter_threshold = 0.0;
-  options.pipeline.engine.mrbg_auto_off_ratio = 2;
-  options.pipeline.log.segment_bytes = 8 << 10;  // small: exercise rotation
-  return options;
-}
-
-std::vector<std::vector<KV>> ShardReferences(const ShardRouter& router,
-                                             const std::vector<KV>& graph) {
-  std::vector<std::vector<KV>> parts(router.num_shards());
-  for (const auto& kv : graph) parts[router.ShardOf(kv.key)].push_back(kv);
-  std::vector<std::vector<KV>> refs;
-  refs.reserve(parts.size());
-  for (const auto& part : parts) {
-    refs.push_back(pagerank::Reference(part, 100, 1e-9));
-  }
-  return refs;
+ShardRouterOptions SsspShards(const std::string& source) {
+  return CoordinatedOptions(sssp::MakeIterSpec("sp", source, 2, 200), 2);
 }
 
 class ReplicationTest : public ::testing::Test {
@@ -179,9 +162,7 @@ TEST_F(ReplicationTest, ShipsCompressedArchiveSegmentsTransparently) {
   ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
   EXPECT_EQ((*set)->primary(0)->committed_epoch(), pre_crash);
 
-  auto refs = ShardReferences(**router, graph);
-  auto served = (*set)->primary(0)->ServingSnapshot();
-  EXPECT_LT(pagerank::MeanError(served, refs[0]), 1e-3);
+  ExpectWholeGraphRanks(ShardedSnapshot(**router), graph);
 }
 
 TEST_F(ReplicationTest, ArchivedTwinOfShippedRawSegmentNeverBlocksPromotion) {
@@ -385,6 +366,7 @@ TEST_F(ReplicationTest, PromoteOnPrimaryDeathServesExactCommittedState) {
   auto promoted = (*set)->Promote(0);
   ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
   EXPECT_FALSE((*set)->primary_dead(0));
+  EXPECT_EQ((*router)->shard(0), (*set)->primary(0));
 
   stop.store(true);
   reader.join();
@@ -402,10 +384,9 @@ TEST_F(ReplicationTest, PromoteOnPrimaryDeathServesExactCommittedState) {
     EXPECT_EQ(*v, value) << key;
   }
 
-  // The shard ingests again through the promoted primary (writes must
-  // route through the set now — the router still points at the dead
-  // pipeline), stays exact vs a from-scratch recompute, and replication
-  // to the survivor resumes.
+  // The shard ingests again through the promoted primary (the router owns
+  // it now), the fleet stays exact vs a whole-graph recompute, and
+  // replication to the survivor resumes.
   GraphDeltaOptions dopt;
   dopt.update_fraction = 0.08;
   dopt.seed = 72;
@@ -417,15 +398,254 @@ TEST_F(ReplicationTest, PromoteOnPrimaryDeathServesExactCommittedState) {
   ASSERT_TRUE((*set)->DrainAll().ok());
   ASSERT_TRUE((*set)->SyncAll().ok());
 
-  auto refs = ShardReferences(**router, graph);
-  for (int s = 0; s < 2; ++s) {
-    auto served = (*set)->primary(s)->ServingSnapshot();
-    EXPECT_LT(pagerank::MeanError(served, refs[s]), 1e-3) << "shard " << s;
-  }
+  ExpectWholeGraphRanks(ShardedSnapshot(**router), graph);
   int survivor = *promoted == 0 ? 1 : 0;
   EXPECT_EQ((*set)->replica(0, survivor)->applied_epoch(),
             (*set)->primary(0)->committed_epoch());
   EXPECT_FALSE((*set)->IsReplicaStale(0, survivor));
+}
+
+// ---------------------------------------------------------------------------
+// Coordinated failover: refusals while lost, exactness after promotion
+// ---------------------------------------------------------------------------
+
+TEST_F(ReplicationTest, LostPrimaryRefusesWritesEpochsAndReshardsNotReads) {
+  const std::string source = PaddedNum(0);
+  auto graph = RingGraph(24, /*weighted=*/true);
+  ShardRouterOptions options = SsspShards(source);
+  auto router = ShardRouter::Open(root_, "sp", options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  ASSERT_TRUE(
+      (*router)->Bootstrap(graph, InitStateFor(options.pipeline.spec, graph)).ok());
+
+  ReplicaSetOptions ro;
+  ro.replicas_per_shard = 2;
+  auto set = ReplicaSet::Open(router->get(), replicas_, ro);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ASSERT_TRUE((*set)->SyncAll().ok());
+
+  // Follower (0, 0) stops before the last epoch; (0, 1) follows it.
+  ASSERT_TRUE((*set)->KillReplica(0, 0).ok());
+  ASSERT_TRUE((*set)->AppendBatch(AddShortcut(&graph, 3, 15, "0.5")).ok());
+  ASSERT_TRUE((*set)->DrainAll().ok());
+  ASSERT_TRUE((*set)->SyncAll().ok());
+  ASSERT_EQ((*router)->CommittedEpochs(), (std::vector<uint64_t>{1, 1}));
+
+  Pipeline* dead = (*router)->shard(0);
+  ASSERT_TRUE((*set)->KillPrimary(0).ok());
+  EXPECT_TRUE((*router)->primary_lost(0));
+  EXPECT_FALSE((*router)->primary_lost(1));
+
+  // Appends routed to shard 0 are refused — a batch touching shard 0 is
+  // refused whole — and no shard's log grows.
+  std::string key0, key1;
+  for (const auto& kv : graph) {
+    std::string& slot = (*router)->ShardOf(kv.key) == 0 ? key0 : key1;
+    if (slot.empty()) slot = kv.key;
+  }
+  ASSERT_FALSE(key0.empty());
+  ASSERT_FALSE(key1.empty());
+  std::vector<uint64_t> last_seq;
+  for (int s = 0; s < 2; ++s) {
+    last_seq.push_back((*router)->shard(s)->log()->last_seq());
+  }
+  auto refused = (*set)->Append(DeltaKV{DeltaOp::kInsert, key0, "x:1"});
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().ToString().find("shard 0"), std::string::npos)
+      << refused.status().ToString();
+  EXPECT_FALSE(
+      (*router)->Append(DeltaKV{DeltaOp::kInsert, key0, "x:1"}).ok());
+  EXPECT_FALSE((*router)
+                   ->AppendBatch({DeltaKV{DeltaOp::kInsert, key1, "x:1"},
+                                  DeltaKV{DeltaOp::kInsert, key0, "x:1"}})
+                   .ok());
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_EQ((*router)->shard(s)->log()->last_seq(), last_seq[s])
+        << "shard " << s << " logged a refused append";
+  }
+
+  // Coordinated epochs and reshards are refused, naming the shard.
+  auto names_shard0 = [](const Status& st) {
+    return !st.ok() && st.ToString().find("shard 0") != std::string::npos;
+  };
+  EXPECT_TRUE(names_shard0((*router)->RefreshCoordinated().status()));
+  EXPECT_TRUE(names_shard0((*router)->DrainAll()));
+  ReshardOptions reshard;
+  reshard.new_num_shards = 3;
+  ReshardCoordinator coordinator(router->get(), reshard);
+  EXPECT_TRUE(names_shard0(coordinator.Run().status()));
+  EXPECT_EQ((*router)->generation(), 0u);
+
+  // Reads go on from followers, as one uniform cut.
+  auto snap = (*set)->PinSnapshot();
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_EQ(snap->epochs(), (std::vector<uint64_t>{1, 1}));
+  EXPECT_TRUE(snap->Get(key0).ok());
+
+  // The only follower left on shard 0 stopped before the last epoch:
+  // promoting it would break the uniform vector, so Promote refuses.
+  ASSERT_TRUE((*set)->KillReplica(0, 1).ok());
+  ASSERT_TRUE((*set)->RestartReplica(0, 0).ok());
+  ASSERT_EQ((*set)->replica(0, 0)->applied_epoch(), 0u);
+  auto stale = (*set)->Promote(0);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.status().code(), Status::Code::kFailedPrecondition);
+  EXPECT_NE(stale.status().ToString().find("applied epoch 0"),
+            std::string::npos)
+      << stale.status().ToString();
+  EXPECT_TRUE((*set)->primary_dead(0));
+  EXPECT_EQ((*router)->shard(0), dead);
+
+  // The caught-up follower promotes, and the fleet takes epochs again.
+  ASSERT_TRUE((*set)->RestartReplica(0, 1).ok());
+  auto promoted = (*set)->Promote(0);
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  EXPECT_EQ(*promoted, 1);
+  ASSERT_TRUE((*set)->AppendBatch(AddShortcut(&graph, 9, 21, "0.5")).ok());
+  ASSERT_TRUE((*set)->DrainAll().ok());
+  EXPECT_EQ((*router)->CommittedEpochs(), (std::vector<uint64_t>{2, 2}));
+}
+
+TEST_F(ReplicationTest, PromotedShardOfCoordinatedFleetStaysExact) {
+  const std::string source = PaddedNum(0);
+  auto graph = RingGraph(24, /*weighted=*/true);
+  ShardRouterOptions options = SsspShards(source);
+  auto router = ShardRouter::Open(root_, "sp", options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  ASSERT_TRUE(
+      (*router)->Bootstrap(graph, InitStateFor(options.pipeline.spec, graph)).ok());
+
+  ReplicaSetOptions ro;
+  ro.replicas_per_shard = 2;
+  auto set = ReplicaSet::Open(router->get(), replicas_, ro);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ASSERT_TRUE((*set)->AppendBatch(AddShortcut(&graph, 2, 14, "0.5")).ok());
+  ASSERT_TRUE((*set)->DrainAll().ok());
+  ASSERT_TRUE((*set)->SyncAll().ok());
+
+  Pipeline* dead = (*router)->shard(0);
+  ASSERT_TRUE((*set)->KillPrimary(0).ok());
+  auto promoted = (*set)->Promote(0);
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  // The router owns the promoted primary.
+  EXPECT_NE((*router)->shard(0), dead);
+  EXPECT_EQ((*router)->shard(0), (*set)->primary(0));
+
+  // Deltas keep streaming through the promoted shard; epochs commit on
+  // both shards under the barrier.
+  const std::pair<int, int> shortcuts[] = {{5, 17}, {11, 1}, {20, 8}};
+  for (auto [from, to] : shortcuts) {
+    ASSERT_TRUE(
+        (*set)->AppendBatch(AddShortcut(&graph, from, to, "0.25")).ok());
+    ASSERT_TRUE((*set)->DrainAll().ok());
+  }
+  ASSERT_TRUE((*set)->SyncAll().ok());
+  EXPECT_EQ((*router)->CommittedEpochs(), (std::vector<uint64_t>{4, 4}));
+
+  // The router equals Dijkstra exactly, and every follower serves exactly
+  // the router's committed state.
+  const auto reference = sssp::Reference(graph, source);
+  std::vector<KV> served;
+  for (int s = 0; s < 2; ++s) {
+    auto part = (*router)->shard(s)->ServingSnapshot();
+    served.insert(served.end(), part.begin(), part.end());
+  }
+  EXPECT_EQ(sssp::ErrorRate(served, reference), 0.0);
+  for (int s = 0; s < 2; ++s) {
+    const auto primary = (*router)->shard(s)->ServingSnapshot();
+    for (int i = 0; i < 2; ++i) {
+      if (s == 0 && i == *promoted) continue;
+      EpochPin pin = (*set)->replica(s, i)->PinServing();
+      ASSERT_TRUE(pin.valid()) << "shard " << s << " replica " << i;
+      EXPECT_EQ(pin.epoch(), (*router)->shard(s)->committed_epoch());
+      EXPECT_EQ(pin.store()->Snapshot(), primary)
+          << "shard " << s << " replica " << i;
+    }
+  }
+}
+
+TEST_F(ReplicationTest, AppendsRacingAPromotionAreRefusedOrApplied) {
+  const std::string source = PaddedNum(0);
+  auto graph = RingGraph(24, /*weighted=*/true);
+  ShardRouterOptions options = SsspShards(source);
+  auto router = ShardRouter::Open(root_, "sp", options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  ASSERT_TRUE(
+      (*router)
+          ->Bootstrap(graph, InitStateFor(options.pipeline.spec, graph))
+          .ok());
+
+  ReplicaSetOptions ro;
+  ro.replicas_per_shard = 2;
+  auto set = ReplicaSet::Open(router->get(), replicas_, ro);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ASSERT_TRUE((*set)->SyncAll().ok());
+
+  // Candidate shortcuts out of shard-0 vertices, skipping the ring edge.
+  std::vector<std::pair<int, int>> shortcuts;
+  for (int offset = 12; offset >= 2; --offset) {
+    for (int from = 0; from < 24; ++from) {
+      if ((*router)->ShardOf(PaddedNum(from)) != 0) continue;
+      shortcuts.emplace_back(from, (from + offset) % 24);
+    }
+  }
+  ASSERT_FALSE(shortcuts.empty());
+
+  Pipeline* dead = (*router)->shard(0);
+  ASSERT_TRUE((*set)->KillPrimary(0).ok());
+  const uint64_t dead_last_seq = dead->log()->last_seq();
+
+  // One appender streams shortcuts through the set while shard 0 is
+  // promoted. Every batch is refused (the primary is lost) or acked, and
+  // an acked batch must reach the promoted primary: none may be logged to
+  // the retired one. Only shortcuts that shorten some distance are sent,
+  // so each acked batch shows in the result.
+  std::atomic<bool> promotion_over{false};
+  std::vector<KV> acked_graph = graph;
+  int acks = 0, refusals = 0;
+  Status refused_after_promotion = Status::OK();
+  std::thread appender([&] {
+    size_t next = 0;
+    while (next < shortcuts.size() && !(promotion_over.load() && acks >= 6)) {
+      std::vector<KV> trial = acked_graph;
+      auto batch = AddShortcut(&trial, shortcuts[next].first,
+                               shortcuts[next].second, "0.5");
+      if (sssp::Reference(trial, source) ==
+          sssp::Reference(acked_graph, source)) {
+        ++next;
+        continue;
+      }
+      const bool after = promotion_over.load();
+      Status st = (*set)->AppendBatch(batch);
+      if (st.ok()) {
+        acked_graph = std::move(trial);
+        ++acks;
+        ++next;
+      } else if (after) {
+        refused_after_promotion = st;
+        return;
+      } else {
+        ++refusals;
+        std::this_thread::yield();
+      }
+    }
+  });
+  auto promoted = (*set)->Promote(0);
+  promotion_over.store(true);
+  appender.join();
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  ASSERT_TRUE(refused_after_promotion.ok())
+      << refused_after_promotion.ToString();
+  EXPECT_GT(acks, 0);
+  EXPECT_EQ(dead->log()->last_seq(), dead_last_seq)
+      << "an append acked during the promotion was logged to the retired "
+         "primary ("
+      << refusals << " refusals, " << acks << " acks)";
+
+  ASSERT_TRUE((*set)->DrainAll().ok());
+  EXPECT_EQ(sssp::ErrorRate(ShardedSnapshot(**router),
+                            sssp::Reference(acked_graph, source)),
+            0.0);
 }
 
 }  // namespace

@@ -29,61 +29,10 @@
 #include "serving/reshard.h"
 #include "serving/shard_group.h"
 #include "serving/shard_router.h"
+#include "shard_test_util.h"
 
 namespace i2mr {
 namespace {
-
-std::vector<KV> InitStateFor(const IterJobSpec& spec,
-                             const std::vector<KV>& graph) {
-  std::vector<KV> state;
-  state.reserve(graph.size());
-  for (const auto& kv : graph) {
-    state.push_back(KV{kv.key, spec.init_state(kv.key)});
-  }
-  return state;
-}
-
-/// Directed ring i -> i+1 (mod n): nearly every edge crosses a shard
-/// boundary under hashed assignment — the adversarial case for both the
-/// coordinated refresh and the reshard transfer.
-std::vector<KV> RingGraph(int n, bool weighted) {
-  std::vector<KV> graph;
-  graph.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    std::string dest = PaddedNum((i + 1) % n);
-    graph.push_back(KV{PaddedNum(i), weighted ? dest + ":1" : dest});
-  }
-  return graph;
-}
-
-ShardRouterOptions CoordinatedOptions(IterJobSpec spec, int shards) {
-  ShardRouterOptions options;
-  options.num_shards = shards;
-  options.workers_per_shard = 2;
-  options.cross_shard_exchange = true;
-  options.pipeline.spec = std::move(spec);
-  options.pipeline.engine.filter_threshold = 0.0;
-  options.pipeline.engine.mrbg_auto_off_ratio = 2;
-  return options;
-}
-
-/// Append a weighted shortcut edge from -> to (replacing `from`'s
-/// adjacency record): distances only decrease, so the incremental result
-/// stays the exact fixpoint of the final graph.
-std::vector<DeltaKV> AddShortcut(std::vector<KV>* graph, int from, int to,
-                                 const std::string& weight) {
-  const std::string key = PaddedNum(from);
-  std::vector<DeltaKV> batch;
-  for (auto& kv : *graph) {
-    if (kv.key != key) continue;
-    std::string next = kv.value + " " + PaddedNum(to) + ":" + weight;
-    batch.push_back(DeltaKV{DeltaOp::kDelete, kv.key, kv.value});
-    batch.push_back(DeltaKV{DeltaOp::kInsert, kv.key, next});
-    kv.value = next;
-    break;
-  }
-  return batch;
-}
 
 /// Insert the undirected edge a <-> b (labels only merge downward, so
 /// incremental ConComp equals a fresh bootstrap of the final graph).
@@ -101,50 +50,6 @@ std::vector<DeltaKV> LinkVertices(std::vector<KV>* graph, int a, int b) {
     }
   }
   return batch;
-}
-
-std::vector<KV> ShardedSnapshot(const ShardRouter& router) {
-  std::vector<KV> all;
-  for (int s = 0; s < router.num_shards(); ++s) {
-    auto part = router.shard(s)->ServingSnapshot();
-    all.insert(all.end(), part.begin(), part.end());
-  }
-  std::sort(all.begin(), all.end());
-  return all;
-}
-
-std::map<std::string, std::string> ToMap(const std::vector<KV>& kvs) {
-  std::map<std::string, std::string> m;
-  for (const auto& kv : kvs) m[kv.key] = kv.value;
-  return m;
-}
-
-void ExpectNumericParity(const std::vector<KV>& got_kvs,
-                         const std::vector<KV>& want_kvs, double tol,
-                         const std::string& what) {
-  auto got = ToMap(got_kvs), want = ToMap(want_kvs);
-  ASSERT_EQ(got.size(), want.size()) << what << ": key sets differ";
-  for (const auto& [key, value] : want) {
-    auto it = got.find(key);
-    ASSERT_TRUE(it != got.end()) << what << ": missing key " << key;
-    auto a = ParseDouble(it->second);
-    auto b = ParseDouble(value);
-    ASSERT_TRUE(a.ok() && b.ok()) << what << ": unparsable value at " << key;
-    if (*a >= 1e29 && *b >= 1e29) continue;
-    EXPECT_NEAR(*a, *b, tol) << what << ": key " << key;
-  }
-}
-
-void ExpectExactParity(const std::vector<KV>& got_kvs,
-                       const std::vector<KV>& want_kvs,
-                       const std::string& what) {
-  auto got = ToMap(got_kvs), want = ToMap(want_kvs);
-  ASSERT_EQ(got.size(), want.size()) << what << ": key sets differ";
-  for (const auto& [key, value] : want) {
-    auto it = got.find(key);
-    ASSERT_TRUE(it != got.end()) << what << ": missing key " << key;
-    EXPECT_EQ(it->second, value) << what << ": key " << key;
-  }
 }
 
 class ReshardingTest : public ::testing::Test {
@@ -593,6 +498,52 @@ TEST_F(ReshardingTest, DualJournalMirrorFailureAbortsTheMoveBeforeCutover) {
   }
 }
 
+// Appends acked through a ReplicaSet go through the router, so one acked
+// after the fence is dual-journaled into the new generation like any
+// routed append (the set used to write to the donor pipelines directly,
+// and such a delta vanished at the cutover).
+TEST_F(ReshardingTest, ReplicaSetAppendAfterTheFenceReachesTheNewGeneration) {
+  const int n = 24;
+  auto graph = RingGraph(n, /*weighted=*/true);
+  const std::string source = PaddedNum(0);
+  auto spec = sssp::MakeIterSpec("sp", source, 2, 200);
+  auto router = ShardRouter::Open(root_, "sp", CoordinatedOptions(spec, 2));
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  ASSERT_TRUE((*router)->Bootstrap(graph, InitStateFor(spec, graph)).ok());
+  std::string replicas = root_ + "_replicas";
+  ASSERT_TRUE(ResetDir(replicas).ok());
+  ReplicaSetOptions ro;
+  ro.replicas_per_shard = 1;
+  auto set = ReplicaSet::Open(router->get(), replicas, ro);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+
+  ReshardOptions opts;
+  opts.new_num_shards = 3;
+  opts.chunk_max_bytes = 512;
+  opts.crash_hook = [&](const std::string& stage) {
+    if (stage == "dual_journal") {
+      EXPECT_TRUE((*set)->AppendBatch(AddShortcut(&graph, 5, 13, "0.25")).ok());
+    }
+    return false;
+  };
+  ReshardCoordinator coordinator(router->get(), opts);
+  auto stats = coordinator.Run();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->dual_journal_deltas, 2u);
+  ASSERT_TRUE((*set)->Rebind().ok());
+  ASSERT_TRUE((*set)->DrainAll().ok());
+
+  // 0 -> 5 along the ring, then the 0.25 shortcut to 13.
+  auto v = (*router)->Lookup(PaddedNum(13));
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  auto dist = ParseDouble(*v);
+  ASSERT_TRUE(dist.ok());
+  EXPECT_DOUBLE_EQ(*dist, 5.25);
+  EXPECT_EQ(sssp::ErrorRate(ShardedSnapshot(**router),
+                            sssp::Reference(graph, source)),
+            0.0);
+}
+
 // An I/O failure on the PARTMAP publish AFTER the RESHARD marker is
 // durable must not leave the marker behind: the live fleet keeps serving
 // and acking the old generation, and a surviving marker would roll those
@@ -862,7 +813,6 @@ TEST_F(ReshardingTest, ReplicationDetectsGenerationBumpResyncsAndPromotes) {
   std::vector<KV> state;
   for (const auto& kv : graph) state.push_back(KV{kv.key, "1"});
 
-  // Independent mode (promotion requires per-shard managers).
   ShardRouterOptions options;
   options.num_shards = 2;
   options.workers_per_shard = 2;

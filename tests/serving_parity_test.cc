@@ -1,5 +1,5 @@
 // Cross-shard ground-truth parity suite: a sharded computation with the
-// CrossShardExchange (cross_shard_exchange = true) must equal the
+// CrossShardExchange (the router's only multi-shard mode) must equal the
 // *unsharded* pipeline — not merely a per-shard recompute of each shard's
 // own subgraph — on graphs with heavy cross-shard edges, through bootstrap
 // and several streamed delta epochs, for PageRank, SSSP and ConComp.
@@ -24,47 +24,16 @@
 #include "io/env.h"
 #include "serving/shard_group.h"
 #include "serving/shard_router.h"
+#include "shard_test_util.h"
 
 namespace i2mr {
 namespace {
-
-std::vector<KV> InitStateFor(const IterJobSpec& spec,
-                             const std::vector<KV>& graph) {
-  std::vector<KV> state;
-  state.reserve(graph.size());
-  for (const auto& kv : graph) {
-    state.push_back(KV{kv.key, spec.init_state(kv.key)});
-  }
-  return state;
-}
-
-/// Directed ring i -> i+1 (mod n): with hashed shard assignment, nearly
-/// every edge crosses a shard boundary, and every vertex's reduce input
-/// comes from another shard — the adversarial case for sharded refresh.
-std::vector<KV> RingGraph(int n, bool weighted) {
-  std::vector<KV> graph;
-  graph.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    std::string dest = PaddedNum((i + 1) % n);
-    graph.push_back(KV{PaddedNum(i), weighted ? dest + ":1" : dest});
-  }
-  return graph;
-}
 
 PipelineOptions MakePipelineOptions(IterJobSpec spec) {
   PipelineOptions options;
   options.spec = std::move(spec);
   options.engine.filter_threshold = 0.0;  // exact propagation
   options.engine.mrbg_auto_off_ratio = 2; // keep the incremental path
-  return options;
-}
-
-ShardRouterOptions CoordinatedOptions(IterJobSpec spec, int shards) {
-  ShardRouterOptions options;
-  options.num_shards = shards;
-  options.workers_per_shard = 2;
-  options.cross_shard_exchange = true;
-  options.pipeline = MakePipelineOptions(std::move(spec));
   return options;
 }
 
@@ -88,52 +57,6 @@ void DrainUnsharded(Pipeline* pipeline) {
   while (pipeline->pending() > 0) {
     auto stats = pipeline->RunEpoch();
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  }
-}
-
-std::vector<KV> ShardedSnapshot(const ShardRouter& router) {
-  std::vector<KV> all;
-  for (int s = 0; s < router.num_shards(); ++s) {
-    auto part = router.shard(s)->ServingSnapshot();
-    all.insert(all.end(), part.begin(), part.end());
-  }
-  std::sort(all.begin(), all.end());
-  return all;
-}
-
-std::map<std::string, std::string> ToMap(const std::vector<KV>& kvs) {
-  std::map<std::string, std::string> m;
-  for (const auto& kv : kvs) m[kv.key] = kv.value;
-  return m;
-}
-
-/// Numeric parity: every key present in both, values equal within `tol`
-/// (values >= 1e29 are treated as "infinity", SSSP's unreachable marker).
-void ExpectNumericParity(const std::vector<KV>& sharded,
-                         const std::vector<KV>& unsharded, double tol,
-                         const std::string& what) {
-  auto got = ToMap(sharded), want = ToMap(unsharded);
-  ASSERT_EQ(got.size(), want.size()) << what << ": key sets differ";
-  for (const auto& [key, value] : want) {
-    auto it = got.find(key);
-    ASSERT_TRUE(it != got.end()) << what << ": missing key " << key;
-    auto a = ParseDouble(it->second);
-    auto b = ParseDouble(value);
-    ASSERT_TRUE(a.ok() && b.ok()) << what << ": unparsable value at " << key;
-    if (*a >= 1e29 && *b >= 1e29) continue;
-    EXPECT_NEAR(*a, *b, tol) << what << ": key " << key;
-  }
-}
-
-void ExpectExactParity(const std::vector<KV>& sharded,
-                       const std::vector<KV>& unsharded,
-                       const std::string& what) {
-  auto got = ToMap(sharded), want = ToMap(unsharded);
-  ASSERT_EQ(got.size(), want.size()) << what << ": key sets differ";
-  for (const auto& [key, value] : want) {
-    auto it = got.find(key);
-    ASSERT_TRUE(it != got.end()) << what << ": missing key " << key;
-    EXPECT_EQ(it->second, value) << what << ": key " << key;
   }
 }
 
@@ -437,7 +360,7 @@ TEST_F(ServingParityTest, ConcurrentPinsStayUniformWhileBarriersFlip) {
 
   auto options = CoordinatedOptions(spec, 3);
   options.pipeline.min_batch = 1;
-  options.manager.poll_interval_ms = 2;
+  options.poll_interval_ms = 2;
   auto router = ShardRouter::Open(JoinPath(root_, "concurrent"), "prc2",
                                   options);
   ASSERT_TRUE(router.ok()) << router.status().ToString();
