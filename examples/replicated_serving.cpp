@@ -49,10 +49,12 @@ void PrintFleet(const ReplicaSet& set) {
                 set.primary_dead(s) ? "DEAD" : "alive");
     for (int i = 0; i < set.replicas_per_shard(); ++i) {
       const FollowerReplica* f = set.replica(s, i);
+      const char* role = set.IsReplicaPromoted(s, i) ? "(primary)"
+                         : set.IsReplicaStale(s, i)  ? "(stale)"
+                                                     : "(serving)";
       std::printf(" | replica%d epoch=%llu lag=%llu %s", i,
                   (unsigned long long)f->applied_epoch(),
-                  (unsigned long long)set.ReplicaLag(s, i),
-                  set.IsReplicaStale(s, i) ? "(stale)" : "(serving)");
+                  (unsigned long long)set.ReplicaLag(s, i), role);
     }
     std::printf("\n");
   }

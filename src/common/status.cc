@@ -11,7 +11,6 @@ const char* CodeName(Status::Code code) {
     case Status::Code::kInvalidArgument: return "INVALID_ARGUMENT";
     case Status::Code::kIOError: return "IO_ERROR";
     case Status::Code::kAborted: return "ABORTED";
-    case Status::Code::kAlreadyExists: return "ALREADY_EXISTS";
     case Status::Code::kFailedPrecondition: return "FAILED_PRECONDITION";
     case Status::Code::kInternal: return "INTERNAL";
     case Status::Code::kResourceExhausted: return "RESOURCE_EXHAUSTED";

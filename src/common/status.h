@@ -23,7 +23,6 @@ class [[nodiscard]] Status {
     kInvalidArgument = 3,
     kIOError = 4,
     kAborted = 5,
-    kAlreadyExists = 6,
     kFailedPrecondition = 7,
     kInternal = 8,
     kResourceExhausted = 9,
@@ -47,9 +46,6 @@ class [[nodiscard]] Status {
   }
   static Status Aborted(std::string msg) {
     return Status(Code::kAborted, std::move(msg));
-  }
-  static Status AlreadyExists(std::string msg) {
-    return Status(Code::kAlreadyExists, std::move(msg));
   }
   static Status FailedPrecondition(std::string msg) {
     return Status(Code::kFailedPrecondition, std::move(msg));

@@ -781,7 +781,14 @@ StatusOr<Pipeline::RoundResult> Pipeline::RefreshRound(
     if (!run.ok()) return run.status();
     rr.refreshed = true;
     rr.iterations = run->iterations.size();
-    for (const auto& it : run->iterations) rr.total_diff += it.total_diff;
+    for (const auto& it : run->iterations) {
+      rr.total_diff += it.total_diff;
+      rr.map_ms += it.map_ms;
+      rr.shuffle_ms += it.shuffle_ms;
+      rr.sort_ms += it.sort_ms;
+      rr.reduce_ms += it.reduce_ms;
+      rr.merge_ms += it.merge_ms;
+    }
     inflight_deltas_ += deltas.size();
   }
   rr.exports = engine_->TakeBoundaryExports();

@@ -203,8 +203,8 @@ class Pipeline {
   StatusOr<uint64_t> Append(const DeltaKV& delta);
   StatusOr<uint64_t> AppendBatch(const std::vector<DeltaKV>& deltas);
 
-  /// True while the pipeline is in degraded read-only mode (appends bounce,
-  /// epoch scheduling pauses).
+  /// True while the pipeline is in degraded read-only mode (appends bounce
+  /// until a probe append succeeds; reads keep serving).
   bool degraded() const { return degraded_.load(std::memory_order_acquire); }
   /// Why the pipeline degraded ("" when healthy).
   std::string degraded_reason() const;
@@ -247,6 +247,13 @@ class Pipeline {
     /// no refresh ran) — the router's joint-fixpoint criterion.
     double total_diff = 0;
     bool refreshed = false;
+    /// Per-stage wall time summed over this round's iterations (as in
+    /// EpochStats' refresh_*_ms).
+    double map_ms = 0;
+    double shuffle_ms = 0;
+    double sort_ms = 0;
+    double reduce_ms = 0;
+    double merge_ms = 0;
   };
   StatusOr<RoundResult> RefreshRound(bool first,
                                      const std::vector<DeltaEdge>& remote_in);
@@ -323,7 +330,7 @@ class Pipeline {
   /// before any Pipeline object exists.
   static std::string EpochDirName(uint64_t epoch);
   const std::string& name() const { return name_; }
-  /// Effective options (after Open's name override and any manager floor).
+  /// Effective options (after Open's name override).
   const PipelineOptions& options() const { return options_; }
   DeltaLog* log() { return log_.get(); }
   IncrementalIterativeEngine* engine() { return engine_.get(); }

@@ -460,6 +460,7 @@ StatusOr<int> ReplicaSet::Promote(int shard) {
 uint64_t ReplicaSet::ReplicaLag(int shard, int i) const {
   std::lock_guard<std::mutex> lock(route_mu_);
   const ShardState& st = *shards_[shard];
+  if (i == st.promoted_replica) return 0;
   uint64_t committed = PrimaryEpoch(st);
   uint64_t applied = st.followers[i]->applied_epoch();
   return committed > applied ? committed - applied : 0;
@@ -467,7 +468,13 @@ uint64_t ReplicaSet::ReplicaLag(int shard, int i) const {
 
 bool ReplicaSet::IsReplicaStale(int shard, int i) const {
   std::lock_guard<std::mutex> lock(route_mu_);
-  return StaleLocked(*shards_[shard], i);
+  const ShardState& st = *shards_[shard];
+  return i != st.promoted_replica && StaleLocked(st, i);
+}
+
+bool ReplicaSet::IsReplicaPromoted(int shard, int i) const {
+  std::lock_guard<std::mutex> lock(route_mu_);
+  return i == shards_[shard]->promoted_replica;
 }
 
 }  // namespace i2mr

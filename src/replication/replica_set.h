@@ -148,10 +148,14 @@ class ReplicaSet {
   /// The partition-map generation this set's shard states were built for.
   uint64_t bound_generation() const;
 
-  /// Lag of follower (shard, i) behind the shard's primary, in epochs.
+  /// Lag of follower (shard, i) behind the shard's primary, in epochs (0
+  /// for the follower promoted to primary: its root IS the primary).
   uint64_t ReplicaLag(int shard, int i) const;
   /// Skipped by routing: killed, closed, not serving, or lag beyond max.
+  /// False for the promoted follower, which serves as the shard's primary.
   bool IsReplicaStale(int shard, int i) const;
+  /// True when follower (shard, i) was promoted to the shard's primary.
+  bool IsReplicaPromoted(int shard, int i) const;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int replicas_per_shard() const { return options_.replicas_per_shard; }

@@ -225,6 +225,5 @@ StatusOr<std::string> ShardGroup::Get(const std::string& tenant,
   return router_->Lookup(key);
 }
 
-Status ShardGroup::RefreshAll() { return router_->DrainAll(); }
 
 }  // namespace i2mr

@@ -113,11 +113,6 @@ class ShardGroup {
   StatusOr<std::string> Get(const std::string& tenant,
                             const std::string& key) const;
 
-  /// Coordinate epochs across shards: run refreshes everywhere until no
-  /// shard has pending deltas (blocking). After it returns OK, a fresh
-  /// snapshot observes every delta appended before the call.
-  Status RefreshAll();
-
   /// The current (unpinned) committed version vector.
   std::vector<uint64_t> CommittedEpochs() const {
     return router_->CommittedEpochs();

@@ -26,6 +26,11 @@ namespace {
 /// reached instead of failing the epoch.
 constexpr int kMaxExchangeRounds = 256;
 
+/// Coordinated epochs slower than this log one structured `slow_epoch`
+/// WARN line with the stage breakdown inline, so a tail-latency epoch
+/// explains itself without a trace attached.
+constexpr double kSlowEpochMs = 1000;
+
 std::string PipelineDirOf(const std::string& root, const std::string& name,
                           const PartitionMap& map, int s) {
   return JoinPath(JoinPath(root, map.ShardDirName(s)), "pipeline/" + name);
@@ -52,6 +57,52 @@ Status FirstError(const std::vector<Status>& status) {
   return Status::OK();
 }
 
+/// One RefreshRound on every shard, in parallel: round 0 (`first`) and the
+/// bootstrap boundary pass run every shard; exchange rounds (`inbound`
+/// set) run only the shards something was routed to.
+Status RefreshEachShard(const std::vector<Pipeline*>& pipelines, bool first,
+                        const std::vector<std::vector<DeltaEdge>>* inbound,
+                        std::vector<Pipeline::RoundResult>* results) {
+  const int n = static_cast<int>(pipelines.size());
+  std::vector<Status> status(n);
+  results->assign(n, Pipeline::RoundResult{});
+  const std::vector<DeltaEdge> none;
+  ForEachShard(n, [&](int s) {
+    if (inbound != nullptr && (*inbound)[s].empty()) return;
+    auto rr = pipelines[s]->RefreshRound(
+        first, inbound != nullptr ? (*inbound)[s] : none);
+    if (!rr.ok()) {
+      status[s] = rr.status();
+      return;
+    }
+    (*results)[s] = std::move(*rr);
+  });
+  return FirstError(status);
+}
+
+/// Post-barrier housekeeping (GC + log purge) on every shard; failures
+/// are logged, not fatal.
+void CleanupEachShard(const std::string& name,
+                      const std::vector<Pipeline*>& pipelines) {
+  ForEachShard(static_cast<int>(pipelines.size()), [&](int s) {
+    Status cleaned = pipelines[s]->CleanupCommitted();
+    if (!cleaned.ok()) {
+      LOG_WARN << "serving " << name << ": shard " << s
+               << " post-barrier cleanup failed (" << cleaned.ToString()
+               << ")";
+    }
+  });
+}
+
+void AddStageMs(const Pipeline::RoundResult& rr,
+                ShardRouter::CoordinatedEpochStats* stats) {
+  stats->map_ms += rr.map_ms;
+  stats->shuffle_ms += rr.shuffle_ms;
+  stats->sort_ms += rr.sort_ms;
+  stats->reduce_ms += rr.reduce_ms;
+  stats->merge_ms += rr.merge_ms;
+}
+
 }  // namespace
 
 ShardRouter::ShardRouter(std::string name, std::string root,
@@ -68,10 +119,6 @@ std::string ShardRouter::BarrierPathFor(const std::string& root,
   if (map.generation == 0) return JoinPath(root, name + ".BARRIER");
   return JoinPath(root, name + ".g" + std::to_string(map.generation) +
                             ".BARRIER");
-}
-
-std::string ShardRouter::BarrierPath() const {
-  return BarrierPathFor(root_, name_, partition_map());
 }
 
 std::string ShardRouter::ReshardMarkerPath(const std::string& root,
@@ -195,6 +242,10 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
       opts.metrics->Get("serving." + name + ".router.deltas_routed");
   router->lookups_routed_ =
       opts.metrics->Get("serving." + name + ".router.lookups_routed");
+  router->epoch_wall_hist_ =
+      opts.metrics->GetHistogram("serving." + name + ".epoch_wall_ns");
+  router->epoch_failures_ =
+      opts.metrics->Get("serving." + name + ".epoch_failures");
   router->exchange_ = std::make_unique<CrossShardExchange>(
       map.num_shards, [map](std::string_view key) { return map.ShardOf(key); },
       opts.cost, opts.metrics, "serving." + name + ".exchange");
@@ -289,18 +340,12 @@ Status ShardRouter::Bootstrap(const std::vector<KV>& structure,
 
   // Collect each shard's complete boundary set (captured by the MRBGraph
   // preservation pass) and iterate exchange rounds to the joint fixpoint.
-  std::vector<std::vector<DeltaEdge>> offers(n);
-  std::vector<Status> round_status(n);
-  ForEachShard(n, [&](int s) {
-    auto rr = view.pipelines[s]->RefreshRound(/*first=*/false, {});
-    if (!rr.ok()) {
-      round_status[s] = rr.status();
-      return;
-    }
-    offers[s] = std::move(rr->exports);
-  });
-  Status st = FirstError(round_status);
+  std::vector<Pipeline::RoundResult> results;
+  Status st = RefreshEachShard(view.pipelines, /*first=*/false, nullptr,
+                               &results);
   if (st.ok()) {
+    std::vector<std::vector<DeltaEdge>> offers(n);
+    for (int s = 0; s < n; ++s) offers[s] = std::move(results[s].exports);
     auto rounds = RunExchangeRounds(exchange_.get(), std::move(offers),
                                     nullptr);
     st = rounds.ok() ? Status::OK() : rounds.status();
@@ -464,13 +509,10 @@ void ShardRouter::Start() {
       }
     };
     while (coordinating_.load()) {
-      bool ready = false;
-      for (Pipeline* pipeline : topology().pipelines) {
-        if (pipeline->EpochReady()) {
-          ready = true;
-          break;
-        }
-      }
+      const std::vector<Pipeline*> pipelines = topology().pipelines;
+      const bool ready =
+          std::any_of(pipelines.begin(), pipelines.end(),
+                      [](Pipeline* p) { return p->EpochReady(); });
       // A pending roll-forward counts as ready even with the router
       // poisoned: RefreshCoordinated resumes the interrupted barrier
       // before (or instead of) taking new work. A lost primary waits for
@@ -484,6 +526,7 @@ void ShardRouter::Start() {
           auto st = RefreshCoordinated();
           if (!st.ok()) {
             ++failures;
+            epoch_failures_->Increment();
             int64_t backoff_ms = std::min<int64_t>(
                 5000, 100LL << std::min(failures - 1, 20));
             LOG_WARN << "serving " << name_ << ": coordinated epoch failed ("
@@ -545,7 +588,7 @@ void ShardRouter::MarkAllDirty() {
 
 StatusOr<int> ShardRouter::RunExchangeRounds(
     CrossShardExchange* exchange, std::vector<std::vector<DeltaEdge>> offers,
-    uint64_t* edges_exchanged) {
+    CoordinatedEpochStats* stats) {
   TopologyView view = topology();
   const int n = view.map->num_shards;
   const double eps = options_.pipeline.spec.convergence_epsilon;
@@ -564,10 +607,11 @@ StatusOr<int> ShardRouter::RunExchangeRounds(
     if (!any_offer) break;
     TRACE_SPAN("exchange.round", "round=%d", rounds);
     auto inbound = exchange->Route();
-    if (edges_exchanged != nullptr) {
-      for (const auto& batch : inbound) *edges_exchanged += batch.size();
+    if (stats != nullptr) {
+      for (const auto& batch : inbound) stats->edges_exchanged += batch.size();
     }
-    if (absorb_and_stop || rounds >= kMaxExchangeRounds) {
+    const bool absorb = absorb_and_stop || rounds >= kMaxExchangeRounds;
+    if (absorb) {
       // The previous round's refreshes moved state by at most the
       // convergence epsilon (or we hit the safety cap — same contract as
       // the engine silently stopping at max_iterations), so these final
@@ -585,33 +629,19 @@ StatusOr<int> ShardRouter::RunExchangeRounds(
                  << "-round cap before the joint fixpoint; committing the "
                  << "state reached (raise the spec's epsilon)";
       }
-      std::vector<Status> status(n);
-      ForEachShard(n, [&](int s) {
-        if (inbound[s].empty()) return;
-        auto rr = view.pipelines[s]->RefreshRound(/*first=*/false,
-                                                  inbound[s]);
-        status[s] = rr.ok() ? Status::OK() : rr.status();
-      });
-      I2MR_RETURN_IF_ERROR(FirstError(status));
-      break;
+    } else {
+      ++rounds;
     }
-    ++rounds;
     // Barrier round: every shard with inbound contributions folds and
     // refreshes; a fold that changes nothing skips the refresh and
     // exports nothing, which is what drains the loop.
-    std::vector<Status> status(n);
-    std::vector<Pipeline::RoundResult> results(n);
-    ForEachShard(n, [&](int s) {
-      if (inbound[s].empty()) return;
-      auto rr = view.pipelines[s]->RefreshRound(/*first=*/false,
-                                                inbound[s]);
-      if (!rr.ok()) {
-        status[s] = rr.status();
-        return;
-      }
-      results[s] = std::move(*rr);
-    });
-    I2MR_RETURN_IF_ERROR(FirstError(status));
+    std::vector<Pipeline::RoundResult> results;
+    I2MR_RETURN_IF_ERROR(RefreshEachShard(view.pipelines, /*first=*/false,
+                                          &inbound, &results));
+    if (stats != nullptr) {
+      for (const auto& rr : results) AddStageMs(rr, stats);
+    }
+    if (absorb) break;
     // The convergence gate rides on the RECEIVERS' state movement after
     // the fold (an exporter whose own state never changed says nothing
     // about the impact of its exports): once a whole round of re-reduces
@@ -671,17 +701,9 @@ ShardRouter::RefreshCoordinatedLocked() {
   const int n = view.map->num_shards;
   // Round 0: every shard drains its log and refreshes its own subgraph,
   // capturing boundary exports.
-  std::vector<Status> status(n);
-  std::vector<Pipeline::RoundResult> results(n);
-  ForEachShard(n, [&](int s) {
-    auto rr = view.pipelines[s]->RefreshRound(/*first=*/true, {});
-    if (!rr.ok()) {
-      status[s] = rr.status();
-      return;
-    }
-    results[s] = std::move(*rr);
-  });
-  Status st = FirstError(status);
+  std::vector<Pipeline::RoundResult> results;
+  Status st = RefreshEachShard(view.pipelines, /*first=*/true, nullptr,
+                               &results);
   if (!st.ok()) {
     MarkAllDirty();
     return st;
@@ -692,10 +714,11 @@ ShardRouter::RefreshCoordinatedLocked() {
     offers[s] = std::move(results[s].exports);
     drained[s] = results[s].deltas_drained;
     stats.deltas_applied += results[s].deltas_drained;
+    AddStageMs(results[s], &stats);
   }
 
   auto rounds = RunExchangeRounds(exchange_.get(), std::move(offers),
-                                  &stats.edges_exchanged);
+                                  &stats);
   if (!rounds.ok()) {
     MarkAllDirty();
     return rounds.status();
@@ -720,6 +743,19 @@ ShardRouter::RefreshCoordinatedLocked() {
   stats.committed = true;
   stats.epoch = epoch;
   stats.wall_ms = wall.ElapsedMillis();
+  epoch_wall_hist_->Record(static_cast<int64_t>(stats.wall_ms * 1e6));
+  if (stats.wall_ms > kSlowEpochMs) {
+    LOG_WARN << "slow_epoch serving=" << name_ << " epoch=" << stats.epoch
+             << " wall_ms=" << stats.wall_ms << " rounds=" << stats.rounds
+             << " deltas=" << stats.deltas_applied
+             << " edges_exchanged=" << stats.edges_exchanged
+             << " map_ms=" << stats.map_ms
+             << " shuffle_ms=" << stats.shuffle_ms
+             << " sort_ms=" << stats.sort_ms
+             << " reduce_ms=" << stats.reduce_ms
+             << " merge_ms=" << stats.merge_ms
+             << " threshold_ms=" << kSlowEpochMs;
+  }
   return stats;
 }
 
@@ -851,14 +887,7 @@ Status ShardRouter::CommitBarrier(uint64_t epoch) {
     poisoned_.store(true);
     return fail(cleared);
   }
-  ForEachShard(n, [&](int s) {
-    Status cleaned = view.pipelines[s]->CleanupCommitted();
-    if (!cleaned.ok()) {
-      LOG_WARN << "serving " << name_ << ": shard " << s
-               << " post-barrier cleanup failed (" << cleaned.ToString()
-               << ")";
-    }
-  });
+  CleanupEachShard(name_, view.pipelines);
   return Status::OK();
 }
 
@@ -894,14 +923,7 @@ Status ShardRouter::ResumeBarrierLocked() {
     std::shared_lock<std::shared_mutex> topo(topo_mu_);
     for (int s = 0; s < n; ++s) shard_epochs_committed_[s]->Increment();
   }
-  ForEachShard(n, [&](int s) {
-    Status cleaned = view.pipelines[s]->CleanupCommitted();
-    if (!cleaned.ok()) {
-      LOG_WARN << "serving " << name_ << ": shard " << s
-               << " post-barrier cleanup failed (" << cleaned.ToString()
-               << ")";
-    }
-  });
+  CleanupEachShard(name_, view.pipelines);
   LOG_INFO << "serving " << name_ << ": rolled interrupted barrier commit of "
            << "epoch " << epoch << " forward";
   health_->Report("serving." + name_, HealthState::kHealthy);

@@ -176,7 +176,10 @@ class ShardRouter {
   StatusOr<std::string> Lookup(const std::string& key) const;
 
   /// Background epoch scheduling: one coordinator thread driving
-  /// RefreshCoordinated whenever a shard's epoch trigger fires.
+  /// RefreshCoordinated whenever a shard's epoch trigger fires. Failed
+  /// epochs back off exponentially and count in
+  /// "serving.<name>.epoch_failures"; every committed coordinated epoch's
+  /// wall time lands in the "serving.<name>.epoch_wall_ns" histogram.
   void Start();
   void Stop();
   /// Run coordinated epochs until no shard has pending deltas; blocks.
@@ -196,6 +199,12 @@ class ShardRouter {
     uint64_t deltas_applied = 0;
     uint64_t edges_exchanged = 0;
     double wall_ms = 0;
+    /// Per-stage wall ms summed over every shard's refresh rounds.
+    double map_ms = 0;
+    double shuffle_ms = 0;
+    double sort_ms = 0;
+    double reduce_ms = 0;
+    double merge_ms = 0;
   };
   StatusOr<CoordinatedEpochStats> RefreshCoordinated();
 
@@ -286,10 +295,11 @@ class ShardRouter {
   StatusOr<CoordinatedEpochStats> RefreshCoordinatedLocked();
 
   /// Exchange rounds (after per-shard refreshes produced `offers`) until
-  /// the joint fixpoint; returns the number of rounds run.
+  /// the joint fixpoint; returns the number of rounds run. When `stats` is
+  /// set, the routed edges and the rounds' stage ms are added to it.
   StatusOr<int> RunExchangeRounds(CrossShardExchange* exchange,
                                   std::vector<std::vector<DeltaEdge>> offers,
-                                  uint64_t* edges_exchanged);
+                                  CoordinatedEpochStats* stats);
 
   /// Two-phase barrier commit of epoch `epoch` on every shard. On error
   /// (or a simulated coordinator crash) every shard is marked dirty —
@@ -311,7 +321,6 @@ class ShardRouter {
   static std::string BarrierPathFor(const std::string& root,
                                     const std::string& name,
                                     const PartitionMap& map);
-  std::string BarrierPath() const;
   /// Path of the durable reshard decision record (`<name>.RESHARD`).
   static std::string ReshardMarkerPath(const std::string& root,
                                        const std::string& name);
@@ -381,6 +390,10 @@ class ShardRouter {
 
   Counter* deltas_routed_ = nullptr;
   Counter* lookups_routed_ = nullptr;
+  /// Wall time of every committed coordinated epoch (registry-owned).
+  Histogram* epoch_wall_hist_ = nullptr;
+  /// Coordinated epochs the background coordinator saw fail.
+  Counter* epoch_failures_ = nullptr;
 
   /// Serializes RefreshCoordinated / DrainAll / the coordinator thread /
   /// failover transitions (and, for the length of a move, the reshard

@@ -417,7 +417,7 @@ TEST(ThreadPoolTest, ParallelForEmpty) {
 TEST(ThreadPoolTest, ConcurrentSubmitDuringWaitIdle) {
   // Producers keep submitting while another thread sits in WaitIdle: every
   // submitted task must run, and WaitIdle must return once the queue truly
-  // drains (the PipelineManager leans on exactly this pattern).
+  // drains, not merely when it first observes an empty queue.
   ThreadPool pool(4);
   std::atomic<int> count{0};
   constexpr int kProducers = 4;

@@ -1,8 +1,8 @@
 // Tests for the continuous delta-ingestion pipeline subsystem: DeltaLog
 // framing + recovery-by-scan, exactly-once epoch commits (crash between
 // drain and commit, crash mid-commit, reopen-and-replay), delta ordering
-// incl. delete tombstones, serving-view reads, and multi-pipeline
-// concurrency on one shared cluster.
+// incl. delete tombstones, pinned committed-epoch reads, and the
+// min-batch / max-lag epoch triggers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,18 +12,15 @@
 #include <thread>
 #include <vector>
 
-#include "apps/kmeans.h"
 #include "apps/pagerank.h"
 #include "common/codec.h"
 #include "common/hash.h"
 #include "data/graph_gen.h"
-#include "data/points_gen.h"
 #include "io/env.h"
 #include "io/record_file.h"
 #include "mr/cluster.h"
 #include "pipeline/delta_log.h"
 #include "pipeline/pipeline.h"
-#include "pipeline/pipeline_manager.h"
 
 namespace i2mr {
 namespace {
@@ -620,7 +617,7 @@ TEST_F(PipelineTest, ThreeDeltaEpochsConvergeToFromScratchPageRank) {
   EXPECT_TRUE((*pipeline)->Lookup("no-such-vertex").status().IsNotFound());
 }
 
-TEST_F(PipelineTest, PinnedServingViewSurvivesCommitAndLogPurge) {
+TEST_F(PipelineTest, PinnedEpochSurvivesCommitAndLogPurge) {
   LocalCluster cluster(root_, 4);
   GraphGenOptions gen;
   gen.num_vertices = 120;
@@ -1044,48 +1041,6 @@ TEST_F(PipelineTest, AppendsAfterRestartOfFullyPurgedLogAreNotSkipped) {
   EXPECT_TRUE((*reopened)->Lookup(v(5)).ok());  // the new vertex is served
 }
 
-TEST_F(PipelineTest, DrainAllRecoversAfterTransientEpochFailure) {
-  LocalCluster cluster(root_, 2);
-  auto v = [](uint64_t id) { return PaddedNum(id); };
-  std::vector<KV> graph = {{v(1), v(2)}, {v(2), v(1)}};
-
-  PipelineManager manager(&cluster);
-  PipelineOptions options = PageRankPipeline();
-  options.spec.num_partitions = 2;
-  auto crashes = std::make_shared<std::atomic<int>>(0);
-  options.crash_hook = [crashes](uint64_t epoch, const std::string& stage) {
-    // Fail epoch 1's first attempt only.
-    return epoch == 1 && stage == "drain" && crashes->fetch_add(1) == 0;
-  };
-  auto pr = manager.Register("pr_flaky", options);
-  ASSERT_TRUE(pr.ok());
-  ASSERT_TRUE((*pr)->Bootstrap(graph, UnitState(graph)).ok());
-  ASSERT_TRUE(manager.Append("pr_flaky", {DeltaOp::kInsert, v(3), v(1)}).ok());
-
-  // First drain hits the injected failure and reports it.
-  EXPECT_FALSE(manager.DrainAll().ok());
-  EXPECT_EQ(manager.stats().epoch_failures, 1u);
-
-  // Second drain self-heals (restore + replay) and must NOT re-report the
-  // stale error from the first attempt.
-  ASSERT_TRUE(manager.DrainAll().ok());
-  EXPECT_EQ((*pr)->pending(), 0u);
-  EXPECT_EQ((*pr)->committed_epoch(), 1u);
-  EXPECT_TRUE((*pr)->Lookup(v(3)).ok());
-}
-
-TEST_F(PipelineTest, ManagerDurabilityFloorRaisesPipelineMode) {
-  LocalCluster cluster(root_, 2);
-  PipelineManagerOptions mopts;
-  mopts.durability = DurabilityMode::kPowerFailure;
-  PipelineManager manager(&cluster, mopts);
-  PipelineOptions options = PageRankPipeline();  // defaults to kProcessCrash
-  options.spec.num_partitions = 2;
-  auto pr = manager.Register("pr_floor", options);
-  ASSERT_TRUE(pr.ok()) << pr.status().ToString();
-  EXPECT_EQ((*pr)->options().durability, DurabilityMode::kPowerFailure);
-}
-
 TEST_F(PipelineTest, MinBatchAndMaxLagTriggers) {
   LocalCluster cluster(root_, 2);
   auto v = [](uint64_t id) { return PaddedNum(id); };
@@ -1120,117 +1075,6 @@ TEST_F(PipelineTest, MinBatchAndMaxLagTriggers) {
   EXPECT_FALSE((*lagged)->EpochReady());
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_TRUE((*lagged)->EpochReady());
-}
-
-// ---------------------------------------------------------------------------
-// PipelineManager
-// ---------------------------------------------------------------------------
-
-TEST_F(PipelineTest, TwoPipelinesRefreshConcurrentlyOnOneCluster) {
-  LocalCluster cluster(root_, 4);
-  PipelineManagerOptions mopts;
-  mopts.scheduler_threads = 2;
-  PipelineManager manager(&cluster, mopts);
-
-  // Pipeline 1: PageRank over an evolving graph.
-  GraphGenOptions ggen;
-  ggen.num_vertices = 200;
-  ggen.avg_degree = 4;
-  auto graph = GenGraph(ggen);
-  auto pr = manager.Register("pr", PageRankPipeline());
-  ASSERT_TRUE(pr.ok()) << pr.status().ToString();
-  ASSERT_TRUE((*pr)->Bootstrap(graph, UnitState(graph)).ok());
-
-  // Pipeline 2: K-Means over evolving points (MRBGraph off, §5.2).
-  PointsGenOptions pgen;
-  pgen.num_points = 200;
-  pgen.dims = 2;
-  pgen.num_clusters = 3;
-  auto points = GenPoints(pgen);
-  PipelineOptions km_options;
-  km_options.spec = kmeans::MakeIterSpec("km", 4, 30, 1e-7);
-  km_options.engine.maintain_mrbg = false;
-  auto km = manager.Register("km", km_options);
-  ASSERT_TRUE(km.ok()) << km.status().ToString();
-  ASSERT_TRUE((*km)->Bootstrap(points, kmeans::InitialState(points, 3)).ok());
-
-  EXPECT_FALSE(manager.Register("pr", PageRankPipeline()).ok());
-
-  auto prev_centroids = kmeans::DecodeCentroids(
-      *(*km)->Lookup(kmeans::kStateKey));
-
-  // Feed both pipelines, then drain them concurrently.
-  GraphDeltaOptions gd;
-  gd.update_fraction = 0.1;
-  auto graph_delta = GenGraphDelta(ggen, gd, &graph);
-  ASSERT_TRUE(manager
-                  .AppendBatch("pr", std::vector<DeltaKV>(graph_delta.begin(),
-                                                          graph_delta.end()))
-                  .ok());
-  auto points_delta = GenPointsDelta(pgen, 0.1, 0.05, 11, &points);
-  ASSERT_TRUE(manager
-                  .AppendBatch("km", std::vector<DeltaKV>(points_delta.begin(),
-                                                          points_delta.end()))
-                  .ok());
-
-  ASSERT_TRUE(manager.DrainAll().ok());
-  EXPECT_EQ((*pr)->pending(), 0u);
-  EXPECT_EQ((*km)->pending(), 0u);
-  EXPECT_EQ(manager.stats().epochs_committed, 2u);
-  EXPECT_EQ(manager.stats().deltas_applied,
-            graph_delta.size() + points_delta.size());
-
-  // Both refreshed correctly.
-  auto pr_ref = pagerank::Reference(graph, 100, 1e-9);
-  auto pr_served = manager.view().Snapshot("pr");
-  ASSERT_TRUE(pr_served.ok());
-  EXPECT_LT(pagerank::MeanError(*pr_served, pr_ref), 1e-3);
-
-  auto km_served = manager.view().Lookup("km", kmeans::kStateKey);
-  ASSERT_TRUE(km_served.ok());
-  auto km_ref = kmeans::Reference(points, prev_centroids, 30, 1e-7);
-  EXPECT_LT(kmeans::MaxCentroidDelta(kmeans::DecodeCentroids(*km_served),
-                                     km_ref),
-            1e-5);
-
-  EXPECT_FALSE(manager.view().Lookup("nope", "k").ok());
-}
-
-TEST_F(PipelineTest, ServingViewAnswersWhileBackgroundEpochsRun) {
-  LocalCluster cluster(root_, 4);
-  PipelineManagerOptions mopts;
-  mopts.poll_interval_ms = 1;
-  PipelineManager manager(&cluster, mopts);
-
-  GraphGenOptions gen;
-  gen.num_vertices = 150;
-  gen.avg_degree = 4;
-  auto graph = GenGraph(gen);
-  auto pr = manager.Register("pr_bg", PageRankPipeline());
-  ASSERT_TRUE(pr.ok());
-  ASSERT_TRUE((*pr)->Bootstrap(graph, UnitState(graph)).ok());
-  const std::string probe = graph.front().key;
-
-  manager.Start();
-  GraphDeltaOptions dopt;
-  dopt.update_fraction = 0.1;
-  auto delta = GenGraphDelta(gen, dopt, &graph);
-  for (const auto& d : delta) {
-    ASSERT_TRUE(manager.Append("pr_bg", d).ok());
-    // Reads must always be served, whatever the refresh is doing.
-    auto r = manager.view().Lookup("pr_bg", probe);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-  }
-  // Wait until the background scheduler has consumed everything.
-  for (int i = 0; i < 1000 && (*pr)->pending() > 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  manager.Stop();
-  EXPECT_EQ((*pr)->pending(), 0u);
-  EXPECT_GE(manager.stats().epochs_committed, 1u);
-
-  auto reference = pagerank::Reference(graph, 100, 1e-9);
-  EXPECT_LT(pagerank::MeanError((*pr)->ServingSnapshot(), reference), 1e-3);
 }
 
 }  // namespace

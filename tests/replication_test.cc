@@ -403,6 +403,13 @@ TEST_F(ReplicationTest, PromoteOnPrimaryDeathServesExactCommittedState) {
   EXPECT_EQ((*set)->replica(0, survivor)->applied_epoch(),
             (*set)->primary(0)->committed_epoch());
   EXPECT_FALSE((*set)->IsReplicaStale(0, survivor));
+  // The promoted follower's closed slot reports as the primary it became,
+  // not as a follower left behind by the epoch committed after failover.
+  EXPECT_GT((*set)->primary(0)->committed_epoch(), pre_crash_epoch);
+  EXPECT_EQ((*set)->ReplicaLag(0, *promoted), 0u);
+  EXPECT_FALSE((*set)->IsReplicaStale(0, *promoted));
+  EXPECT_TRUE((*set)->IsReplicaPromoted(0, *promoted));
+  EXPECT_FALSE((*set)->IsReplicaPromoted(0, survivor));
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 // recovery, ShardGroup epoch-consistent pinned snapshots (reads keep
 // serving the pinned epochs while commits and log purges land underneath),
 // scatter-gather range/top-k, per-tenant read-QPS and epoch-scheduling
-// quotas, and concurrent readers vs. commit/purge (run under the TSan job).
+// quotas, background coordinator epochs and in-process retry after a
+// failed barrier, and concurrent readers vs. commit/purge (run under the
+// TSan job).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -196,6 +198,74 @@ TEST_F(ServingTest, AllToOneAppRunsOnAOneShardMapOnly) {
   EXPECT_LT(kmeans::MaxCentroidDelta(kmeans::DecodeCentroids(*after),
                                      reference),
             1e-5);
+}
+
+TEST_F(ServingTest, DrainAllRecoversAfterTransientBarrierFailure) {
+  auto v = [](uint64_t id) { return PaddedNum(id); };
+  std::vector<KV> graph = {{v(1), v(2)}, {v(2), v(3)}, {v(3), v(1)}};
+  ShardRouterOptions options = PageRankShards(2);
+  std::atomic<bool> armed{false};
+  std::atomic<bool> fired{false};
+  options.barrier_crash_hook = [&](const std::string& stage) {
+    // Abandon the first delta epoch's barrier once, before its decision
+    // record: a transient failure, not a poisoned router.
+    if (stage != "staged" || !armed.load()) return false;
+    return !fired.exchange(true);
+  };
+  auto router = ShardRouter::Open(root_, "pr", options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  ASSERT_TRUE((*router)->Bootstrap(graph, UnitState(graph)).ok());
+  armed.store(true);
+  ASSERT_TRUE((*router)->Append({DeltaOp::kInsert, v(4), v(1)}).ok());
+
+  // The first drain hits the injected failure and reports it; nothing of
+  // the delta is visible.
+  EXPECT_FALSE((*router)->DrainAll().ok());
+  EXPECT_TRUE(fired.load());
+  EXPECT_FALSE((*router)->poisoned());
+  EXPECT_TRUE((*router)->Lookup(v(4)).status().IsNotFound());
+  for (uint64_t e : (*router)->CommittedEpochs()) EXPECT_EQ(e, 0u);
+
+  // A second drain in the same process restores the committed snapshot,
+  // replays the log and commits epoch 1 with the delta visible.
+  ASSERT_TRUE((*router)->DrainAll().ok());
+  EXPECT_EQ((*router)->TotalPending(), 0u);
+  for (uint64_t e : (*router)->CommittedEpochs()) EXPECT_EQ(e, 1u);
+  EXPECT_TRUE((*router)->Lookup(v(4)).ok());
+}
+
+TEST_F(ServingTest, OneShardRouterAnswersLookupsWhileBackgroundEpochsRun) {
+  GraphGenOptions gen;
+  gen.num_vertices = 150;
+  gen.avg_degree = 4;
+  auto graph = GenGraph(gen);
+  ShardRouterOptions options = PageRankShards(1, /*partitions=*/4);
+  options.poll_interval_ms = 1;
+  auto router = ShardRouter::Open(root_, "pr_bg", options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  ASSERT_TRUE((*router)->Bootstrap(graph, UnitState(graph)).ok());
+  const std::string probe = graph.front().key;
+
+  (*router)->Start();
+  GraphDeltaOptions dopt;
+  dopt.update_fraction = 0.1;
+  auto delta = GenGraphDelta(gen, dopt, &graph);
+  for (const auto& d : delta) {
+    ASSERT_TRUE((*router)->Append(d).ok());
+    // Reads must always be served, whatever the refresh is doing.
+    auto r = (*router)->Lookup(probe);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  // Wait until the background coordinator has consumed everything.
+  for (int i = 0; i < 1000 && (*router)->TotalPending() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  (*router)->Stop();
+  EXPECT_EQ((*router)->TotalPending(), 0u);
+  EXPECT_GE((*router)->CommittedEpochs()[0], 1u);
+
+  auto reference = pagerank::Reference(graph, 100, 1e-9);
+  EXPECT_LT(pagerank::MeanError(ShardedSnapshot(**router), reference), 1e-3);
 }
 
 // ---------------------------------------------------------------------------
@@ -836,6 +906,11 @@ TEST_F(ServingTest, PerShardCountersSurfaceThroughTheRegistry) {
   EXPECT_EQ(metrics.Get("serving.pr.router.deltas_routed")->value(),
             static_cast<int64_t>(delta_count));
   EXPECT_EQ(metrics.Get("serving.pr.snapshots_pinned")->value(), 1);
+  // One wall-time sample per committed coordinated epoch (bootstrap's
+  // epoch 0 is not a coordinated refresh).
+  EXPECT_EQ(static_cast<int64_t>(
+                metrics.GetHistogram("serving.pr.epoch_wall_ns")->count()),
+            metrics.Get("serving.pr.shard0.epochs_committed")->value());
 }
 
 }  // namespace
