@@ -68,9 +68,7 @@ Status MetricsExporter::WriteOnce() {
   if (options_.path.empty()) {
     return Status::InvalidArgument("MetricsExporter needs a path");
   }
-  const std::string tmp = options_.path + ".tmp";
-  I2MR_RETURN_IF_ERROR(WriteStringToFile(tmp, Render()));
-  return RenameFile(tmp, options_.path);
+  return ReplaceFileDurably(options_.path, Render(), /*sync=*/false);
 }
 
 void MetricsExporter::WriterLoop() {

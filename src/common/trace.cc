@@ -253,9 +253,7 @@ std::string TraceCollector::ToChromeJson() const {
 }
 
 Status TraceCollector::ExportChromeJson(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  I2MR_RETURN_IF_ERROR(WriteStringToFile(tmp, ToChromeJson()));
-  return RenameFile(tmp, path);
+  return ReplaceFileDurably(path, ToChromeJson(), /*sync=*/false);
 }
 
 bool StartFromEnv() {

@@ -95,9 +95,7 @@ Status ResultStore::SaveAs(const std::string& path) const {
     PutFixed32(&buf, static_cast<uint32_t>(k3s.size()));
     for (const auto& k3 : k3s) PutLengthPrefixed(&buf, k3);
   }
-  std::string tmp = path + ".tmp";
-  I2MR_RETURN_IF_ERROR(WriteStringToFile(tmp, buf));
-  return RenameFile(tmp, path);
+  return ReplaceFileDurably(path, buf, /*sync=*/false);
 }
 
 }  // namespace i2mr

@@ -10,6 +10,8 @@
 #include <filesystem>
 #include <system_error>
 
+#include "common/codec.h"
+#include "common/hash.h"
 #include "io/fault_env.h"
 
 namespace i2mr {
@@ -160,9 +162,54 @@ std::string JoinPath(const std::string& a, const std::string& b) {
   return a + "/" + b;
 }
 
+std::string Basename(const std::string& path) {
+  size_t slash = path.find_last_of('/');
+  return slash == std::string::npos ? path : path.substr(slash + 1);
+}
+
 Status ResetDir(const std::string& path) {
   I2MR_RETURN_IF_ERROR(RemoveAll(path));
   return CreateDirs(path);
+}
+
+std::string EncodeCrcRecord(std::string_view payload) {
+  std::string record(payload);
+  PutFixed32(&record, Crc32(payload));
+  return record;
+}
+
+StatusOr<std::string_view> DecodeCrcRecord(std::string_view data,
+                                           size_t payload_size) {
+  if (data.size() != payload_size + 4) {
+    return Status::Corruption("bad record size " + std::to_string(data.size()) +
+                              ", expected " + std::to_string(payload_size + 4));
+  }
+  std::string_view payload = data.substr(0, payload_size);
+  if (DecodeFixed32(data.data() + payload_size) != Crc32(payload)) {
+    return Status::Corruption("record crc mismatch");
+  }
+  return payload;
+}
+
+StatusOr<std::string> ReadCrcRecord(const std::string& path,
+                                    size_t payload_size) {
+  auto data = ReadFileToString(path);
+  if (!data.ok()) return data.status();
+  auto payload = DecodeCrcRecord(*data, payload_size);
+  if (!payload.ok()) {
+    return Status::Corruption(path + ": " + payload.status().ToString());
+  }
+  return std::string(*payload);
+}
+
+Status ReplaceFileDurably(const std::string& path, const std::string& bytes,
+                          bool sync) {
+  const std::string tmp = path + ".tmp";
+  I2MR_RETURN_IF_ERROR(WriteStringToFile(tmp, bytes, sync));
+  I2MR_RETURN_IF_ERROR(RenameFile(tmp, path));
+  if (!sync) return Status::OK();
+  size_t slash = path.find_last_of('/');
+  return SyncDir(slash == std::string::npos ? "." : path.substr(0, slash));
 }
 
 }  // namespace i2mr

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -45,8 +46,34 @@ StatusOr<std::string> ReadFileToString(const std::string& path);
 /// Join path components with '/'.
 std::string JoinPath(const std::string& a, const std::string& b);
 
+/// The last component of `path` ("a/b/c" -> "c").
+std::string Basename(const std::string& path);
+
 /// Create a fresh (empty) directory, removing any previous contents.
 Status ResetDir(const std::string& path);
+
+// -- Small durable records ---------------------------------------------------
+//
+// The fixed-size records (epoch MANIFEST, PARTMAP/RESHARD, BARRIER, PURGE,
+// the replica's GEN) share one frame: payload ‖ fixed32 crc32(payload).
+
+/// Frame `payload` as payload ‖ crc32(payload).
+std::string EncodeCrcRecord(std::string_view payload);
+
+/// The payload of a frame that must hold exactly `payload_size` bytes of
+/// payload; Corruption on a size or CRC mismatch. Views into `data`.
+StatusOr<std::string_view> DecodeCrcRecord(std::string_view data,
+                                           size_t payload_size);
+/// Read the record file at `path` and return its payload; a Corruption
+/// names the path.
+StatusOr<std::string> ReadCrcRecord(const std::string& path,
+                                    size_t payload_size);
+
+/// Replace `path` with `bytes` so that a crash leaves the old file or the
+/// new one, never a mix: write `<path>.tmp` (fsync'd when `sync`), rename
+/// it over `path`, then (when `sync`) fsync the parent directory.
+Status ReplaceFileDurably(const std::string& path, const std::string& bytes,
+                          bool sync);
 
 }  // namespace i2mr
 

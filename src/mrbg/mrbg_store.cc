@@ -86,11 +86,6 @@ bool ParseSegmentFileName(const std::string& name, uint64_t* id) {
   return true;
 }
 
-std::string Basename(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
 bool EndsWith(const std::string& s, const char* suffix) {
   size_t n = std::strlen(suffix);
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
@@ -247,10 +242,9 @@ Status MRBGStore::WriteManifestLocked() {
         is_active ? file_end_ - append_buf_.size() : segments_[i].length;
     if (len > 0) entries.push_back(ManifestEntry{segments_[i].id, len});
   }
-  std::string tmp = ManifestPath() + ".tmp";
-  I2MR_RETURN_IF_ERROR(
-      WriteStringToFile(tmp, EncodeManifest(next_segment_id_, entries)));
-  return RenameFile(tmp, ManifestPath());
+  return ReplaceFileDurably(ManifestPath(),
+                            EncodeManifest(next_segment_id_, entries),
+                            /*sync=*/false);
 }
 
 // ---------------------------------------------------------------------------

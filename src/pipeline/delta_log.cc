@@ -61,22 +61,12 @@ Status ParseFrame(std::string_view data, size_t* pos, SeqDelta* out) {
   return Status::OK();
 }
 
-// PURGE: [u64 watermark][u32 crc32-of-first-8-bytes].
+// PURGE: [u64 watermark] ‖ crc32.
 Status ReadPurgeMark(const std::string& path, uint64_t* watermark) {
-  auto data = ReadFileToString(path);
-  if (!data.ok()) return data.status();
-  if (data->size() != 12 ||
-      DecodeFixed32(data->data() + 8) !=
-          Crc32(std::string_view(data->data(), 8))) {
-    return Status::Corruption("bad purge mark " + path);
-  }
-  *watermark = DecodeFixed64(data->data());
+  auto payload = ReadCrcRecord(path, 8);
+  if (!payload.ok()) return payload.status();
+  *watermark = DecodeFixed64(payload->data());
   return Status::OK();
-}
-
-std::string Basename(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
 bool IsCompressedSegmentPath(const std::string& path) {
@@ -117,14 +107,8 @@ Status WriteDeltaLogPurgeMark(const std::string& dir, uint64_t watermark,
                               bool sync) {
   std::string payload;
   PutFixed64(&payload, watermark);
-  std::string data = payload;
-  PutFixed32(&data, Crc32(payload));
-  std::string path = JoinPath(dir, kPurgeFile);
-  std::string tmp = path + ".tmp";
-  I2MR_RETURN_IF_ERROR(WriteStringToFile(tmp, data, sync));
-  I2MR_RETURN_IF_ERROR(RenameFile(tmp, path));
-  if (sync) I2MR_RETURN_IF_ERROR(SyncDir(dir));
-  return Status::OK();
+  return ReplaceFileDurably(JoinPath(dir, kPurgeFile),
+                            EncodeCrcRecord(payload), sync);
 }
 
 void EncodeLogRecord(uint64_t seq, const DeltaKV& delta, std::string* out) {
@@ -556,11 +540,8 @@ Status DeltaLog::RetireSegmentFile(const std::string& path) {
   LzCompress(std::string_view(raw->data(), valid_end), &compressed);
   std::string dst =
       JoinPath(archive, base.substr(0, base.size() - 4) + ".lzd");
-  std::string tmp = dst + ".tmp";
-  I2MR_RETURN_IF_ERROR(WriteStringToFile(
-      tmp, compressed,
-      options_.durability == DurabilityMode::kPowerFailure));
-  I2MR_RETURN_IF_ERROR(RenameFile(tmp, dst));
+  I2MR_RETURN_IF_ERROR(ReplaceFileDurably(
+      dst, compressed, options_.durability == DurabilityMode::kPowerFailure));
   return RemoveAll(path);
 }
 

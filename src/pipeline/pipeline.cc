@@ -1,93 +1,17 @@
 #include "pipeline/pipeline.h"
 
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <thread>
 
-#include "common/codec.h"
-#include "common/hash.h"
 #include "common/health.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "io/env.h"
 #include "io/fault_env.h"
-#include "io/record_file.h"
 
 namespace i2mr {
-namespace {
-
-constexpr const char* kCurrentFile = "CURRENT";
-constexpr const char* kManifestFile = "MANIFEST";
-
-std::string PartDirName(int p) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "part-%03d", p);
-  return buf;
-}
-
-// MANIFEST: [u64 epoch][u64 watermark][u64 generation]
-// [u32 crc32-of-first-24-bytes], always 28 bytes.
-constexpr size_t kManifestPayloadSize = 24;
-
-Status WriteManifest(const std::string& path, uint64_t epoch,
-                     uint64_t watermark, uint64_t generation, bool sync) {
-  std::string payload;
-  PutFixed64(&payload, epoch);
-  PutFixed64(&payload, watermark);
-  PutFixed64(&payload, generation);
-  std::string data = payload;
-  PutFixed32(&data, Crc32(payload));
-  return WriteStringToFile(path, data, sync);
-}
-
-Status ReadManifest(const std::string& path, uint64_t* epoch,
-                    uint64_t* watermark, uint64_t* generation = nullptr) {
-  auto data = ReadFileToString(path);
-  if (!data.ok()) return data.status();
-  if (data->size() != kManifestPayloadSize + 4) {
-    return Status::Corruption("bad manifest size");
-  }
-  std::string_view payload(data->data(), kManifestPayloadSize);
-  if (DecodeFixed32(data->data() + kManifestPayloadSize) != Crc32(payload)) {
-    return Status::Corruption("manifest crc mismatch");
-  }
-  *epoch = DecodeFixed64(data->data());
-  *watermark = DecodeFixed64(data->data() + 8);
-  if (generation != nullptr) *generation = DecodeFixed64(data->data() + 16);
-  return Status::OK();
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// EpochPin
-// ---------------------------------------------------------------------------
-
-uint64_t EpochPin::epoch() const { return state_ == nullptr ? 0 : state_->epoch; }
-
-uint64_t EpochPin::watermark() const {
-  return state_ == nullptr ? 0 : state_->watermark;
-}
-
-const ResultStore* EpochPin::store() const {
-  return state_ == nullptr ? nullptr : state_->store.get();
-}
-
-const std::string& EpochPin::dir() const {
-  static const std::string kEmpty;
-  return state_ == nullptr ? kEmpty : state_->dir;
-}
-
-StatusOr<std::string> EpochPin::Lookup(const std::string& key) const {
-  if (state_ == nullptr) return Status::FailedPrecondition("empty epoch pin");
-  const std::string* v = state_->store->Get(key);
-  if (v == nullptr) return Status::NotFound("no result for key " + key);
-  return *v;
-}
 
 // ---------------------------------------------------------------------------
 // Pipeline
@@ -95,7 +19,11 @@ StatusOr<std::string> EpochPin::Lookup(const std::string& key) const {
 
 Pipeline::Pipeline(LocalCluster* cluster, std::string name,
                    PipelineOptions options)
-    : cluster_(cluster), name_(std::move(name)), options_(std::move(options)) {
+    : cluster_(cluster),
+      name_(std::move(name)),
+      options_(std::move(options)),
+      epochs_(JoinPath(cluster_->root(), "pipeline/" + name_),
+              options_.durability == DurabilityMode::kPowerFailure) {
   // One engine namespace per pipeline: state dirs, checkpoints and job
   // scratch space must never collide across pipelines on a shared cluster.
   options_.spec.name = name_;
@@ -109,20 +37,6 @@ Pipeline::Pipeline(LocalCluster* cluster, std::string name,
                                        : HealthRegistry::Default();
 }
 
-std::string Pipeline::Dir() const {
-  return JoinPath(cluster_->root(), "pipeline/" + name_);
-}
-
-std::string Pipeline::EpochDirName(uint64_t epoch) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "epoch-%08" PRIu64, epoch);
-  return buf;
-}
-
-std::string Pipeline::CurrentPath() const {
-  return JoinPath(Dir(), kCurrentFile);
-}
-
 StatusOr<std::unique_ptr<Pipeline>> Pipeline::Open(LocalCluster* cluster,
                                                    const std::string& name,
                                                    PipelineOptions options) {
@@ -132,60 +46,52 @@ StatusOr<std::unique_ptr<Pipeline>> Pipeline::Open(LocalCluster* cluster,
 }
 
 Status Pipeline::OpenImpl() {
-  I2MR_RETURN_IF_ERROR(CreateDirs(Dir()));
+  I2MR_RETURN_IF_ERROR(CreateDirs(epochs_.dir()));
   // One durability promise for the whole pipeline: the log must not claim
   // power-failure safety the commit path doesn't match (or vice versa).
   DeltaLogOptions log_options = options_.log;
   log_options.durability = options_.durability;
-  auto log = DeltaLog::Open(JoinPath(Dir(), "log"), log_options);
+  auto log = DeltaLog::Open(JoinPath(epochs_.dir(), "log"), log_options);
   if (!log.ok()) return log.status();
   log_ = std::move(log.value());
 
-  if (!FileExists(CurrentPath())) {
-    // Fresh pipeline: nothing committed yet, Bootstrap() must run first.
-    return GarbageCollect(/*keep_dir_name=*/"");
+  auto committed = epochs_.Recover();
+  if (!committed.ok()) return committed.status();
+  if (*committed) {
+    const uint64_t watermark = (*committed)->watermark;
+    // The log's records may all have been purged after the last commit; the
+    // next append must still get a sequence above the watermark, or it
+    // would look already-consumed and never be refreshed.
+    log_->EnsureNextSeqAfter(watermark);
+    auto store = RestoreCommitted((*committed)->epoch, watermark);
+    if (!store.ok()) return store.status();
+    epochs_.Publish((*committed)->epoch, watermark,
+                    std::make_shared<const ResultStore>(std::move(*store)));
+    bootstrapped_.store(true);
   }
-
-  auto current = ReadFileToString(CurrentPath());
-  if (!current.ok()) return current.status();
-  std::string epoch_dir = JoinPath(Dir(), *current);
-  uint64_t epoch = 0, watermark = 0;
-  I2MR_RETURN_IF_ERROR(
-      ReadManifest(JoinPath(epoch_dir, kManifestFile), &epoch, &watermark));
-
-  committed_epoch_.store(epoch);
-  committed_watermark_.store(watermark);
-  // The log's records may all have been purged after the last commit; the
-  // next append must still get a sequence above the watermark, or it would
-  // look already-consumed and never be refreshed.
-  log_->EnsureNextSeqAfter(watermark);
-  bootstrapped_.store(true);
-  I2MR_RETURN_IF_ERROR(RestoreCommitted());
-  I2MR_RETURN_IF_ERROR(GarbageCollect(*current));
+  // Fresh pipeline: nothing committed yet, Bootstrap() must run first.
+  // Either way, orphan epoch dirs and slots of a crashed commit go.
+  I2MR_RETURN_IF_ERROR(epochs_.Collect());
   if (pending() > 0) oldest_pending_ns_.store(NowNanos());
   return Status::OK();
 }
 
-Status Pipeline::RestoreCommitted() {
-  auto current = ReadFileToString(CurrentPath());
-  if (!current.ok()) return current.status();
-  std::string epoch_dir = JoinPath(Dir(), *current);
+StatusOr<ResultStore> Pipeline::RestoreCommitted(uint64_t epoch,
+                                                 uint64_t watermark) {
+  const std::string epoch_dir = epochs_.EpochDir(epoch);
+  const int n = options_.spec.num_partitions;
+  // The committed snapshot is this pipeline's source of truth: verify it
+  // before any working file is replaced.
+  auto store = EpochStore::Verify(epoch_dir, epoch, watermark, n);
+  if (!store.ok()) return store.status();
 
   // A fresh engine object: drops any open store handles from a crashed
   // refresh before its on-disk files are overwritten.
   engine_ = std::make_unique<IncrementalIterativeEngine>(
       cluster_, options_.spec, options_.engine);
 
-  const int n = options_.spec.num_partitions;
   for (int p = 0; p < n; ++p) {
-    std::string src = JoinPath(epoch_dir, PartDirName(p));
-    // The committed snapshot is this pipeline's source of truth: surface a
-    // torn or garbled record file now, with the damage located, rather
-    // than letting the engine read garbage mid-refresh.
-    auto structure_ok = ValidateRecordFile(JoinPath(src, "structure.dat"));
-    if (!structure_ok.ok()) return structure_ok.status();
-    auto state_ok = ValidateRecordFile(JoinPath(src, "state.dat"));
-    if (!state_ok.ok()) return state_ok.status();
+    std::string src = JoinPath(epoch_dir, EpochStore::PartDirName(p));
     I2MR_RETURN_IF_ERROR(ResetDir(engine_->PartitionDir(p)));
     // Hard links, not copies: O(1) per file. The engine never mutates
     // these inodes in place — every rewrite allocates a fresh inode
@@ -204,60 +110,20 @@ Status Pipeline::RestoreCommitted() {
       auto files = ListFiles(mrbg_src);
       if (!files.ok()) return files.status();
       for (const auto& path : *files) {
-        std::string name = path.substr(path.find_last_of('/') + 1);
-        I2MR_RETURN_IF_ERROR(
-            LinkOrCopyFile(path, JoinPath(engine_->MrbgDir(p), name)));
+        I2MR_RETURN_IF_ERROR(LinkOrCopyFile(
+            path, JoinPath(engine_->MrbgDir(p), Basename(path))));
       }
     }
     if (FileExists(JoinPath(src, "remote.dat"))) {
       // Cross-shard remote-edge inbox: committed alongside the state so a
       // recovered shard re-reduces with the same remote contributions.
-      auto remote_ok = ValidateRecordFile(JoinPath(src, "remote.dat"));
-      if (!remote_ok.ok()) return remote_ok.status();
       I2MR_RETURN_IF_ERROR(
           LinkOrCopyFile(JoinPath(src, "remote.dat"),
                          JoinPath(engine_->PartitionDir(p), "remote.dat")));
     }
   }
   I2MR_RETURN_IF_ERROR(engine_->LoadExisting());
-
-  auto store = ResultStore::Open(JoinPath(epoch_dir, "serving.dat"));
-  if (!store.ok()) return store.status();
-  {
-    std::lock_guard<std::mutex> lock(serving_mu_);
-    serving_ = std::make_shared<const ResultStore>(std::move(store.value()));
-  }
-  return Status::OK();
-}
-
-Status Pipeline::GarbageCollect(const std::string& keep_dir_name) {
-  // error_code overloads throughout: this runs on the serving path, where
-  // a transient filesystem error must surface as a Status, not an
-  // uncaught std::filesystem_error.
-  std::error_code ec;
-  std::filesystem::directory_iterator it(Dir(), ec), end;
-  if (ec) return Status::IOError("list " + Dir() + ": " + ec.message());
-  while (it != end) {
-    const auto& entry = *it;
-    if (!entry.is_directory(ec) || ec) {
-      it.increment(ec);
-      if (ec) return Status::IOError("list " + Dir() + ": " + ec.message());
-      continue;
-    }
-    std::string base = entry.path().filename().string();
-    std::string path = entry.path().string();
-    it.increment(ec);
-    if (ec) return Status::IOError("list " + Dir() + ": " + ec.message());
-    if (base == "log" || base == keep_dir_name) continue;
-    if (base.rfind("epoch-", 0) == 0) {
-      // A pinned epoch's dir stays until its last reader lets go; the
-      // commit after the release collects it.
-      uint64_t e = std::strtoull(base.c_str() + 6, nullptr, 10);
-      if (IsPinned(e)) continue;
-      I2MR_RETURN_IF_ERROR(RemoveAll(path));
-    }
-  }
-  return Status::OK();
+  return store;
 }
 
 bool Pipeline::SimulateCrash(uint64_t epoch, const char* stage) {
@@ -385,7 +251,7 @@ StatusOr<uint64_t> Pipeline::AppendBatch(const std::vector<DeltaKV>& deltas) {
 
 uint64_t Pipeline::pending() const {
   uint64_t last = log_->last_seq();
-  uint64_t committed = committed_watermark_.load();
+  uint64_t committed = committed_watermark();
   return last > committed ? last - committed : 0;
 }
 
@@ -411,24 +277,24 @@ StatusOr<EpochStats> Pipeline::RunEpoch() {
   if (dirty_.load()) {
     // A previous epoch died after possibly mutating the engine's working
     // dirs: roll back to the committed snapshot before replaying.
-    I2MR_RETURN_IF_ERROR(RestoreCommitted());
+    I2MR_RETURN_IF_ERROR(
+        RestoreCommitted(committed_epoch(), committed_watermark()).status());
     dirty_.store(false);
   }
   // A solo epoch supersedes any abandoned coordinated round state.
   inflight_ = false;
-  staged_.valid = false;
-  staged_.store.reset();
+  staged_.reset();
 
   EpochStats stats;
-  stats.epoch = committed_epoch_.load();
-  stats.watermark = committed_watermark_.load();
+  stats.epoch = committed_epoch();
+  stats.watermark = committed_watermark();
 
   TRACE_SPAN("pipeline.epoch", "pipeline=%s", name_.c_str());
   WallTimer wall;
   std::vector<SeqDelta> drained;
   {
     TRACE_SPAN("epoch.drain");
-    drained = log_->ReadRange(committed_watermark_.load(), UINT64_MAX);
+    drained = log_->ReadRange(committed_watermark(), UINT64_MAX);
   }
   if (drained.empty()) return stats;
   // Deltas appended past this point are not in this epoch; their max-lag
@@ -436,7 +302,7 @@ StatusOr<EpochStats> Pipeline::RunEpoch() {
   // long refresh must not extend their freshness deadline.
   const int64_t drain_ns = NowNanos();
 
-  const uint64_t epoch = committed_epoch_.load() + 1;
+  const uint64_t epoch = committed_epoch() + 1;
   const uint64_t watermark = drained.back().seq;
 
   // The drained batch is the engine's delta structure input (§3.3 delta
@@ -508,18 +374,8 @@ Status Pipeline::StageEpochLocked(uint64_t epoch, uint64_t watermark,
              static_cast<unsigned long long>(epoch));
   WallTimer timer;
   const int n = options_.spec.num_partitions;
-  const std::string final_name = EpochDirName(epoch);
-  const std::string final_dir = JoinPath(Dir(), final_name);
-  const std::string tmp = JoinPath(Dir(), final_name + ".tmp");
-  // A previous attempt at this epoch may have left its dir behind (commit
-  // failed after the rename): remove it first — the rename below would hit
-  // ENOTEMPTY, and the serving snapshot must not load its stale contents.
-  std::error_code ec;
-  if (std::filesystem::exists(final_dir, ec)) {
-    I2MR_RETURN_IF_ERROR(RemoveAll(final_dir));
-  }
-  if (ec) return Status::IOError("stat " + final_dir + ": " + ec.message());
-  I2MR_RETURN_IF_ERROR(ResetDir(tmp));
+  I2MR_RETURN_IF_ERROR(epochs_.OpenSlot(epoch));
+  const std::string tmp = epochs_.SlotDir(epoch);
 
   const bool sync = options_.durability == DurabilityMode::kPowerFailure;
   // Snapshot the engine's working files by hard link — O(1) per file
@@ -530,7 +386,7 @@ Status Pipeline::StageEpochLocked(uint64_t epoch, uint64_t watermark,
   // LinkOrCopyFile falls back to a byte copy across devices.
   std::vector<std::string> snapshot_files;
   for (int p = 0; p < n; ++p) {
-    std::string pdir = JoinPath(tmp, PartDirName(p));
+    std::string pdir = JoinPath(tmp, EpochStore::PartDirName(p));
     I2MR_RETURN_IF_ERROR(CreateDirs(pdir));
     I2MR_RETURN_IF_ERROR(LinkOrCopyFile(engine_->StructurePath(p),
                                         JoinPath(pdir, "structure.dat")));
@@ -574,64 +430,51 @@ Status Pipeline::StageEpochLocked(uint64_t epoch, uint64_t watermark,
   // still safe to report — past the CURRENT rename nothing may fail.
   auto snapshot = engine_->StateSnapshot();
   if (!snapshot.ok()) return snapshot.status();
-  auto serving_store = ResultStore::Open(JoinPath(final_dir, "serving.dat"));
+  auto serving_store =
+      ResultStore::Open(JoinPath(epochs_.EpochDir(epoch), "serving.dat"));
   if (!serving_store.ok()) return serving_store.status();
   for (const auto& kv : *snapshot) serving_store->Put(kv.key, kv.value);
   I2MR_RETURN_IF_ERROR(serving_store->SaveAs(JoinPath(tmp, "serving.dat")));
   if (sync) I2MR_RETURN_IF_ERROR(SyncFile(JoinPath(tmp, "serving.dat")));
 
-  I2MR_RETURN_IF_ERROR(WriteManifest(JoinPath(tmp, kManifestFile), epoch,
-                                     watermark, options_.generation, sync));
-  if (sync) I2MR_RETURN_IF_ERROR(SyncDir(tmp));
-  I2MR_RETURN_IF_ERROR(RenameFile(tmp, final_dir));
-  if (sync) I2MR_RETURN_IF_ERROR(SyncDir(Dir()));
+  I2MR_RETURN_IF_ERROR(
+      epochs_.WriteManifest(epoch, watermark, options_.generation));
+  I2MR_RETURN_IF_ERROR(epochs_.Seal(epoch));
 
   // The epoch is staged: everything is durable on disk, but CURRENT still
   // names the previous epoch — a crash here rolls back cleanly, which is
   // exactly what the cross-shard barrier commit needs between its prepare
   // and decide phases.
-  staged_.valid = true;
-  staged_.epoch = epoch;
-  staged_.watermark = watermark;
-  staged_.pending_since_ns = pending_since_ns;
-  staged_.final_name = final_name;
-  staged_.store =
-      std::make_unique<ResultStore>(std::move(serving_store.value()));
+  staged_ = Staged{epoch, watermark, pending_since_ns,
+                   std::make_unique<ResultStore>(std::move(*serving_store))};
   {
     // Everything the epoch will commit is durable under its final dir
     // name; a replica shipper may start copying it out now.
     std::lock_guard<std::mutex> listener_lock(listener_mu_);
-    if (listener_.on_staged) listener_.on_staged(epoch, final_dir);
+    if (listener_.on_staged) {
+      listener_.on_staged(epoch, epochs_.EpochDir(epoch));
+    }
   }
   if (commit_ms != nullptr) *commit_ms = timer.ElapsedMillis();
   return Status::OK();
 }
 
 Status Pipeline::FinalizeStagedLocked() {
-  if (!staged_.valid) {
+  if (!staged_) {
     return Status::FailedPrecondition("no staged epoch to finalize");
   }
   TRACE_SPAN("epoch.flip", "pipeline=%s epoch=%llu", name_.c_str(),
-             static_cast<unsigned long long>(staged_.epoch));
-  const bool sync = options_.durability == DurabilityMode::kPowerFailure;
-  // The point of no return: CURRENT now names the new epoch. In
-  // power-failure mode the rename itself is made durable (SyncDir), so an
-  // acknowledged commit can never roll back to the previous epoch.
-  std::string current_tmp = CurrentPath() + ".tmp";
-  I2MR_RETURN_IF_ERROR(
-      WriteStringToFile(current_tmp, staged_.final_name, sync));
-  I2MR_RETURN_IF_ERROR(RenameFile(current_tmp, CurrentPath()));
-  if (sync) I2MR_RETURN_IF_ERROR(SyncDir(Dir()));
-
-  {
-    // One publication: PinServing reads (epoch, store) under the same
-    // mutex, so a pin can never pair the new epoch id with the old store
-    // (or vice versa) — no half-committed view is observable.
-    std::lock_guard<std::mutex> lock(serving_mu_);
-    committed_epoch_.store(staged_.epoch);
-    committed_watermark_.store(staged_.watermark);
-    serving_ = std::shared_ptr<const ResultStore>(std::move(staged_.store));
-  }
+             static_cast<unsigned long long>(staged_->epoch));
+  // The point of no return: CURRENT now names the new epoch, durably in
+  // power-failure mode. A flip that failed after its rename (the dir
+  // fsync) still committed: publish it and report the error, since
+  // restaging the epoch would delete the dir CURRENT names.
+  const Status flipped = epochs_.Flip(staged_->epoch);
+  if (!flipped.ok() && epochs_.current() != staged_->epoch) return flipped;
+  // One publication: a pin can never pair the new epoch id with the old
+  // store (or vice versa) — no half-committed view is observable.
+  epochs_.Publish(staged_->epoch, staged_->watermark,
+                  std::move(staged_->store));
   {
     // Under trigger_mu_: an append that raced past the pending() read will
     // re-arm the clock after us, never the other way round. Deltas that
@@ -639,21 +482,20 @@ Status Pipeline::FinalizeStagedLocked() {
     // an upper bound on their wait so far — so the max-lag trigger fires
     // no later than promised.
     std::lock_guard<std::mutex> trigger_lock(trigger_mu_);
-    int64_t since =
-        staged_.pending_since_ns != 0 ? staged_.pending_since_ns : NowNanos();
+    int64_t since = staged_->pending_since_ns != 0 ? staged_->pending_since_ns
+                                                   : NowNanos();
     oldest_pending_ns_.store(pending() > 0 ? since : 0);
   }
-  const uint64_t committed_epoch = staged_.epoch;
-  const uint64_t committed_watermark = staged_.watermark;
-  const std::string committed_dir = JoinPath(Dir(), staged_.final_name);
+  const uint64_t committed_epoch = staged_->epoch;
+  const uint64_t committed_watermark = staged_->watermark;
+  const std::string committed_dir = epochs_.EpochDir(committed_epoch);
   TRACE_INSTANT("epoch.committed", "pipeline=%s epoch=%llu", name_.c_str(),
                 static_cast<unsigned long long>(committed_epoch));
   // The engine's working state is exactly what was just committed.
   bootstrapped_.store(true);
   dirty_.store(false);
   inflight_ = false;
-  staged_.valid = false;
-  staged_.store.reset();
+  staged_.reset();
   {
     // Past the point of no return: followers may now serve this epoch.
     std::lock_guard<std::mutex> listener_lock(listener_mu_);
@@ -662,7 +504,7 @@ Status Pipeline::FinalizeStagedLocked() {
                              committed_watermark);
     }
   }
-  return Status::OK();
+  return flipped;
 }
 
 void Pipeline::SetEpochListener(EpochListener listener) {
@@ -673,28 +515,17 @@ void Pipeline::SetEpochListener(EpochListener listener) {
   listener_ = std::move(listener);
 }
 
-Status Pipeline::ReadEpochManifest(const std::string& dir, uint64_t* epoch,
-                                   uint64_t* watermark) {
-  return ReadManifest(JoinPath(dir, kManifestFile), epoch, watermark);
-}
-
-Status Pipeline::ReadEpochManifest(const std::string& dir, uint64_t* epoch,
-                                   uint64_t* watermark, uint64_t* generation) {
-  return ReadManifest(JoinPath(dir, kManifestFile), epoch, watermark,
-                      generation);
-}
-
 Status Pipeline::CleanupCommittedLocked() {
   TRACE_SPAN("epoch.cleanup", "pipeline=%s", name_.c_str());
   // Past the point of no return the epoch IS committed: cleanup failures
   // are logged, not reported — reporting them would mark a durably
   // committed epoch as failed and trigger a needless restore + replay.
-  Status gc = GarbageCollect(EpochDirName(committed_epoch_.load()));
+  Status gc = epochs_.Collect();
   if (!gc.ok()) {
     LOG_WARN << "pipeline " << name_ << ": post-commit GC failed ("
              << gc.ToString() << "); stale dirs remain until next commit";
   }
-  Status purged = log_->PurgeThrough(committed_watermark_.load());
+  Status purged = log_->PurgeThrough(committed_watermark());
   if (!purged.ok()) {
     LOG_WARN << "pipeline " << name_ << ": post-commit log purge failed ("
              << purged.ToString() << "); consumed records retained";
@@ -738,15 +569,15 @@ StatusOr<Pipeline::RoundResult> Pipeline::RefreshRound(
     if (dirty_.load()) {
       // A previous epoch (solo or coordinated) died after possibly
       // mutating the working state: roll back before replaying.
-      I2MR_RETURN_IF_ERROR(RestoreCommitted());
+      I2MR_RETURN_IF_ERROR(
+          RestoreCommitted(committed_epoch(), committed_watermark()).status());
       dirty_.store(false);
     }
     inflight_ = true;
-    inflight_watermark_ = committed_watermark_.load();
+    inflight_watermark_ = committed_watermark();
     inflight_deltas_ = 0;
     inflight_drain_ns_ = 0;
-    staged_.valid = false;
-    staged_.store.reset();
+    staged_.reset();
   } else if (!inflight_) {
     return Status::FailedPrecondition("no coordinated epoch in flight");
   }
@@ -800,7 +631,7 @@ Status Pipeline::StageEpoch(uint64_t epoch, double* commit_ms) {
   if (!inflight_) {
     return Status::FailedPrecondition("no coordinated epoch in flight");
   }
-  if (bootstrapped_.load() && epoch <= committed_epoch_.load()) {
+  if (bootstrapped_.load() && epoch <= committed_epoch()) {
     return Status::InvalidArgument("staged epoch must exceed the committed");
   }
   return StageEpochLocked(epoch, inflight_watermark_, inflight_drain_ns_,
@@ -819,18 +650,13 @@ Status Pipeline::CleanupCommitted() {
 
 void Pipeline::AbortCoordinated() {
   std::lock_guard<std::mutex> lock(epoch_mu_);
-  if (inflight_ || staged_.valid) dirty_.store(true);
+  if (inflight_ || staged_) dirty_.store(true);
   inflight_ = false;
-  staged_.valid = false;
-  staged_.store.reset();
+  staged_.reset();
 }
 
 StatusOr<std::string> Pipeline::Lookup(const std::string& key) const {
-  std::shared_ptr<const ResultStore> snap;
-  {
-    std::lock_guard<std::mutex> lock(serving_mu_);
-    snap = serving_;
-  }
+  std::shared_ptr<const ResultStore> snap = epochs_.store();
   if (snap == nullptr) {
     return Status::FailedPrecondition("pipeline not bootstrapped");
   }
@@ -839,45 +665,10 @@ StatusOr<std::string> Pipeline::Lookup(const std::string& key) const {
   return *v;
 }
 
-EpochPin Pipeline::PinServing() const {
-  auto state = std::make_shared<EpochPin::State>();
-  {
-    std::lock_guard<std::mutex> lock(serving_mu_);
-    if (serving_ == nullptr) return EpochPin();  // not bootstrapped
-    state->epoch = committed_epoch_.load();
-    state->watermark = committed_watermark_.load();
-    state->store = serving_;
-    // Register the pin before serving_mu_ drops: a commit that lands right
-    // after us already sees the refcount when its GC runs.
-    std::lock_guard<std::mutex> pin_lock(pin_mu_);
-    ++pins_[state->epoch];
-  }
-  // Arm the release hook only once the pin is registered.
-  state->unpin = [this](uint64_t epoch) { Unpin(epoch); };
-  state->dir = JoinPath(Dir(), EpochDirName(state->epoch));
-  return EpochPin(std::move(state));
-}
-
-void Pipeline::Unpin(uint64_t epoch) const {
-  std::lock_guard<std::mutex> lock(pin_mu_);
-  auto it = pins_.find(epoch);
-  if (it == pins_.end()) return;
-  if (--it->second <= 0) pins_.erase(it);
-  // The epoch dir (if already superseded) stays on disk until the next
-  // commit's GC — deferred cleanup keeps Unpin wait-free on the read path.
-}
-
-bool Pipeline::IsPinned(uint64_t epoch) const {
-  std::lock_guard<std::mutex> lock(pin_mu_);
-  return pins_.count(epoch) > 0;
-}
+EpochPin Pipeline::PinServing() const { return epochs_.Pin(); }
 
 std::vector<KV> Pipeline::ServingSnapshot() const {
-  std::shared_ptr<const ResultStore> snap;
-  {
-    std::lock_guard<std::mutex> lock(serving_mu_);
-    snap = serving_;
-  }
+  std::shared_ptr<const ResultStore> snap = epochs_.store();
   return snap == nullptr ? std::vector<KV>{} : snap->Snapshot();
 }
 

@@ -14,26 +14,29 @@
 //                        MRBG files (hard-linked from the engine's working
 //                        dirs — O(1) per file; copied only cross-device) +
 //                        serving.dat (ResultStore) + MANIFEST (epoch,
-//                        watermark, CRC)
-//     CURRENT            names the committed epoch dir (tmp+rename swap)
+//                        watermark, generation, CRC)
+//     CURRENT            names the committed epoch dir
 //
-// The commit is the CURRENT rename: a crash at any earlier point (mid-drain,
-// mid-refresh, even mid-commit after the epoch dir landed) leaves CURRENT on
-// the previous epoch, and Open() restores the engine's working directories
-// from that snapshot and replays the log past its watermark — every logged
-// delta is applied exactly once relative to the committed state.
+// The epoch dirs and CURRENT belong to the pipeline's EpochStore
+// (pipeline/epoch_store.h): a commit fills the slot epoch-<E>.tmp, seals it
+// as epoch-<E>, then flips CURRENT. The flip is the commit: a crash at any
+// earlier point (mid-drain, mid-refresh, even after the epoch dir landed)
+// leaves CURRENT on the previous epoch, and Open() restores the engine's
+// working directories from that snapshot and replays the log past its
+// watermark — every logged delta is applied exactly once relative to the
+// committed state.
 //
-// Point lookups are served from an immutable in-memory snapshot of the
-// committed ResultStore, swapped at commit time, so reads never block on a
-// running refresh.
+// Point lookups are served from the store's immutable in-memory snapshot
+// of the committed ResultStore, published at commit time, so reads never
+// block on a running refresh.
 #ifndef I2MR_PIPELINE_PIPELINE_H_
 #define I2MR_PIPELINE_PIPELINE_H_
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,6 +44,7 @@
 #include "core/result_store.h"
 #include "mr/cluster.h"
 #include "pipeline/delta_log.h"
+#include "pipeline/epoch_store.h"
 
 namespace i2mr {
 
@@ -127,53 +131,6 @@ struct EpochStats {
   double refresh_sort_ms = 0;
   double refresh_reduce_ms = 0;
   double refresh_merge_ms = 0;  // MRBG merge share (inside reduce)
-};
-
-class Pipeline;
-
-/// A pinned, immutable view of one committed epoch (MVCC-style versioned
-/// read). While any copy of the pin is alive, the epoch's in-memory
-/// ResultStore snapshot stays valid and its on-disk epoch-<E>/ dir is
-/// excluded from post-commit garbage collection — later commits and log
-/// purges land underneath without ever blocking or invalidating the
-/// reader. Copies share one refcount; when the last copy is destroyed the
-/// epoch dir becomes collectible at the next commit. A pin must not
-/// outlive its Pipeline.
-class EpochPin {
- public:
-  EpochPin() = default;
-
-  bool valid() const { return state_ != nullptr; }
-  /// Epoch / consumed-watermark this view was committed at.
-  uint64_t epoch() const;
-  uint64_t watermark() const;
-  /// The frozen result snapshot (nullptr for a default-constructed pin).
-  const ResultStore* store() const;
-  /// On-disk epoch dir, guaranteed to survive while the pin is held.
-  const std::string& dir() const;
-
-  /// Point lookup against the frozen view; NotFound for unknown keys.
-  StatusOr<std::string> Lookup(const std::string& key) const;
-
- private:
-  friend class Pipeline;
-  friend class FollowerReplica;  // mints pins over replicated epochs
-  /// The shared pin payload. `unpin` decouples the refcount release from
-  /// Pipeline specifically, so a FollowerReplica (a read-only replayed
-  /// slice with no Pipeline object) can mint pins the ShardSnapshot
-  /// machinery consumes unchanged.
-  struct State {
-    std::function<void(uint64_t epoch)> unpin;  // runs at last-copy death
-    uint64_t epoch = 0;
-    uint64_t watermark = 0;
-    std::shared_ptr<const ResultStore> store;
-    std::string dir;
-    ~State() {
-      if (unpin) unpin(epoch);
-    }
-  };
-  explicit EpochPin(std::shared_ptr<State> state) : state_(std::move(state)) {}
-  std::shared_ptr<State> state_;
 };
 
 class Pipeline {
@@ -312,23 +269,10 @@ class Pipeline {
   };
   void SetEpochListener(EpochListener listener);
 
-  /// Read + CRC-check an epoch dir's MANIFEST. Shared with replication's
-  /// ship-side and promotion-time verification.
-  static Status ReadEpochManifest(const std::string& dir, uint64_t* epoch,
-                                  uint64_t* watermark);
-  /// Variant that also returns the partition-map generation the epoch was
-  /// committed under.
-  static Status ReadEpochManifest(const std::string& dir, uint64_t* epoch,
-                                  uint64_t* watermark, uint64_t* generation);
-
-  uint64_t committed_epoch() const { return committed_epoch_.load(); }
+  uint64_t committed_epoch() const { return epochs_.epoch(); }
   /// Partition-map generation this pipeline stamps into its manifests.
   uint64_t generation() const { return options_.generation; }
-  uint64_t committed_watermark() const { return committed_watermark_.load(); }
-  /// On-disk name of an epoch's snapshot dir ("epoch-%08u"). Shared with
-  /// the serving layer's barrier recovery, which rewinds CURRENT files
-  /// before any Pipeline object exists.
-  static std::string EpochDirName(uint64_t epoch);
+  uint64_t committed_watermark() const { return epochs_.watermark(); }
   const std::string& name() const { return name_; }
   /// Effective options (after Open's name override).
   const PipelineOptions& options() const { return options_; }
@@ -338,12 +282,10 @@ class Pipeline {
  private:
   Pipeline(LocalCluster* cluster, std::string name, PipelineOptions options);
 
-  std::string Dir() const;
-  std::string CurrentPath() const;
-
   Status OpenImpl();
-  /// Copy the committed snapshot back over the engine's working dirs.
-  Status RestoreCommitted();
+  /// Link the committed snapshot back over the engine's working dirs
+  /// (after verifying it); returns its serving store.
+  StatusOr<ResultStore> RestoreCommitted(uint64_t epoch, uint64_t watermark);
   /// Snapshot engine state + serving store + manifest into epoch-<E>/ and
   /// swing CURRENT to it (stage + finalize + cleanup in one step — the
   /// solo, per-shard commit). Fills commit_ms. `pending_since_ns` re-arms
@@ -358,8 +300,6 @@ class Pipeline {
                           int64_t pending_since_ns, double* commit_ms);
   Status FinalizeStagedLocked();
   Status CleanupCommittedLocked();
-  /// Remove epoch dirs and temp dirs not referenced by CURRENT.
-  Status GarbageCollect(const std::string& keep_dir_name);
 
   bool SimulateCrash(uint64_t epoch, const char* stage);
 
@@ -368,11 +308,6 @@ class Pipeline {
   Status AdmitAppend();
   void EnterDegraded(const Status& cause);
   void ExitDegraded();
-
-  friend class EpochPin;
-  /// Drop one reference on `epoch`'s pin count (EpochPin destruction).
-  void Unpin(uint64_t epoch) const;
-  bool IsPinned(uint64_t epoch) const;
 
   /// Start the max-lag clock if it isn't already running (post-append).
   void ArmLagTrigger();
@@ -386,8 +321,9 @@ class Pipeline {
 
   std::mutex epoch_mu_;  // serializes Bootstrap / RunEpoch / rounds / recovery
   std::atomic<bool> bootstrapped_{false};
-  std::atomic<uint64_t> committed_epoch_{0};
-  std::atomic<uint64_t> committed_watermark_{0};
+  /// Epoch dirs, CURRENT, the published (epoch, watermark, store) triple
+  /// and its pins.
+  EpochStore epochs_;
 
   /// Coordinated-epoch state (guarded by epoch_mu_): refresh rounds
   /// accumulate into the working state against this watermark until the
@@ -399,14 +335,12 @@ class Pipeline {
 
   /// A staged-but-unfinalized epoch (guarded by epoch_mu_).
   struct Staged {
-    bool valid = false;
     uint64_t epoch = 0;
     uint64_t watermark = 0;
     int64_t pending_since_ns = 0;
-    std::string final_name;
     std::unique_ptr<ResultStore> store;
   };
-  Staged staged_;
+  std::optional<Staged> staged_;
   /// Set when an epoch died after possibly mutating engine state; the next
   /// RunEpoch restores the committed snapshot before proceeding.
   std::atomic<bool> dirty_{false};
@@ -425,21 +359,10 @@ class Pipeline {
   std::mutex trigger_mu_;
   std::atomic<int64_t> oldest_pending_ns_{0};
 
-  /// Guards the committed (epoch, serving store) pair as one publication:
-  /// Commit swaps both under it, PinServing reads both under it.
-  mutable std::mutex serving_mu_;
-  std::shared_ptr<const ResultStore> serving_;
-
   /// Epoch lifecycle listener (leaf lock; held across the callback so
   /// SetEpochListener doubles as a drain of in-flight notifications).
   std::mutex listener_mu_;
   EpochListener listener_;
-
-  /// Epoch -> live pin count. Locked after serving_mu_ (PinServing) and on
-  /// its own everywhere else; GarbageCollect consults it to keep pinned
-  /// epoch dirs on disk.
-  mutable std::mutex pin_mu_;
-  mutable std::map<uint64_t, int> pins_;
 };
 
 }  // namespace i2mr

@@ -1,47 +1,23 @@
 #include "replication/follower_replica.h"
 
-#include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/logging.h"
 #include "common/trace.h"
 #include "io/env.h"
-#include "io/record_file.h"
 #include "pipeline/delta_log.h"
 
 namespace i2mr {
 namespace {
 
-constexpr const char* kCurrentFile = "CURRENT";
-constexpr const char* kShipSuffix = ".ship";
-
-std::string Basename(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-/// Sorted subdirectories of `dir` (ListFiles covers regular files only).
-StatusOr<std::vector<std::string>> ListSubdirs(const std::string& dir) {
-  std::error_code ec;
-  std::vector<std::string> out;
-  for (std::filesystem::directory_iterator it(dir, ec), end;
-       !ec && it != end; it.increment(ec)) {
-    if (it->is_directory(ec)) out.push_back(it->path().string());
-  }
-  if (ec) return Status::IOError("list " + dir + ": " + ec.message());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// Copy `src` into `dst` (created fresh), returning the bytes copied.
+/// Copy `src` into the empty dir `dst`, returning the bytes copied.
 StatusOr<uint64_t> CopyTreeCounted(const std::string& src,
-                                   const std::string& dst) {
-  I2MR_RETURN_IF_ERROR(ResetDir(dst));
+                                   const std::string& dst, bool sync) {
   uint64_t bytes = 0;
+  std::vector<std::string> dirs;  // fsync'd once their entries landed
   std::error_code ec;
   std::filesystem::recursive_directory_iterator it(src, ec), end;
   if (ec) return Status::IOError("iterate " + src + ": " + ec.message());
@@ -53,16 +29,19 @@ StatusOr<uint64_t> CopyTreeCounted(const std::string& src,
     std::string to = JoinPath(dst, rel.string());
     if (it->is_directory()) {
       I2MR_RETURN_IF_ERROR(CreateDirs(to));
+      if (sync) dirs.push_back(to);
     } else if (it->is_regular_file()) {
       // A real byte copy, not a hard link: the replica must survive loss
       // of the primary's disk, so shipped files never share inodes with
       // the source (and "shipped bytes" means what it says).
       I2MR_RETURN_IF_ERROR(CopyFile(it->path().string(), to));
+      if (sync) I2MR_RETURN_IF_ERROR(SyncFile(to));
       auto sz = FileSize(to);
       if (!sz.ok()) return sz.status();
       bytes += *sz;
     }
   }
+  for (const auto& dir : dirs) I2MR_RETURN_IF_ERROR(SyncDir(dir));
   return bytes;
 }
 
@@ -72,7 +51,9 @@ FollowerReplica::FollowerReplica(std::string root, std::string pipeline_name,
                                  FollowerReplicaOptions options)
     : root_(std::move(root)),
       name_(std::move(pipeline_name)),
-      options_(std::move(options)) {
+      options_(std::move(options)),
+      epochs_(JoinPath(root_, "pipeline/" + name_),
+              options_.durability == DurabilityMode::kPowerFailure) {
   if (options_.metrics == nullptr) options_.metrics = MetricsRegistry::Default();
   metric_scope_ = ScopedMetricPrefix(
       options_.metrics, options_.metrics_prefix.empty()
@@ -84,31 +65,18 @@ FollowerReplica::FollowerReplica(std::string root, std::string pipeline_name,
   reads_served_ = metric_scope_.Get("reads_served");
 }
 
-std::string FollowerReplica::PipelineDir() const {
-  return JoinPath(root_, "pipeline/" + name_);
-}
-
 std::string FollowerReplica::LogDir() const {
   return JoinPath(PipelineDir(), "log");
 }
 
-std::string FollowerReplica::EpochDir(uint64_t epoch) const {
-  return JoinPath(PipelineDir(), Pipeline::EpochDirName(epoch));
-}
-
-std::string FollowerReplica::StageDir(uint64_t epoch) const {
-  return EpochDir(epoch) + kShipSuffix;
-}
-
-void FollowerReplica::DropSlot(const std::string& slot) {
-  if (Status st = RemoveAll(slot); !st.ok()) {
-    LOG_WARN << "replica " << PipelineDir()
-             << ": abandoned stage slot not removed: " << st.ToString();
+void FollowerReplica::DropStaged(uint64_t epoch) {
+  for (const std::string& dir :
+       {epochs_.SlotDir(epoch), epochs_.EpochDir(epoch)}) {
+    if (Status st = RemoveAll(dir); !st.ok()) {
+      LOG_WARN << "replica " << PipelineDir()
+               << ": abandoned staged epoch not removed: " << st.ToString();
+    }
   }
-}
-
-std::string FollowerReplica::CurrentPath() const {
-  return JoinPath(PipelineDir(), kCurrentFile);
 }
 
 std::string FollowerReplica::GenPath() const {
@@ -119,20 +87,7 @@ Status FollowerReplica::Open() {
   std::lock_guard<std::mutex> lock(mu_);
   I2MR_RETURN_IF_ERROR(CreateDirs(PipelineDir()));
   I2MR_RETURN_IF_ERROR(CreateDirs(LogDir()));
-  // An interrupted ship is never authoritative: the slot is re-staged from
-  // the primary on the next pass.
-  auto entries = ListSubdirs(PipelineDir());
-  if (!entries.ok()) return entries.status();
-  for (const auto& e : *entries) {
-    std::string base = Basename(e);
-    if (base.size() > 5 &&
-        base.compare(base.size() - 5, 5, kShipSuffix) == 0) {
-      I2MR_RETURN_IF_ERROR(RemoveAll(e));
-    }
-  }
-  staged_valid_ = false;
-  staged_epoch_ = 0;
-  staged_watermark_ = 0;
+  staged_.reset();
   ++open_gen_;
 
   // Self-heal twin segment files (raw `seg-X.dat` alongside its compressed
@@ -155,27 +110,28 @@ Status FollowerReplica::Open() {
   }
 
   // Recover the generation binding (absent file = generation 0, the
-  // pre-resharding layout).
+  // pre-resharding layout): [u64 generation] ‖ crc32.
   generation_ = 0;
   if (FileExists(GenPath())) {
-    auto gen = ReadFileToString(GenPath());
-    if (!gen.ok()) return gen.status();
-    generation_ = std::strtoull(gen->c_str(), nullptr, 10);
+    auto payload = ReadCrcRecord(GenPath(), 8);
+    if (!payload.ok()) return payload.status();
+    generation_ = DecodeFixed64(payload->data());
   }
 
-  if (FileExists(CurrentPath())) {
-    auto current = ReadFileToString(CurrentPath());
-    if (!current.ok()) return current.status();
-    std::string dir = JoinPath(PipelineDir(), *current);
-    uint64_t epoch = 0, watermark = 0;
-    I2MR_RETURN_IF_ERROR(Pipeline::ReadEpochManifest(dir, &epoch, &watermark));
-    I2MR_RETURN_IF_ERROR(VerifyEpochDir(dir, epoch, watermark));
-    auto store = ResultStore::Open(JoinPath(dir, "serving.dat"));
+  auto committed = epochs_.Recover();
+  if (!committed.ok()) return committed.status();
+  if (*committed) {
+    const uint64_t epoch = (*committed)->epoch;
+    const uint64_t watermark = (*committed)->watermark;
+    auto store = EpochStore::Verify(epochs_.EpochDir(epoch), epoch, watermark,
+                                    options_.num_partitions);
     if (!store.ok()) return store.status();
-    applied_epoch_ = epoch;
-    applied_watermark_ = watermark;
-    store_ = std::make_shared<const ResultStore>(std::move(store.value()));
+    epochs_.Publish(epoch, watermark,
+                    std::make_shared<const ResultStore>(std::move(*store)));
   }
+  // An interrupted ship is never authoritative: its slot (or sealed but
+  // unpromoted dir) is re-staged from the primary on the next pass.
+  I2MR_RETURN_IF_ERROR(epochs_.Collect());
   open_ = true;
   return Status::OK();
 }
@@ -183,7 +139,8 @@ Status FollowerReplica::Open() {
 void FollowerReplica::Close() {
   std::lock_guard<std::mutex> lock(mu_);
   open_ = false;
-  // store_ stays: outstanding pins share it, and a Reopen re-reads disk.
+  // The published store stays: outstanding pins share it, and a reopen
+  // re-reads disk.
 }
 
 bool FollowerReplica::open() const {
@@ -193,48 +150,7 @@ bool FollowerReplica::open() const {
 
 bool FollowerReplica::serving() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return open_ && store_ != nullptr;
-}
-
-Status FollowerReplica::VerifyEpochDir(const std::string& dir,
-                                       uint64_t expected_epoch,
-                                       uint64_t expected_watermark) const {
-  uint64_t epoch = 0, watermark = 0;
-  I2MR_RETURN_IF_ERROR(Pipeline::ReadEpochManifest(dir, &epoch, &watermark));
-  if (epoch != expected_epoch || watermark != expected_watermark) {
-    return Status::FailedPrecondition(
-        "epoch dir " + dir + " manifest mismatch: holds (" +
-        std::to_string(epoch) + ", " + std::to_string(watermark) +
-        "), expected (" + std::to_string(expected_epoch) + ", " +
-        std::to_string(expected_watermark) + ")");
-  }
-  // Same checks the primary's own crash recovery runs before restoring a
-  // snapshot: CRC-scan every partition's record files, parse the serving
-  // store. (MRBG segments are CRC-framed and validated by the index
-  // rebuild scan when the store opens, exactly as on the primary.)
-  int parts = 0;
-  auto entries = ListSubdirs(dir);
-  if (!entries.ok()) return entries.status();
-  for (const auto& e : *entries) {
-    if (Basename(e).rfind("part-", 0) != 0) continue;
-    ++parts;
-    auto structure_ok = ValidateRecordFile(JoinPath(e, "structure.dat"));
-    if (!structure_ok.ok()) return structure_ok.status();
-    auto state_ok = ValidateRecordFile(JoinPath(e, "state.dat"));
-    if (!state_ok.ok()) return state_ok.status();
-    if (FileExists(JoinPath(e, "remote.dat"))) {
-      auto remote_ok = ValidateRecordFile(JoinPath(e, "remote.dat"));
-      if (!remote_ok.ok()) return remote_ok.status();
-    }
-  }
-  if (options_.num_partitions > 0 && parts != options_.num_partitions) {
-    return Status::Corruption(
-        "epoch dir " + dir + " has " + std::to_string(parts) +
-        " partitions, expected " + std::to_string(options_.num_partitions));
-  }
-  auto store = ResultStore::Open(JoinPath(dir, "serving.dat"));
-  if (!store.ok()) return store.status();
-  return Status::OK();
+  return open_ && epochs_.store() != nullptr;
 }
 
 Status FollowerReplica::StageEpoch(uint64_t epoch, uint64_t watermark,
@@ -248,58 +164,52 @@ Status FollowerReplica::StageEpoch(uint64_t epoch, uint64_t watermark,
   // exclusion: shipper-side calls are serialized by the shipper's pass
   // lock; mu_ only guards the bookkeeping reads and the final publish.
   uint64_t gen = 0;
-  std::string stale_slot;
+  std::optional<uint64_t> stale;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!open_) return Status::FailedPrecondition("replica closed");
-    if (store_ != nullptr && epoch <= applied_epoch_) return Status::OK();
-    if (staged_valid_ && staged_epoch_ == epoch &&
-        staged_watermark_ == watermark) {
+    if (epochs_.store() != nullptr && epoch <= epochs_.epoch()) {
+      return Status::OK();
+    }
+    if (staged_ && staged_->epoch == epoch && staged_->watermark == watermark) {
       return Status::OK();  // already staged and verified
     }
-    if (staged_valid_) {
-      stale_slot = StageDir(staged_epoch_);
-      staged_valid_ = false;
-      staged_epoch_ = 0;
-      staged_watermark_ = 0;
-    }
+    if (staged_) stale = staged_->epoch;
+    staged_.reset();
     gen = open_gen_;
   }
-  // Drop a stale slot for a different (epoch, watermark).
-  if (!stale_slot.empty()) I2MR_RETURN_IF_ERROR(RemoveAll(stale_slot));
+  // Drop a stale staged epoch for a different (epoch, watermark).
+  if (stale) DropStaged(*stale);
 
-  std::string slot = StageDir(epoch);
-  auto bytes = CopyTreeCounted(src_dir, slot);
-  if (!bytes.ok()) {
-    DropSlot(slot);
-    return bytes.status();
+  // The one staging discipline: fill the slot, verify it, seal it.
+  const bool sync = options_.durability == DurabilityMode::kPowerFailure;
+  StatusOr<uint64_t> bytes = epochs_.OpenSlot(epoch);
+  if (bytes.ok()) {
+    bytes = CopyTreeCounted(src_dir, epochs_.SlotDir(epoch), sync);
   }
-  Status verified = VerifyEpochDir(slot, epoch, watermark);
-  if (!verified.ok()) {
-    DropSlot(slot);
-    return verified;
-  }
-  if (options_.durability == DurabilityMode::kPowerFailure) {
-    Status synced = SyncDir(PipelineDir());
-    if (!synced.ok()) {
-      DropSlot(slot);
-      return synced;
-    }
+  StatusOr<ResultStore> verified =
+      bytes.ok() ? EpochStore::Verify(epochs_.SlotDir(epoch), epoch, watermark,
+                                      options_.num_partitions)
+                 : StatusOr<ResultStore>(bytes.status());
+  Status sealed = verified.ok() ? epochs_.Seal(epoch) : verified.status();
+  if (!sealed.ok()) {
+    DropStaged(epoch);
+    return sealed;
   }
   bool published = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // A Close()/Open() cycle while the copy ran already wiped in-flight
-    // .ship slots; don't resurrect bookkeeping for a dir Open() deleted.
+    // A Close()/Open() cycle while the copy ran already collected
+    // in-flight slots; don't resurrect bookkeeping for a dir Open() deleted.
     if (open_ && open_gen_ == gen) {
-      staged_valid_ = true;
-      staged_epoch_ = epoch;
-      staged_watermark_ = watermark;
+      staged_ = Staged{
+          epoch, watermark,
+          std::make_shared<const ResultStore>(std::move(*verified))};
       published = true;
     }
   }
   if (!published) {
-    DropSlot(slot);
+    DropStaged(epoch);
     return Status::FailedPrecondition("replica closed during staging");
   }
   shipped_bytes_->Add(static_cast<int64_t>(*bytes));
@@ -312,54 +222,40 @@ Status FollowerReplica::PromoteStaged(uint64_t epoch, uint64_t watermark) {
              static_cast<unsigned long long>(epoch));
   std::lock_guard<std::mutex> lock(mu_);
   if (!open_) return Status::FailedPrecondition("replica closed");
-  if (store_ != nullptr && epoch <= applied_epoch_) return Status::OK();
-  if (!staged_valid_ || staged_epoch_ != epoch ||
-      staged_watermark_ != watermark) {
+  if (epochs_.store() != nullptr && epoch <= epochs_.epoch()) {
+    return Status::OK();
+  }
+  if (!staged_ || staged_->epoch != epoch || staged_->watermark != watermark) {
     return Status::FailedPrecondition(
-        "staged slot holds epoch " + std::to_string(staged_epoch_) +
+        "staged slot holds epoch " +
+        std::to_string(staged_ ? staged_->epoch : 0) +
         ", primary committed " + std::to_string(epoch));
   }
-  const std::string slot = StageDir(epoch);
-  const std::string final_dir = EpochDir(epoch);
-  // A/B verify before the flip: the slot's manifest must still match what
+  // A/B verify before the flip: the staged manifest must still match what
   // the primary durably committed (defends against a barrier abort
   // recommitting the same epoch number with different contents).
   uint64_t got_epoch = 0, got_watermark = 0;
-  I2MR_RETURN_IF_ERROR(
-      Pipeline::ReadEpochManifest(slot, &got_epoch, &got_watermark));
+  I2MR_RETURN_IF_ERROR(EpochStore::ReadManifest(
+      epochs_.EpochDir(epoch), &got_epoch, &got_watermark));
   if (got_epoch != epoch || got_watermark != watermark) {
     return Status::FailedPrecondition("staged slot manifest mismatch");
   }
-  if (FileExists(final_dir)) I2MR_RETURN_IF_ERROR(RemoveAll(final_dir));
-  I2MR_RETURN_IF_ERROR(RenameFile(slot, final_dir));
-  auto store = ResultStore::Open(JoinPath(final_dir, "serving.dat"));
-  if (!store.ok()) return store.status();
-
-  const bool sync = options_.durability == DurabilityMode::kPowerFailure;
-  std::string current_tmp = CurrentPath() + ".tmp";
-  I2MR_RETURN_IF_ERROR(WriteStringToFile(
-      current_tmp, Pipeline::EpochDirName(epoch), sync));
-  I2MR_RETURN_IF_ERROR(RenameFile(current_tmp, CurrentPath()));
-  if (sync) I2MR_RETURN_IF_ERROR(SyncDir(PipelineDir()));
-
-  applied_epoch_ = epoch;
-  applied_watermark_ = watermark;
-  store_ = std::make_shared<const ResultStore>(std::move(store.value()));
-  staged_valid_ = false;
-  staged_epoch_ = 0;
-  staged_watermark_ = 0;
+  I2MR_RETURN_IF_ERROR(epochs_.Flip(epoch));
+  epochs_.Publish(epoch, watermark, std::move(staged_->store));
+  staged_.reset();
   applied_epochs_->Increment();
-  CollectOldEpochsLocked();
+  if (Status st = epochs_.Collect(); !st.ok()) {
+    LOG_WARN << "replica " << PipelineDir()
+             << ": old epoch dirs not reclaimed: " << st.ToString();
+  }
   return Status::OK();
 }
 
 Status FollowerReplica::DiscardStaged() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!staged_valid_) return Status::OK();
-  Status st = RemoveAll(StageDir(staged_epoch_));
-  staged_valid_ = false;
-  staged_epoch_ = 0;
-  staged_watermark_ = 0;
+  if (!staged_) return Status::OK();
+  Status st = RemoveAll(epochs_.EpochDir(staged_->epoch));
+  staged_.reset();
   return st;
 }
 
@@ -378,20 +274,16 @@ Status FollowerReplica::EnsureGeneration(uint64_t generation) {
   I2MR_RETURN_IF_ERROR(RemoveAll(PipelineDir()));
   I2MR_RETURN_IF_ERROR(CreateDirs(PipelineDir()));
   I2MR_RETURN_IF_ERROR(CreateDirs(LogDir()));
-  staged_valid_ = false;
-  staged_epoch_ = 0;
-  staged_watermark_ = 0;
-  applied_epoch_ = 0;
-  applied_watermark_ = 0;
+  staged_.reset();
+  epochs_.Publish(0, 0, nullptr);
+  I2MR_RETURN_IF_ERROR(epochs_.Recover().status());  // nothing committed
   purge_mark_ = 0;
-  store_ = nullptr;
   ++open_gen_;  // invalidate any in-flight stage against the old layout
-  const bool sync = options_.durability == DurabilityMode::kPowerFailure;
-  std::string tmp = GenPath() + ".tmp";
-  I2MR_RETURN_IF_ERROR(
-      WriteStringToFile(tmp, std::to_string(generation), sync));
-  I2MR_RETURN_IF_ERROR(RenameFile(tmp, GenPath()));
-  if (sync) I2MR_RETURN_IF_ERROR(SyncDir(PipelineDir()));
+  std::string payload;
+  PutFixed64(&payload, generation);
+  I2MR_RETURN_IF_ERROR(ReplaceFileDurably(
+      GenPath(), EncodeCrcRecord(payload),
+      options_.durability == DurabilityMode::kPowerFailure));
   generation_ = generation;
   return Status::OK();
 }
@@ -399,26 +291,6 @@ Status FollowerReplica::EnsureGeneration(uint64_t generation) {
 uint64_t FollowerReplica::generation() const {
   std::lock_guard<std::mutex> lock(mu_);
   return generation_;
-}
-
-void FollowerReplica::CollectOldEpochsLocked() {
-  auto entries = ListSubdirs(PipelineDir());
-  if (!entries.ok()) return;
-  for (const auto& e : *entries) {
-    std::string base = Basename(e);
-    if (base.rfind("epoch-", 0) != 0 || base.size() != 14) continue;
-    uint64_t epoch = 0;
-    if (std::sscanf(base.c_str(), "epoch-%08" PRIu64, &epoch) != 1) continue;
-    if (epoch >= applied_epoch_) continue;
-    {
-      std::lock_guard<std::mutex> pin_lock(pin_mu_);
-      if (pins_.count(epoch) > 0) continue;  // a reader still holds it
-    }
-    if (Status st = RemoveAll(e); !st.ok()) {
-      LOG_WARN << "replica " << PipelineDir()
-               << ": old epoch dir not reclaimed: " << st.ToString();
-    }
-  }
 }
 
 Status FollowerReplica::InstallSegment(const std::string& src_path,
@@ -511,54 +383,18 @@ Status FollowerReplica::PurgeShippedBelow(uint64_t watermark) {
 }
 
 EpochPin FollowerReplica::PinServing() const {
-  auto state = std::make_shared<EpochPin::State>();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!open_ || store_ == nullptr) return EpochPin();
-    state->epoch = applied_epoch_;
-    state->watermark = applied_watermark_;
-    state->store = store_;
-    state->dir = EpochDir(applied_epoch_);
-    std::lock_guard<std::mutex> pin_lock(pin_mu_);
-    ++pins_[state->epoch];
-  }
-  state->unpin = [this](uint64_t epoch) { Unpin(epoch); };
-  return EpochPin(std::move(state));
-}
-
-void FollowerReplica::Unpin(uint64_t epoch) const {
-  std::lock_guard<std::mutex> lock(pin_mu_);
-  auto it = pins_.find(epoch);
-  if (it == pins_.end()) return;
-  if (--it->second <= 0) pins_.erase(it);
+  std::lock_guard<std::mutex> lock(mu_);
+  return open_ ? epochs_.Pin() : EpochPin();
 }
 
 Status FollowerReplica::VerifyCurrent() const {
-  uint64_t epoch = 0, watermark = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (store_ == nullptr) {
-      return Status::FailedPrecondition("replica has no applied epoch");
-    }
-    epoch = applied_epoch_;
-    watermark = applied_watermark_;
+  EpochPin pin = epochs_.Pin();
+  if (!pin.valid()) {
+    return Status::FailedPrecondition("replica has no applied epoch");
   }
-  return VerifyEpochDir(EpochDir(epoch), epoch, watermark);
-}
-
-uint64_t FollowerReplica::applied_epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return applied_epoch_;
-}
-
-uint64_t FollowerReplica::applied_watermark() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return applied_watermark_;
-}
-
-uint64_t FollowerReplica::staged_epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return staged_epoch_;
+  return EpochStore::Verify(pin.dir(), pin.epoch(), pin.watermark(),
+                            options_.num_partitions)
+      .status();
 }
 
 void FollowerReplica::SetLagEpochs(uint64_t lag) {

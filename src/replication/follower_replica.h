@@ -4,15 +4,17 @@
 // data a shipper lands here is byte-for-byte what the primary's recovery
 // path reads — promotion is just "open a Pipeline over this root".
 //
-// Epoch application follows the A/B-slot discipline:
+// Its epoch dirs belong to an EpochStore (pipeline/epoch_store.h), and
+// epochs are installed with the same A/B-slot discipline the primary
+// commits with:
 //
-//   1. StageEpoch copies the primary's epoch dir into the staging slot
-//      (`epoch-<E>.ship/`) and fully verifies it there: MANIFEST CRC,
-//      record-file CRC scans of every partition's structure/state (and
-//      remote inbox), and a parse of the serving snapshot.
-//   2. PromoteStaged re-checks the manifest, renames the slot to its final
-//      `epoch-<E>/` name, atomically flips the follower's own CURRENT, and
-//      publishes the new serving store.
+//   1. StageEpoch copies the primary's epoch dir into the slot
+//      (`epoch-<E>.tmp/`), fully verifies it there (MANIFEST CRC, record
+//      file CRC scans of every partition's structure/state and remote
+//      inbox, a parse of the serving snapshot), and seals it as
+//      `epoch-<E>/`.
+//   2. PromoteStaged re-checks the manifest, atomically flips the
+//      follower's own CURRENT, and publishes the new serving store.
 //
 // A crash or kill at any point leaves either the old epoch serving or the
 // new one — never a torn view — and Open() recovers from CURRENT the same
@@ -21,17 +23,18 @@
 // primary durably commit, so an epoch that was only staged on the primary
 // (barrier in flight, or a primary that died mid-commit) is never served.
 //
-// Reads go through PinServing(): the same refcounted EpochPin the serving
-// layer uses, so ReplicaSet drops follower pins into a ShardSnapshot
-// unchanged. Pins keep the in-memory store alive across Close() and even
-// across promotion (the on-disk dir of a superseded epoch may be collected
-// once the promoted pipeline commits past it; the pinned store is not).
+// Reads go through PinServing(): the store's refcounted EpochPin, the same
+// the serving layer uses, so ReplicaSet drops follower pins into a
+// ShardSnapshot unchanged. Pins keep the in-memory store alive across
+// Close() and even across promotion (the on-disk dir of a superseded epoch
+// may be collected once the promoted pipeline commits past it; the pinned
+// store is not).
 #ifndef I2MR_REPLICATION_FOLLOWER_REPLICA_H_
 #define I2MR_REPLICATION_FOLLOWER_REPLICA_H_
 
-#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -39,7 +42,7 @@
 #include "common/status.h"
 #include "core/result_store.h"
 #include "io/file.h"
-#include "pipeline/pipeline.h"
+#include "pipeline/epoch_store.h"
 
 namespace i2mr {
 
@@ -142,9 +145,8 @@ class FollowerReplica {
   /// check): manifest CRC + record-file scans + serving-store parse.
   Status VerifyCurrent() const;
 
-  uint64_t applied_epoch() const;
-  uint64_t applied_watermark() const;
-  uint64_t staged_epoch() const;
+  uint64_t applied_epoch() const { return epochs_.epoch(); }
+  uint64_t applied_watermark() const { return epochs_.watermark(); }
 
   /// Publish the shipper-observed lag (primary committed epoch − applied
   /// epoch) into the replica's lag_epochs gauge.
@@ -161,23 +163,14 @@ class FollowerReplica {
   const std::string& root() const { return root_; }
   const std::string& name() const { return name_; }
   /// `<root>/pipeline/<name>` — the dir a promoted Pipeline opens.
-  std::string PipelineDir() const;
+  const std::string& PipelineDir() const { return epochs_.dir(); }
   std::string LogDir() const;
 
  private:
-  std::string EpochDir(uint64_t epoch) const;
-  std::string StageDir(uint64_t epoch) const;
-  /// Best-effort removal of an abandoned .ship slot (failure logged: a
-  /// leftover slot only wastes disk until the next staging overwrites it).
-  void DropSlot(const std::string& slot);
-  std::string CurrentPath() const;
+  /// Best-effort removal of an abandoned staged epoch, slot or sealed
+  /// (failure logged: a leftover only wastes disk until the next Collect).
+  void DropStaged(uint64_t epoch);
   std::string GenPath() const;
-  /// Manifest + per-partition record files + serving snapshot.
-  Status VerifyEpochDir(const std::string& dir, uint64_t expected_epoch,
-                        uint64_t expected_watermark) const;
-  /// Remove superseded, unpinned epoch dirs (caller holds mu_).
-  void CollectOldEpochsLocked();
-  void Unpin(uint64_t epoch) const;
 
   const std::string root_;
   const std::string name_;
@@ -189,20 +182,21 @@ class FollowerReplica {
   Gauge* lag_epochs_ = nullptr;
   Counter* reads_served_ = nullptr;
 
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  // locked before the epoch store's own mutex
   bool open_ = false;
   uint64_t open_gen_ = 0;  // bumped by Open(): invalidates in-flight stages
   uint64_t generation_ = 0;  // partition-map generation (GEN file)
-  uint64_t applied_epoch_ = 0;
-  uint64_t applied_watermark_ = 0;
-  bool staged_valid_ = false;       // a verified slot is waiting
-  uint64_t staged_epoch_ = 0;
-  uint64_t staged_watermark_ = 0;
+  /// A verified, sealed epoch waiting for PromoteStaged.
+  struct Staged {
+    uint64_t epoch = 0;
+    uint64_t watermark = 0;
+    std::shared_ptr<const ResultStore> store;  // parsed at staging
+  };
+  std::optional<Staged> staged_;
   uint64_t purge_mark_ = 0;
-  std::shared_ptr<const ResultStore> store_;
-
-  mutable std::mutex pin_mu_;
-  mutable std::map<uint64_t, int> pins_;
+  /// Applied epoch dirs, CURRENT, the served (epoch, watermark, store)
+  /// triple and its pins.
+  EpochStore epochs_;
 };
 
 }  // namespace i2mr

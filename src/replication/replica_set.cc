@@ -112,8 +112,7 @@ Status ReplicaSet::Rebind() {
     shards_.clear();
   }
   // Stops join threads — outside route_mu_. The old states are retired,
-  // not destroyed: snapshot pins taken before the cutover hold unpin
-  // callbacks into their FollowerReplica instances.
+  // not destroyed: a read in flight may still hold one's slot.
   for (auto& st : old) {
     if (st->shipper != nullptr) st->shipper->Stop();
     for (auto& f : st->followers) f->RetireMetrics();

@@ -236,9 +236,8 @@ class ReplicaSet {
   /// The partition map shards_ was built against (guarded by route_mu_;
   /// replaced only by Rebind).
   PartitionMap bound_map_{0, 0};
-  /// Previous generations' shard states, kept alive by Rebind: follower
-  /// pins hand out unpin callbacks into their FollowerReplica, so a
-  /// pre-cutover snapshot must outlive the rebind.
+  /// Previous generations' shard states, kept alive by Rebind: a read in
+  /// flight may still hold one's slot or follower.
   std::vector<std::unique_ptr<ShardState>> retired_;
 };
 

@@ -212,7 +212,7 @@ Status ReplicaShipper::ShipToFollower(FollowerReplica* f, const EpochPin& pin,
   }
   if (hint_epoch > pin.epoch() && FileExists(hint_dir)) {
     uint64_t e = 0, w = 0;
-    if (Pipeline::ReadEpochManifest(hint_dir, &e, &w).ok() && e == hint_epoch) {
+    if (EpochStore::ReadManifest(hint_dir, &e, &w).ok() && e == hint_epoch) {
       if (Status st = f->StageEpoch(e, w, hint_dir, nullptr); !st.ok()) {
         LOG_DEBUG << "pre-stage hint for epoch " << e
                   << " not taken: " << st.ToString();

@@ -25,32 +25,6 @@ std::string PartitionMap::ShardMetricsPrefix(const std::string& name,
   return prefix + "shard" + std::to_string(shard);
 }
 
-std::string PartitionMap::Encode() const {
-  std::string payload;
-  PutFixed64(&payload, generation);
-  PutFixed32(&payload, static_cast<uint32_t>(num_shards));
-  std::string record = payload;
-  PutFixed32(&record, Crc32(payload));
-  return record;
-}
-
-StatusOr<PartitionMap> PartitionMap::Decode(std::string_view data) {
-  if (data.size() != 16) {
-    return Status::Corruption("bad partition-map record size");
-  }
-  std::string_view payload(data.data(), 12);
-  if (DecodeFixed32(data.data() + 12) != Crc32(payload)) {
-    return Status::Corruption("partition-map record crc mismatch");
-  }
-  PartitionMap map;
-  map.generation = DecodeFixed64(data.data());
-  map.num_shards = static_cast<int>(DecodeFixed32(data.data() + 8));
-  if (map.num_shards <= 0) {
-    return Status::Corruption("partition-map record names zero shards");
-  }
-  return map;
-}
-
 std::string PartitionMap::RecordPath(const std::string& root,
                                      const std::string& name) {
   return JoinPath(root, name + ".PARTMAP");
@@ -58,23 +32,22 @@ std::string PartitionMap::RecordPath(const std::string& root,
 
 Status PartitionMap::Save(const std::string& path, const PartitionMap& map,
                           bool sync) {
-  std::string tmp = path + ".tmp";
-  I2MR_RETURN_IF_ERROR(WriteStringToFile(tmp, map.Encode(), sync));
-  I2MR_RETURN_IF_ERROR(RenameFile(tmp, path));
-  if (sync) {
-    std::string dir = path;
-    size_t slash = dir.find_last_of('/');
-    if (slash != std::string::npos) {
-      I2MR_RETURN_IF_ERROR(SyncDir(dir.substr(0, slash)));
-    }
-  }
-  return Status::OK();
+  std::string payload;
+  PutFixed64(&payload, map.generation);
+  PutFixed32(&payload, static_cast<uint32_t>(map.num_shards));
+  return ReplaceFileDurably(path, EncodeCrcRecord(payload), sync);
 }
 
 StatusOr<PartitionMap> PartitionMap::Load(const std::string& path) {
-  auto data = ReadFileToString(path);
-  if (!data.ok()) return data.status();
-  return Decode(*data);
+  auto payload = ReadCrcRecord(path, 12);
+  if (!payload.ok()) return payload.status();
+  PartitionMap map;
+  map.generation = DecodeFixed64(payload->data());
+  map.num_shards = static_cast<int>(DecodeFixed32(payload->data() + 8));
+  if (map.num_shards <= 0) {
+    return Status::Corruption("partition-map record names zero shards");
+  }
+  return map;
 }
 
 }  // namespace i2mr

@@ -63,17 +63,13 @@ struct PartitionMap {
     return !(a == b);
   }
 
-  /// Record codec: [u64 generation][u32 num_shards][u32 crc of the first
-  /// 12 bytes]. Shared by the PARTMAP record and the reshard decision
-  /// record (which stores the *next* map).
-  std::string Encode() const;
-  static StatusOr<PartitionMap> Decode(std::string_view data);
-
   /// Durable record next to the barrier record: `<root>/<name>.PARTMAP`.
   static std::string RecordPath(const std::string& root,
                                 const std::string& name);
 
-  /// Write the record atomically (tmp + rename; fsync'd when `sync`).
+  /// The record, [u64 generation][u32 num_shards] ‖ crc32, shared by PARTMAP
+  /// and the reshard decision record (which stores the *next* map). Saved
+  /// with ReplaceFileDurably (fsync'd when `sync`).
   static Status Save(const std::string& path, const PartitionMap& map,
                      bool sync);
   static StatusOr<PartitionMap> Load(const std::string& path);

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <limits>
 #include <thread>
 
 #include "common/codec.h"
-#include "common/hash.h"
 #include "common/health.h"
 #include "common/logging.h"
 #include "common/timer.h"
@@ -800,13 +796,9 @@ Status ShardRouter::CommitBarrier(uint64_t epoch) {
                                 static_cast<unsigned long long>(epoch));
   std::string payload;
   PutFixed64(&payload, epoch);
-  std::string record = payload;
-  PutFixed32(&record, Crc32(payload));
   const std::string barrier_path = BarrierPathFor(root_, name_, *view.map);
-  std::string tmp = barrier_path + ".tmp";
-  Status wrote = WriteStringToFile(tmp, record, sync);
-  if (wrote.ok()) wrote = RenameFile(tmp, barrier_path);
-  if (wrote.ok() && sync) wrote = SyncDir(root_);
+  Status wrote =
+      ReplaceFileDurably(barrier_path, EncodeCrcRecord(payload), sync);
   record_span.End();
   if (!wrote.ok()) return fail(wrote);
   if (crashed("barrier")) {
@@ -936,71 +928,37 @@ Status ShardRouter::RecoverBarrier(const std::string& root,
                                    const PartitionMap& map) {
   const std::string barrier = BarrierPathFor(root, name, map);
   if (!FileExists(barrier)) return Status::OK();
-  auto data = ReadFileToString(barrier);
-  if (!data.ok()) return data.status();
-  if (data->size() != 12) return Status::Corruption("bad BARRIER record size");
-  std::string_view payload(data->data(), 8);
-  if (DecodeFixed32(data->data() + 8) != Crc32(payload)) {
-    return Status::Corruption("BARRIER record crc mismatch");
-  }
-  const uint64_t epoch = DecodeFixed64(data->data());
-  const std::string epoch_name = Pipeline::EpochDirName(epoch);
+  auto payload = ReadCrcRecord(barrier, 8);
+  if (!payload.ok()) return payload.status();
+  const uint64_t epoch = DecodeFixed64(payload->data());
   const bool sync =
       options.pipeline.durability == DurabilityMode::kPowerFailure;
 
   for (int s = 0; s < map.num_shards; ++s) {
-    std::string pdir = PipelineDirOf(root, name, map, s);
-    std::string current_path = JoinPath(pdir, "CURRENT");
-    if (FileExists(current_path)) {
-      auto current = ReadFileToString(current_path);
-      if (!current.ok()) return current.status();
-      if (*current == epoch_name) {
-        // This shard already flipped: rewind to its previous epoch (GC and
-        // log purges are barred until after the barrier, so the previous
-        // dir is still there and the drained deltas still replay).
-        if (epoch == 0) {
-          // A bootstrap barrier rolls back to "nothing committed".
-          I2MR_RETURN_IF_ERROR(RemoveAll(current_path));
-        } else {
-          uint64_t prev = 0;
-          bool found = false;
-          std::error_code ec;
-          std::filesystem::directory_iterator it(pdir, ec), end;
-          if (ec) {
-            return Status::IOError("list " + pdir + ": " + ec.message());
-          }
-          for (; it != end; it.increment(ec)) {
-            if (ec) {
-              return Status::IOError("list " + pdir + ": " + ec.message());
-            }
-            std::string base = it->path().filename().string();
-            if (base.rfind("epoch-", 0) != 0 || base == epoch_name) continue;
-            if (base.size() > 4 &&
-                base.compare(base.size() - 4, 4, ".tmp") == 0) {
-              continue;
-            }
-            uint64_t e = std::strtoull(base.c_str() + 6, nullptr, 10);
-            if (e < epoch && (!found || e > prev)) {
-              prev = e;
-              found = true;
-            }
-          }
-          if (!found) {
-            return Status::Corruption(
-                "shard " + std::to_string(s) + " flipped to " + epoch_name +
-                " but has no previous epoch to roll back to");
-          }
-          std::string tmp = current_path + ".tmp";
-          I2MR_RETURN_IF_ERROR(
-              WriteStringToFile(tmp, Pipeline::EpochDirName(prev), sync));
-          I2MR_RETURN_IF_ERROR(RenameFile(tmp, current_path));
-          if (sync) I2MR_RETURN_IF_ERROR(SyncDir(pdir));
+    EpochStore epochs(PipelineDirOf(root, name, map, s), sync);
+    auto committed = epochs.Recover();
+    if (!committed.ok()) return committed.status();
+    if (*committed && (*committed)->epoch == epoch) {
+      // This shard already flipped: rewind to its previous epoch (GC and
+      // log purges are barred until after the barrier, so the previous
+      // dir is still there and the drained deltas still replay). A
+      // bootstrap barrier rolls back to "nothing committed".
+      if (epoch == 0) {
+        I2MR_RETURN_IF_ERROR(epochs.Unflip());
+      } else {
+        auto prev = epochs.PreviousEpoch(epoch);
+        if (!prev.ok()) {
+          return Status::Corruption("shard " + std::to_string(s) +
+                                    " has no epoch to roll back to: " +
+                                    prev.status().ToString());
         }
+        I2MR_RETURN_IF_ERROR(epochs.Flip(*prev));
       }
     }
     // Staged (or flipped-then-rewound) epoch dir: gone either way.
-    std::string staged_dir = JoinPath(pdir, epoch_name);
-    if (FileExists(staged_dir)) I2MR_RETURN_IF_ERROR(RemoveAll(staged_dir));
+    if (FileExists(epochs.EpochDir(epoch))) {
+      I2MR_RETURN_IF_ERROR(RemoveAll(epochs.EpochDir(epoch)));
+    }
   }
   I2MR_RETURN_IF_ERROR(RemoveAll(barrier));
   if (sync) I2MR_RETURN_IF_ERROR(SyncDir(root));

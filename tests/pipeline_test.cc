@@ -915,8 +915,8 @@ TEST_F(PipelineTest, SegmentedLogWithArchivalAcrossEpochsAndRestart) {
     ASSERT_TRUE(manifest.ok());
     EXPECT_EQ(*manifest, 28u);
     uint64_t epoch = 0, watermark = 0, generation = 1;
-    ASSERT_TRUE(Pipeline::ReadEpochManifest(pin.dir(), &epoch, &watermark,
-                                            &generation)
+    ASSERT_TRUE(EpochStore::ReadManifest(pin.dir(), &epoch, &watermark,
+                                         &generation)
                     .ok());
     EXPECT_EQ(epoch, 2u);
     EXPECT_EQ(generation, 0u);
@@ -930,7 +930,7 @@ TEST_F(PipelineTest, SegmentedLogWithArchivalAcrossEpochsAndRestart) {
     std::string data = payload;
     PutFixed32(&data, Crc32(payload));
     ASSERT_TRUE(WriteStringToFile(JoinPath(short_dir, "MANIFEST"), data).ok());
-    EXPECT_TRUE(Pipeline::ReadEpochManifest(short_dir, &epoch, &watermark)
+    EXPECT_TRUE(EpochStore::ReadManifest(short_dir, &epoch, &watermark)
                     .IsCorruption());
   }
 }

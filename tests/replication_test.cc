@@ -116,6 +116,24 @@ TEST_F(ReplicationTest, ShipsCommittedEpochsAndServesThemFromFollowers) {
   }
 }
 
+TEST_F(ReplicationTest, GarbledGenerationRecordFailsOpenAsCorruption) {
+  FollowerReplica follower(replicas_, "pr", FollowerReplicaOptions{});
+  ASSERT_TRUE(follower.Open().ok());
+  ASSERT_TRUE(follower.EnsureGeneration(3).ok());
+  follower.Close();
+  ASSERT_TRUE(follower.Open().ok());
+  EXPECT_EQ(follower.generation(), 3u);
+  follower.Close();
+
+  // A garbled GEN must not read as some other generation (0, or a
+  // truncated number): the replica would keep state partitioned by a map
+  // that no longer exists.
+  ASSERT_TRUE(WriteStringToFile(JoinPath(follower.PipelineDir(), "GEN"),
+                                "not-a-generation")
+                  .ok());
+  EXPECT_TRUE(follower.Open().IsCorruption());
+}
+
 TEST_F(ReplicationTest, ShipsCompressedArchiveSegmentsTransparently) {
   GraphGenOptions gen;
   gen.num_vertices = 120;
