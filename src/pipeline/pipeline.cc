@@ -47,6 +47,20 @@ StatusOr<std::unique_ptr<Pipeline>> Pipeline::Open(LocalCluster* cluster,
 
 Status Pipeline::OpenImpl() {
   I2MR_RETURN_IF_ERROR(CreateDirs(epochs_.dir()));
+  // The committed epoch is verified (inside RestoreCommitted) before the
+  // log's recovery or any link touches the root: a root with a bad
+  // committed snapshot (say, a follower offered for promotion) is refused
+  // as it was found.
+  auto committed = epochs_.Recover();
+  if (!committed.ok()) return committed.status();
+  if (*committed) {
+    auto store = RestoreCommitted((*committed)->epoch, (*committed)->watermark);
+    if (!store.ok()) return store.status();
+    epochs_.Publish((*committed)->epoch, (*committed)->watermark,
+                    std::make_shared<const ResultStore>(std::move(*store)));
+    bootstrapped_.store(true);
+  }
+
   // One durability promise for the whole pipeline: the log must not claim
   // power-failure safety the commit path doesn't match (or vice versa).
   DeltaLogOptions log_options = options_.log;
@@ -54,21 +68,10 @@ Status Pipeline::OpenImpl() {
   auto log = DeltaLog::Open(JoinPath(epochs_.dir(), "log"), log_options);
   if (!log.ok()) return log.status();
   log_ = std::move(log.value());
-
-  auto committed = epochs_.Recover();
-  if (!committed.ok()) return committed.status();
-  if (*committed) {
-    const uint64_t watermark = (*committed)->watermark;
-    // The log's records may all have been purged after the last commit; the
-    // next append must still get a sequence above the watermark, or it
-    // would look already-consumed and never be refreshed.
-    log_->EnsureNextSeqAfter(watermark);
-    auto store = RestoreCommitted((*committed)->epoch, watermark);
-    if (!store.ok()) return store.status();
-    epochs_.Publish((*committed)->epoch, watermark,
-                    std::make_shared<const ResultStore>(std::move(*store)));
-    bootstrapped_.store(true);
-  }
+  // The log's records may all have been purged after the last commit; the
+  // next append must still get a sequence above the watermark, or it
+  // would look already-consumed and never be refreshed.
+  log_->EnsureNextSeqAfter(committed_watermark());
   // Fresh pipeline: nothing committed yet, Bootstrap() must run first.
   // Either way, orphan epoch dirs and slots of a crashed commit go.
   I2MR_RETURN_IF_ERROR(epochs_.Collect());
@@ -127,12 +130,11 @@ StatusOr<ResultStore> Pipeline::RestoreCommitted(uint64_t epoch,
 }
 
 bool Pipeline::SimulateCrash(uint64_t epoch, const char* stage) {
-  bool crash = options_.crash_hook && options_.crash_hook(epoch, stage);
-  if (!crash && fault::FaultInjector::Armed()) {
-    crash = fault::FaultInjector::Instance()->AtCrashPoint(
-        std::string("pipeline/") + stage);
+  if (!fault::FaultInjector::Armed() ||
+      !fault::FaultInjector::Instance()->AtCrashPoint(
+          std::string("pipeline/") + stage)) {
+    return false;
   }
-  if (!crash) return false;
   LOG_WARN << "pipeline " << name_ << ": simulated crash in epoch " << epoch
            << " at stage '" << stage << "'";
   dirty_.store(true);
@@ -142,19 +144,8 @@ bool Pipeline::SimulateCrash(uint64_t epoch, const char* stage) {
 Status Pipeline::Bootstrap(const std::vector<KV>& structure,
                            const std::vector<KV>& initial_state) {
   std::lock_guard<std::mutex> lock(epoch_mu_);
-  if (bootstrapped_.load()) {
-    return Status::FailedPrecondition("pipeline already bootstrapped");
-  }
-  TRACE_SPAN("pipeline.bootstrap", "pipeline=%s", name_.c_str());
-  auto run = engine_->RunInitial(structure, initial_state);
-  if (!run.ok()) return run.status();
-  double commit_ms = 0;
-  I2MR_RETURN_IF_ERROR(Commit(/*epoch=*/0, /*watermark=*/0, &commit_ms));
-  bootstrapped_.store(true);
-  // A failed earlier Bootstrap attempt may have marked the pipeline dirty;
-  // the engine now exactly matches the committed snapshot.
-  dirty_.store(false);
-  return Status::OK();
+  I2MR_RETURN_IF_ERROR(BootstrapPrepareLocked(structure, initial_state));
+  return CommitLocked(/*epoch=*/0, nullptr);
 }
 
 void Pipeline::ArmLagTrigger() {
@@ -271,89 +262,41 @@ bool Pipeline::EpochReady() const {
 
 StatusOr<EpochStats> Pipeline::RunEpoch() {
   std::lock_guard<std::mutex> lock(epoch_mu_);
-  if (!bootstrapped_.load()) {
-    return Status::FailedPrecondition("pipeline not bootstrapped");
-  }
-  if (dirty_.load()) {
-    // A previous epoch died after possibly mutating the engine's working
-    // dirs: roll back to the committed snapshot before replaying.
-    I2MR_RETURN_IF_ERROR(
-        RestoreCommitted(committed_epoch(), committed_watermark()).status());
-    dirty_.store(false);
-  }
-  // A solo epoch supersedes any abandoned coordinated round state.
-  inflight_ = false;
-  staged_.reset();
-
-  EpochStats stats;
-  stats.epoch = committed_epoch();
-  stats.watermark = committed_watermark();
-
   TRACE_SPAN("pipeline.epoch", "pipeline=%s", name_.c_str());
   WallTimer wall;
-  std::vector<SeqDelta> drained;
-  {
-    TRACE_SPAN("epoch.drain");
-    drained = log_->ReadRange(committed_watermark(), UINT64_MAX);
+  auto round = RefreshRoundLocked(/*first=*/true, {});
+  if (!round.ok()) return round.status();
+  EpochStats stats;
+  if (round->deltas_drained == 0) {
+    // Nothing pending: no epoch to commit.
+    inflight_ = false;
+    stats.epoch = committed_epoch();
+    stats.watermark = committed_watermark();
+    return stats;
   }
-  if (drained.empty()) return stats;
-  // Deltas appended past this point are not in this epoch; their max-lag
-  // clock must restart from (at latest) now, not from commit time — a
-  // long refresh must not extend their freshness deadline.
-  const int64_t drain_ns = NowNanos();
-
-  const uint64_t epoch = committed_epoch() + 1;
-  const uint64_t watermark = drained.back().seq;
-
-  // The drained batch is the engine's delta structure input (§3.3 delta
-  // file), in log order; it stays in the log until the post-commit purge.
-  std::vector<DeltaKV> deltas;
-  deltas.reserve(drained.size());
-  for (auto& rec : drained) deltas.push_back(std::move(rec.delta));
-
-  if (SimulateCrash(epoch, "drain")) {
-    return Status::Aborted("simulated crash after drain");
-  }
-
-  WallTimer refresh;
-  auto run = engine_->RunIncremental(deltas);
-  if (!run.ok()) {
-    dirty_.store(true);
-    return run.status();
-  }
-  stats.refresh_ms = refresh.ElapsedMillis();
-  stats.iterations = run->iterations.size();
-  stats.mrbg_turned_off = run->mrbg_turned_off;
-  for (const auto& it : run->iterations) {
-    stats.refresh_map_ms += it.map_ms;
-    stats.refresh_shuffle_ms += it.shuffle_ms;
-    stats.refresh_sort_ms += it.sort_ms;
-    stats.refresh_reduce_ms += it.reduce_ms;
-    stats.refresh_merge_ms += it.merge_ms;
-  }
-
-  if (SimulateCrash(epoch, "refresh")) {
-    return Status::Aborted("simulated crash after refresh");
-  }
-
-  Status st = Commit(epoch, watermark, &stats.commit_ms, drain_ns);
+  stats.epoch = committed_epoch() + 1;
+  Status st = CommitLocked(stats.epoch, &stats.commit_ms);
   if (!st.ok()) {
     dirty_.store(true);
     return st;
   }
-
-  stats.epoch = epoch;
-  stats.watermark = watermark;
-  stats.deltas_applied = drained.size();
+  stats.watermark = committed_watermark();
+  stats.deltas_applied = round->deltas_drained;
+  stats.iterations = round->iterations;
+  stats.refresh_ms = round->refresh_ms;
+  stats.refresh_map_ms = round->map_ms;
+  stats.refresh_shuffle_ms = round->shuffle_ms;
+  stats.refresh_sort_ms = round->sort_ms;
+  stats.refresh_reduce_ms = round->reduce_ms;
+  stats.refresh_merge_ms = round->merge_ms;
   stats.wall_ms = wall.ElapsedMillis();
   return stats;
 }
 
-Status Pipeline::Commit(uint64_t epoch, uint64_t watermark, double* commit_ms,
-                        int64_t pending_since_ns) {
+Status Pipeline::CommitLocked(uint64_t epoch, double* commit_ms) {
   WallTimer timer;
   I2MR_RETURN_IF_ERROR(
-      StageEpochLocked(epoch, watermark, pending_since_ns, nullptr));
+      StageEpochLocked(epoch, inflight_watermark_, inflight_drain_ns_));
 
   if (SimulateCrash(epoch, "commit")) {
     // The epoch dir landed but CURRENT still names the previous epoch: on
@@ -368,11 +311,9 @@ Status Pipeline::Commit(uint64_t epoch, uint64_t watermark, double* commit_ms,
 }
 
 Status Pipeline::StageEpochLocked(uint64_t epoch, uint64_t watermark,
-                                  int64_t pending_since_ns,
-                                  double* commit_ms) {
+                                  int64_t pending_since_ns) {
   TRACE_SPAN("epoch.stage", "pipeline=%s epoch=%llu", name_.c_str(),
              static_cast<unsigned long long>(epoch));
-  WallTimer timer;
   const int n = options_.spec.num_partitions;
   I2MR_RETURN_IF_ERROR(epochs_.OpenSlot(epoch));
   const std::string tmp = epochs_.SlotDir(epoch);
@@ -455,7 +396,6 @@ Status Pipeline::StageEpochLocked(uint64_t epoch, uint64_t watermark,
       listener_.on_staged(epoch, epochs_.EpochDir(epoch));
     }
   }
-  if (commit_ms != nullptr) *commit_ms = timer.ElapsedMillis();
   return Status::OK();
 }
 
@@ -540,18 +480,22 @@ Status Pipeline::CleanupCommittedLocked() {
 Status Pipeline::BootstrapPrepare(const std::vector<KV>& structure,
                                   const std::vector<KV>& initial_state) {
   std::lock_guard<std::mutex> lock(epoch_mu_);
+  return BootstrapPrepareLocked(structure, initial_state);
+}
+
+Status Pipeline::BootstrapPrepareLocked(const std::vector<KV>& structure,
+                                        const std::vector<KV>& initial_state) {
   if (bootstrapped_.load()) {
     return Status::FailedPrecondition("pipeline already bootstrapped");
   }
   TRACE_SPAN("pipeline.bootstrap", "pipeline=%s", name_.c_str());
   auto run = engine_->RunInitial(structure, initial_state);
   if (!run.ok()) return run.status();
-  // Epoch 0 is now in flight: exchange rounds fold in the other shards'
-  // contributions before the barrier commit. Appends that raced ahead stay
-  // in the log for the first delta epoch, exactly like solo Bootstrap.
+  // Epoch 0 is now in flight: exchange rounds (if any) fold in the other
+  // shards' contributions before the commit. Appends that raced ahead stay
+  // in the log for the first delta epoch.
   inflight_ = true;
   inflight_watermark_ = 0;
-  inflight_deltas_ = 0;
   inflight_drain_ns_ = 0;
   return Status::OK();
 }
@@ -559,6 +503,11 @@ Status Pipeline::BootstrapPrepare(const std::vector<KV>& structure,
 StatusOr<Pipeline::RoundResult> Pipeline::RefreshRound(
     bool first, const std::vector<DeltaEdge>& remote_in) {
   std::lock_guard<std::mutex> lock(epoch_mu_);
+  return RefreshRoundLocked(first, remote_in);
+}
+
+StatusOr<Pipeline::RoundResult> Pipeline::RefreshRoundLocked(
+    bool first, const std::vector<DeltaEdge>& remote_in) {
   TRACE_SPAN("epoch.round", "pipeline=%s first=%d remote_in=%zu",
              name_.c_str(), first ? 1 : 0, remote_in.size());
   RoundResult rr;
@@ -567,15 +516,14 @@ StatusOr<Pipeline::RoundResult> Pipeline::RefreshRound(
       return Status::FailedPrecondition("pipeline not bootstrapped");
     }
     if (dirty_.load()) {
-      // A previous epoch (solo or coordinated) died after possibly
-      // mutating the working state: roll back before replaying.
+      // A previous epoch died after possibly mutating the working state:
+      // roll back before replaying.
       I2MR_RETURN_IF_ERROR(
           RestoreCommitted(committed_epoch(), committed_watermark()).status());
       dirty_.store(false);
     }
     inflight_ = true;
     inflight_watermark_ = committed_watermark();
-    inflight_deltas_ = 0;
     inflight_drain_ns_ = 0;
     staged_.reset();
   } else if (!inflight_) {
@@ -584,16 +532,23 @@ StatusOr<Pipeline::RoundResult> Pipeline::RefreshRound(
 
   // Only the first round drains: deltas appended while the barrier rounds
   // run belong to the next epoch (bounded epochs even under a firehose).
+  // The drained batch is the engine's delta structure input (§3.3 delta
+  // file), in log order; it stays in the log until the post-commit purge.
   std::vector<DeltaKV> deltas;
   if (first) {
     std::vector<SeqDelta> drained =
         log_->ReadRange(inflight_watermark_, UINT64_MAX);
     if (!drained.empty()) {
+      // Deltas appended past this point are not in this epoch; their
+      // max-lag clock restarts from (at latest) now, not from commit time.
       inflight_drain_ns_ = NowNanos();
       deltas.reserve(drained.size());
       for (auto& rec : drained) deltas.push_back(std::move(rec.delta));
       inflight_watermark_ = drained.back().seq;
       rr.deltas_drained = drained.size();
+      if (SimulateCrash(committed_epoch() + 1, "drain")) {
+        return Status::Aborted("simulated crash after drain");
+      }
     }
   }
 
@@ -608,9 +563,11 @@ StatusOr<Pipeline::RoundResult> Pipeline::RefreshRound(
   if (!deltas.empty() || remote_changed > 0 ||
       engine_->HasPendingRemoteKeys()) {
     dirty_.store(true);  // the working state is about to diverge
+    WallTimer refresh;
     auto run = engine_->RunIncremental(deltas);
     if (!run.ok()) return run.status();
     rr.refreshed = true;
+    rr.refresh_ms = refresh.ElapsedMillis();
     rr.iterations = run->iterations.size();
     for (const auto& it : run->iterations) {
       rr.total_diff += it.total_diff;
@@ -620,13 +577,15 @@ StatusOr<Pipeline::RoundResult> Pipeline::RefreshRound(
       rr.reduce_ms += it.reduce_ms;
       rr.merge_ms += it.merge_ms;
     }
-    inflight_deltas_ += deltas.size();
+    if (first && SimulateCrash(committed_epoch() + 1, "refresh")) {
+      return Status::Aborted("simulated crash after refresh");
+    }
   }
   rr.exports = engine_->TakeBoundaryExports();
   return rr;
 }
 
-Status Pipeline::StageEpoch(uint64_t epoch, double* commit_ms) {
+Status Pipeline::StageEpoch(uint64_t epoch) {
   std::lock_guard<std::mutex> lock(epoch_mu_);
   if (!inflight_) {
     return Status::FailedPrecondition("no coordinated epoch in flight");
@@ -634,8 +593,7 @@ Status Pipeline::StageEpoch(uint64_t epoch, double* commit_ms) {
   if (bootstrapped_.load() && epoch <= committed_epoch()) {
     return Status::InvalidArgument("staged epoch must exceed the committed");
   }
-  return StageEpochLocked(epoch, inflight_watermark_, inflight_drain_ns_,
-                          commit_ms);
+  return StageEpochLocked(epoch, inflight_watermark_, inflight_drain_ns_);
 }
 
 Status Pipeline::FinalizeStagedEpoch() {

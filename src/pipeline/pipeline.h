@@ -1,10 +1,13 @@
 // Pipeline: binds a name + an app's iterative map/reduce spec + an
 // IncrementalIterativeEngine into a continuously refreshable computation.
 //
-// Updates arrive through a durable DeltaLog; RunEpoch() drains the log up
-// to a sequence watermark, materializes the batch as the engine's delta
-// structure input, runs the incremental refresh (paper §5), and commits the
-// refreshed state *atomically with* the consumed watermark:
+// Updates arrive through a durable DeltaLog. Every epoch runs one
+// protocol: refresh rounds (the first drains the log up to a sequence
+// watermark and runs the incremental refresh of paper §5; later rounds
+// fold in other shards' boundary contributions), then stage, flip, clean
+// up. RunEpoch() is the one-round case, Bootstrap() the same commit after
+// the full computation (job A1). The refreshed state commits *atomically
+// with* the consumed watermark:
 //
 //   pipeline/<name>/
 //     log/seg-*.dat      segmented durable delta log (CRC32-framed,
@@ -21,10 +24,12 @@
 // (pipeline/epoch_store.h): a commit fills the slot epoch-<E>.tmp, seals it
 // as epoch-<E>, then flips CURRENT. The flip is the commit: a crash at any
 // earlier point (mid-drain, mid-refresh, even after the epoch dir landed)
-// leaves CURRENT on the previous epoch, and Open() restores the engine's
-// working directories from that snapshot and replays the log past its
-// watermark — every logged delta is applied exactly once relative to the
-// committed state.
+// leaves CURRENT on the previous epoch, and Open() verifies that snapshot,
+// restores the engine's working directories from it and replays the log
+// past its watermark — every logged delta is applied exactly once
+// relative to the committed state. A kind=crash rule (io/fault_env.h) on
+// "pipeline/drain" or "pipeline/refresh" (first round) or
+// "pipeline/commit" (staged, not flipped) abandons the epoch there.
 //
 // Point lookups are served from the store's immutable in-memory snapshot
 // of the committed ResultStore, published at commit time, so reads never
@@ -87,15 +92,6 @@ struct PipelineOptions {
   /// different map after an elastic reshard.
   uint64_t generation = 0;
 
-  /// Test hook simulating process death: return true to abandon the epoch
-  /// at the given stage ("drain", "refresh", "commit") without committing.
-  /// The pipeline then refuses further epochs until reopened (or self-heals
-  /// by restoring the committed snapshot on the next RunEpoch).
-  /// The same points fire from the fault-injection layer: a kind=crash
-  /// rule matching "pipeline/<stage>" (io/fault_env.h) kills here without
-  /// wiring a lambda.
-  std::function<bool(uint64_t epoch, const std::string& stage)> crash_hook;
-
   // -- Graceful degradation under write failures ----------------------------
 
   /// A failed delta-log append (I/O error, e.g. disk full) is retried this
@@ -121,7 +117,6 @@ struct EpochStats {
   double refresh_ms = 0;
   double commit_ms = 0;
   double wall_ms = 0;
-  bool mrbg_turned_off = false;
 
   // Where the refresh milliseconds went: per-stage wall time summed over
   // this epoch's incremental iterations (task-summed StageMetrics, so the
@@ -143,7 +138,8 @@ class Pipeline {
                                                   PipelineOptions options);
 
   /// Job A1: full computation over the initial structure data, then the
-  /// epoch-0 commit. Appends that raced ahead of Bootstrap stay in the log
+  /// epoch-0 commit — BootstrapPrepare with no exchange round, committed
+  /// like a RunEpoch. Appends that raced ahead of Bootstrap stay in the log
   /// and are consumed by the first epoch.
   Status Bootstrap(const std::vector<KV>& structure,
                    const std::vector<KV>& initial_state);
@@ -175,23 +171,25 @@ class Pipeline {
   /// min-batch / max-lag trigger evaluation.
   bool EpochReady() const;
 
-  /// Drain -> refresh -> commit one epoch. Returns a zero-delta EpochStats
+  /// One solo epoch: the first refresh round (drain + refresh) and the
+  /// commit, with no exchange in between. Returns a zero-delta EpochStats
   /// when nothing is pending. Serialized internally: concurrent calls queue.
   StatusOr<EpochStats> RunEpoch();
 
   // -- Coordinated (cross-shard) epochs --------------------------------------
   //
-  // The serving layer's ShardRouter::RefreshCoordinated() drives every
-  // shard's pipeline through the same epoch under a barrier: refresh rounds
-  // exchange boundary edges until the joint fixpoint, then every shard's
-  // epoch dir is staged, a coordinator barrier record makes the decision
-  // durable, and only then are the CURRENT files flipped — so readers see
-  // either all shards at epoch N or all at N-1, never a mix. Calls must
-  // not interleave with RunEpoch (the router owns both).
+  // The serving layer's ShardRouter drives every shard's pipeline through
+  // the same epoch under a barrier, with the steps RunEpoch and Bootstrap
+  // run back to back: refresh rounds exchange boundary edges until the
+  // joint fixpoint, then every shard's epoch dir is staged, a coordinator
+  // barrier record makes the decision durable, and only then are the
+  // CURRENT files flipped — so readers see either all shards at epoch N or
+  // all at N-1, never a mix. Calls must not interleave with RunEpoch (the
+  // router owns both).
 
-  /// One refresh round without a commit. `first` starts a new coordinated
-  /// epoch: rolls back a dirty working state, then drains the pending log
-  /// records (deltas arriving later wait for the next epoch). `remote_in`
+  /// One refresh round without a commit. `first` starts a new epoch: rolls
+  /// back a dirty working state, then drains the pending log records
+  /// (deltas arriving later wait for the next epoch). `remote_in`
   /// is folded into the engine's remote inbox; the refresh runs when there
   /// is any work (drained deltas, changed remote edges, or inbox DKs a
   /// previous failed round left pending). Returns captured boundary
@@ -204,6 +202,8 @@ class Pipeline {
     /// no refresh ran) — the router's joint-fixpoint criterion.
     double total_diff = 0;
     bool refreshed = false;
+    /// Wall time of this round's refresh (0 when none ran).
+    double refresh_ms = 0;
     /// Per-stage wall time summed over this round's iterations (as in
     /// EpochStats' refresh_*_ms).
     double map_ms = 0;
@@ -224,7 +224,7 @@ class Pipeline {
   /// Phase 1: write + rename epoch-<E>/ with the in-flight watermark, but
   /// do NOT flip CURRENT — a crash before the coordinator's barrier record
   /// leaves this an orphan dir that recovery garbage-collects.
-  Status StageEpoch(uint64_t epoch, double* commit_ms);
+  Status StageEpoch(uint64_t epoch);
 
   /// Phase 2: flip CURRENT to the staged epoch and publish the serving
   /// snapshot. After this returns the epoch is durable on this shard.
@@ -286,21 +286,26 @@ class Pipeline {
   /// Link the committed snapshot back over the engine's working dirs
   /// (after verifying it); returns its serving store.
   StatusOr<ResultStore> RestoreCommitted(uint64_t epoch, uint64_t watermark);
-  /// Snapshot engine state + serving store + manifest into epoch-<E>/ and
-  /// swing CURRENT to it (stage + finalize + cleanup in one step — the
-  /// solo, per-shard commit). Fills commit_ms. `pending_since_ns` re-arms
-  /// the max-lag clock for deltas that arrived behind the drain point (0 =
-  /// no drain point, use now). Caller holds epoch_mu_.
-  Status Commit(uint64_t epoch, uint64_t watermark, double* commit_ms,
-                int64_t pending_since_ns = 0);
+  /// Bodies of BootstrapPrepare / RefreshRound (caller holds epoch_mu_).
+  Status BootstrapPrepareLocked(const std::vector<KV>& structure,
+                                const std::vector<KV>& initial_state);
+  StatusOr<RoundResult> RefreshRoundLocked(
+      bool first, const std::vector<DeltaEdge>& remote_in);
+  /// The solo commit of the in-flight epoch as `epoch`: stage, crash point
+  /// "commit", flip, clean up. Fills commit_ms. Caller holds epoch_mu_.
+  Status CommitLocked(uint64_t epoch, double* commit_ms);
   /// Commit phases (callers hold epoch_mu_): stage the epoch dir without
-  /// touching CURRENT; flip CURRENT + publish the staged serving store;
-  /// GC + purge after the (local or cross-shard) commit completed.
+  /// touching CURRENT (`pending_since_ns` re-arms the max-lag clock for
+  /// deltas that arrived behind the drain point; 0 = no drain point, use
+  /// now); flip CURRENT + publish the staged serving store; GC + purge
+  /// after the (local or cross-shard) commit completed.
   Status StageEpochLocked(uint64_t epoch, uint64_t watermark,
-                          int64_t pending_since_ns, double* commit_ms);
+                          int64_t pending_since_ns);
   Status FinalizeStagedLocked();
   Status CleanupCommittedLocked();
 
+  /// True when a kind=crash rule fires at "pipeline/<stage>": the epoch is
+  /// abandoned there and the working state marked dirty.
   bool SimulateCrash(uint64_t epoch, const char* stage);
 
   /// Degraded-mode gate for Append/AppendBatch: OK ⇒ this caller may hit
@@ -325,12 +330,11 @@ class Pipeline {
   /// and its pins.
   EpochStore epochs_;
 
-  /// Coordinated-epoch state (guarded by epoch_mu_): refresh rounds
+  /// In-flight epoch state (guarded by epoch_mu_): refresh rounds
   /// accumulate into the working state against this watermark until the
-  /// router stages + finalizes (or aborts).
+  /// epoch is staged + finalized (or aborted).
   bool inflight_ = false;
   uint64_t inflight_watermark_ = 0;
-  uint64_t inflight_deltas_ = 0;
   int64_t inflight_drain_ns_ = 0;  // 0 = nothing drained yet
 
   /// A staged-but-unfinalized epoch (guarded by epoch_mu_).
@@ -342,7 +346,7 @@ class Pipeline {
   };
   std::optional<Staged> staged_;
   /// Set when an epoch died after possibly mutating engine state; the next
-  /// RunEpoch restores the committed snapshot before proceeding.
+  /// first round restores the committed snapshot before proceeding.
   std::atomic<bool> dirty_{false};
 
   /// Degraded read-only mode (persistent append failure). next_probe_ns_

@@ -251,14 +251,6 @@ Status FollowerReplica::PromoteStaged(uint64_t epoch, uint64_t watermark) {
   return Status::OK();
 }
 
-Status FollowerReplica::DiscardStaged() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!staged_) return Status::OK();
-  Status st = RemoveAll(epochs_.EpochDir(staged_->epoch));
-  staged_.reset();
-  return st;
-}
-
 Status FollowerReplica::EnsureGeneration(uint64_t generation) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!open_) return Status::FailedPrecondition("replica closed");
@@ -385,16 +377,6 @@ Status FollowerReplica::PurgeShippedBelow(uint64_t watermark) {
 EpochPin FollowerReplica::PinServing() const {
   std::lock_guard<std::mutex> lock(mu_);
   return open_ ? epochs_.Pin() : EpochPin();
-}
-
-Status FollowerReplica::VerifyCurrent() const {
-  EpochPin pin = epochs_.Pin();
-  if (!pin.valid()) {
-    return Status::FailedPrecondition("replica has no applied epoch");
-  }
-  return EpochStore::Verify(pin.dir(), pin.epoch(), pin.watermark(),
-                            options_.num_partitions)
-      .status();
 }
 
 void FollowerReplica::SetLagEpochs(uint64_t lag) {

@@ -97,10 +97,6 @@ class FollowerReplica {
   /// epoch dirs. FailedPrecondition when the slot doesn't match.
   Status PromoteStaged(uint64_t epoch, uint64_t watermark);
 
-  /// Drop a staged-but-never-committed slot (barrier abort on the primary,
-  /// or promotion deciding the slot is not trustworthy).
-  Status DiscardStaged();
-
   /// Bind the replica to the primary's partition-map generation. A reshard
   /// bumps the primary's generation and re-partitions every key, so state
   /// replicated under an older generation is unusable: on a mismatch the
@@ -140,10 +136,6 @@ class FollowerReplica {
   /// serving). Unlike a Pipeline pin, only the in-memory store — not the
   /// on-disk dir — is guaranteed to survive a later promotion.
   EpochPin PinServing() const;
-
-  /// Full verification of the applied epoch dir (promotion-time A/B
-  /// check): manifest CRC + record-file scans + serving-store parse.
-  Status VerifyCurrent() const;
 
   uint64_t applied_epoch() const { return epochs_.epoch(); }
   uint64_t applied_watermark() const { return epochs_.watermark(); }

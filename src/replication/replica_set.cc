@@ -153,18 +153,17 @@ void ReplicaSet::StartShipper(ShardState& st, int shard) {
   st.shipper->Start();
 }
 
-uint64_t ReplicaSet::PrimaryEpoch(const ShardState& st) const {
-  return st.primary->committed_epoch();
+uint64_t ReplicaSet::LagLocked(const ShardState& st, int i) const {
+  uint64_t committed = st.primary->committed_epoch();
+  uint64_t applied = st.followers[i]->applied_epoch();
+  return committed > applied ? committed - applied : 0;
 }
 
 bool ReplicaSet::StaleLocked(const ShardState& st, int i) const {
   if (!st.enabled[i]) return true;
   const FollowerReplica* f = st.followers[i].get();
   if (!f->open() || !f->serving()) return true;
-  uint64_t committed = PrimaryEpoch(st);
-  uint64_t applied = f->applied_epoch();
-  uint64_t lag = committed > applied ? committed - applied : 0;
-  return lag > options_.max_replica_lag_epochs;
+  return LagLocked(st, i) > options_.max_replica_lag_epochs;
 }
 
 int ReplicaSet::SelectSlotLocked(int shard) const {
@@ -206,28 +205,45 @@ void ReplicaSet::ChargeService(Slot* slot) const {
 }
 
 StatusOr<ShardSnapshot> ReplicaSet::PinSnapshot() const {
-  ShardSnapshot snap;
-  snap.router_ = router_;
-  snap.pool_ = &scatter_pool_;
+  // The primaries' uniform cut first — the same loop ShardGroup pins
+  // through — then, per shard, a backend serving exactly that cut's epoch:
+  // a follower still one epoch behind (within max_replica_lag_epochs) is
+  // eligible for point reads, never for a snapshot.
+  auto snap = ShardSnapshot::PinCut(router_, &scatter_pool_);
+  if (!snap.ok()) return snap.status();
   std::lock_guard<std::mutex> lock(route_mu_);
-  I2MR_RETURN_IF_ERROR(CheckGenerationLocked());
-  snap.map_ = std::make_shared<const PartitionMap>(bound_map_);
+  if (snap->map_->generation != bound_map_.generation) {
+    return Status::FailedPrecondition(
+        "the router's cut is at a partition-map generation this replica "
+        "set is not bound to; call Rebind()");
+  }
   for (int s = 0; s < num_shards(); ++s) {
     ShardState& st = *shards_[s];
-    int idx = SelectSlotLocked(s);
-    EpochPin pin;
-    if (idx == 0) {
-      pin = st.primary->PinServing();
-    } else if (idx > 0) {
-      pin = st.followers[idx - 1]->PinServing();
+    const bool dead = router_->primary_lost(s);
+    // Candidate slots; follower i's pin waits in pins[1 + i] (the
+    // primary, slot 0, keeps the cut's own pin).
+    std::vector<int> eligible;
+    std::vector<EpochPin> pins(st.slots.size());
+    if (!dead && options_.read_from_primary) eligible.push_back(0);
+    for (size_t i = 0; i < st.followers.size(); ++i) {
+      if (StaleLocked(st, static_cast<int>(i))) continue;
+      EpochPin pin = st.followers[i]->PinServing();
+      if (!pin.valid() || pin.epoch() != snap->epochs_[s]) continue;
+      eligible.push_back(1 + static_cast<int>(i));
+      pins[1 + i] = std::move(pin);
     }
-    if (!pin.valid()) {
+    int idx;
+    if (!eligible.empty()) {
+      idx = eligible[st.rr.fetch_add(1) % eligible.size()];
+    } else if (!dead) {
+      idx = 0;  // the live primary always serves the cut
+    } else {
       return Status::FailedPrecondition(
-          "shard " + std::to_string(s) + " has no serving backend");
+          "shard " + std::to_string(s) + " has no serving backend at epoch " +
+          std::to_string(snap->epochs_[s]));
     }
-    snap.shard_reads_.push_back(st.slots[idx]->reads);
-    snap.epochs_.push_back(pin.epoch());
-    snap.pins_.push_back(std::move(pin));
+    if (idx > 0) snap->pins_[s] = std::move(pins[idx]);
+    snap->shard_reads_.push_back(st.slots[idx]->reads);
   }
   snapshots_pinned_->Increment();
   return snap;
@@ -423,17 +439,15 @@ StatusOr<int> ReplicaSet::Promote(int shard) {
   } guard{this, &st};
   FollowerReplica* f = st.followers[best].get();
 
-  // A/B promotion: drop any epoch the dead primary staged but never
-  // committed, then re-verify the applied epoch end to end (manifest CRC,
-  // record-file scans, serving-store parse) before trusting the root.
-  I2MR_RETURN_IF_ERROR(f->DiscardStaged());
-  I2MR_RETURN_IF_ERROR(f->VerifyCurrent());
-
-  // The router opens the shard's pipeline over the follower's root — its
-  // CURRENT names the last epoch the primary durably committed; recovery
-  // restores the engine from that snapshot and replays shipped log
-  // segments past its watermark — and swaps it in as the shard's primary.
-  // The follower keeps serving reads until the cutover below.
+  // A/B promotion: the router opens the shard's pipeline over the
+  // follower's root and swaps it in as the shard's primary. Its CURRENT
+  // names the last epoch the primary durably committed; Pipeline::Open
+  // verifies that epoch end to end (manifest CRC, record-file scans,
+  // serving-store parse) before anything touches the root — a bad root is
+  // refused as found — then restores the engine from it, removes any slot
+  // the dead primary staged but never committed, and replays shipped log
+  // segments past its watermark. The follower keeps serving reads until
+  // the cutover below.
   auto promoted = router_->PromotePrimary(shard, f->root(), f->applied_epoch());
   if (!promoted.ok()) return promoted.status();
 
@@ -459,10 +473,7 @@ StatusOr<int> ReplicaSet::Promote(int shard) {
 uint64_t ReplicaSet::ReplicaLag(int shard, int i) const {
   std::lock_guard<std::mutex> lock(route_mu_);
   const ShardState& st = *shards_[shard];
-  if (i == st.promoted_replica) return 0;
-  uint64_t committed = PrimaryEpoch(st);
-  uint64_t applied = st.followers[i]->applied_epoch();
-  return committed > applied ? committed - applied : 0;
+  return i == st.promoted_replica ? 0 : LagLocked(st, i);
 }
 
 bool ReplicaSet::IsReplicaStale(int shard, int i) const {

@@ -8,21 +8,22 @@
 // closed, or lagging more than max_replica_lag_epochs behind the primary's
 // committed epoch is skipped by routing until shipping catches it up.
 //
-// Snapshot reads reuse the serving layer unchanged: PinSnapshot() returns
-// the same ShardSnapshot ShardGroup hands out, except each component pin
-// may come from a follower instead of the primary — point gets, range
-// scans and top-k all run against the selected backends' pinned epochs.
+// Snapshot reads reuse the serving layer: PinSnapshot() pins the
+// primaries' uniform cut through ShardGroup's own loop, then takes each
+// shard's pin from a backend at exactly that cut's epoch (a follower, or
+// else the live primary), so a snapshot never mixes epochs even while a
+// follower lags within max_replica_lag_epochs.
 //
 // Failover: KillPrimary(s) marks the shard's primary lost in the router —
 // appends to the shard, coordinated epochs and reshards are refused — and
 // stops its shipper; reads continue from followers. Promote(s) then picks
-// the freshest caught-up follower and promotes it through the A/B flow —
-// discard any uncommitted pre-staged slot, re-verify the applied epoch's
-// manifest and record-file CRCs, and hand the follower's root to
+// the freshest caught-up follower and hands its root to
 // ShardRouter::PromotePrimary, which opens the shard's pipeline over it
-// (its CURRENT names exactly the last epoch the dead primary durably
-// committed; recovery replays shipped log segments past the manifest
-// watermark) and swaps it in as the shard's primary. In a fleet of more
+// and swaps it in as the shard's primary. The open is the A/B check: it
+// verifies the epoch CURRENT names (the last one the dead primary durably
+// committed) before anything touches the root, refusing a damaged root as
+// found, then drops any uncommitted pre-staged slot and replays shipped
+// log segments past the manifest watermark. In a fleet of more
 // than one shard the follower must have applied the epoch every other
 // shard committed. Writes and epochs resume, a new shipper feeds the
 // surviving followers, and pins taken before the promotion keep serving
@@ -94,8 +95,9 @@ class ReplicaSet {
 
   // -- Reads -----------------------------------------------------------------
 
-  /// Pin an epoch-consistent snapshot, each shard's pin taken from a
-  /// round-robin-selected caught-up backend (primary or follower).
+  /// Pin an epoch-consistent snapshot: one uniform cut, each shard's pin
+  /// taken from a round-robin-selected backend at the cut's epoch (primary
+  /// or follower; the live primary when no follower is at it).
   StatusOr<ShardSnapshot> PinSnapshot() const;
 
   /// Load-balanced point read: selects a backend for the key's shard,
@@ -128,7 +130,8 @@ class ReplicaSet {
   bool primary_dead(int shard) const;
 
   /// Promote the freshest caught-up follower of a dead-primary shard to
-  /// primary (A/B verify + ShardRouter::PromotePrimary over its root).
+  /// primary (ShardRouter::PromotePrimary over its root, which verifies
+  /// it).
   /// Returns the promoted follower's index. Writes and epochs succeed
   /// again after this returns.
   StatusOr<int> Promote(int shard);
@@ -211,8 +214,9 @@ class ReplicaSet {
   Status CheckGenerationLocked() const;
 
   std::string MetricsPrefix(int shard) const;
-  /// Committed epoch of the shard's primary (frozen while it is dead).
-  uint64_t PrimaryEpoch(const ShardState& st) const;
+  /// Epochs follower i trails the shard primary's committed epoch (which
+  /// freezes while the primary is dead).
+  uint64_t LagLocked(const ShardState& st, int i) const;
   bool StaleLocked(const ShardState& st, int i) const;
   /// Round-robin pick of an eligible backend slot index for shard `shard`
   /// (0 = primary, 1 + i = follower i); -1 when nothing can serve.

@@ -96,7 +96,6 @@ class ReplicaShipper {
   /// Serving the primary's exact committed epoch.
   bool IsCaughtUp(size_t i) const;
 
-  size_t num_followers() const { return followers_.size(); }
   FollowerReplica* follower(size_t i) const { return followers_[i]; }
   Pipeline* primary() const { return primary_; }
 

@@ -120,6 +120,60 @@ std::vector<KV> ShardSnapshot::TopK(
   return out;
 }
 
+StatusOr<ShardSnapshot> ShardSnapshot::PinCut(const ShardRouter* router,
+                                              ThreadPool* pool) {
+  ShardSnapshot snap;
+  snap.router_ = router;
+  snap.pool_ = pool;
+  // Bracket the per-shard pins with the router's barrier-flip seqlock so
+  // the vector is always one uniform cut — a barrier commit landing
+  // mid-pin (it flips CURRENTs one shard at a time) just makes us retry.
+  // The flip window is a few renames in the default durability mode but
+  // per-shard fsyncs under kPowerFailure, so the wait backs off from
+  // yields to short sleeps instead of burning a core. Pins always come
+  // from one atomically-grabbed TopologyView, so even a reshard cutover
+  // landing mid-pin can only yield a uniform vector of ONE generation
+  // (retired donor slices stay pinnable); the seqlock — which the cutover
+  // also brackets — then retries onto the new map.
+  int spins = 0;
+  for (;;) {
+    if (router->poisoned()) {
+      return Status::FailedPrecondition(
+          "a barrier commit was left incomplete; reopen the router "
+          "(reset=false) to recover");
+    }
+    uint64_t seq = router->commit_seq();
+    if ((seq & 1) != 0) {
+      // A flip is in progress.
+      if (++spins < 64) {
+        std::this_thread::yield();
+      } else {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      continue;
+    }
+    ShardRouter::TopologyView view = router->topology();
+    snap.pins_.clear();
+    snap.epochs_.clear();
+    snap.pins_.reserve(view.pipelines.size());
+    snap.epochs_.reserve(view.pipelines.size());
+    for (size_t s = 0; s < view.pipelines.size(); ++s) {
+      EpochPin pin = view.pipelines[s]->PinServing();
+      if (!pin.valid()) {
+        return Status::FailedPrecondition("shard " + std::to_string(s) +
+                                          " not bootstrapped");
+      }
+      snap.epochs_.push_back(pin.epoch());
+      snap.pins_.push_back(std::move(pin));
+    }
+    if (router->commit_seq() == seq) {
+      snap.map_ = view.map;
+      return snap;
+    }
+    // A barrier flip interleaved with our pins: drop them and re-pin.
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ShardGroup
 // ---------------------------------------------------------------------------
@@ -159,57 +213,9 @@ StatusOr<ShardSnapshot> ShardGroup::PinSnapshot(
     return Status::ResourceExhausted("tenant " + tenant +
                                      " over read quota");
   }
-  ShardSnapshot snap;
-  snap.router_ = router_;
-  snap.pool_ = &scatter_pool_;
-  // Bracket the per-shard pins with the router's barrier-flip seqlock so
-  // the vector is always one uniform cut — a barrier commit landing
-  // mid-pin (it flips CURRENTs one shard at a time) just makes us retry.
-  // The flip window is a few renames in the default durability mode but
-  // per-shard fsyncs under kPowerFailure, so the wait backs off from
-  // yields to short sleeps instead of burning a core. Pins always come
-  // from one atomically-grabbed TopologyView, so even a reshard cutover
-  // landing mid-pin can only yield a uniform vector of ONE generation
-  // (retired donor slices stay pinnable); the seqlock — which the cutover
-  // also brackets — then retries onto the new map.
-  int spins = 0;
-  for (;;) {
-    if (router_->poisoned()) {
-      return Status::FailedPrecondition(
-          "a barrier commit was left incomplete; reopen the router "
-          "(reset=false) to recover");
-    }
-    uint64_t seq = router_->commit_seq();
-    if ((seq & 1) != 0) {
-      // A flip is in progress.
-      if (++spins < 64) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-      continue;
-    }
-    ShardRouter::TopologyView view = router_->topology();
-    snap.pins_.clear();
-    snap.epochs_.clear();
-    snap.pins_.reserve(view.pipelines.size());
-    snap.epochs_.reserve(view.pipelines.size());
-    for (size_t s = 0; s < view.pipelines.size(); ++s) {
-      EpochPin pin = view.pipelines[s]->PinServing();
-      if (!pin.valid()) {
-        return Status::FailedPrecondition("shard " + std::to_string(s) +
-                                          " not bootstrapped");
-      }
-      snap.epochs_.push_back(pin.epoch());
-      snap.pins_.push_back(std::move(pin));
-    }
-    if (router_->commit_seq() == seq) {
-      snap.map_ = view.map;
-      snap.shard_reads_ = ReadsFor(*view.map);
-      break;
-    }
-    // A barrier flip interleaved with our pins: drop them and re-pin.
-  }
+  auto snap = ShardSnapshot::PinCut(router_, &scatter_pool_);
+  if (!snap.ok()) return snap.status();
+  snap->shard_reads_ = ReadsFor(*snap->map_);
   snapshots_pinned_->Increment();
   return snap;
 }

@@ -76,20 +76,6 @@ Status RefreshEachShard(const std::vector<Pipeline*>& pipelines, bool first,
   return FirstError(status);
 }
 
-/// Post-barrier housekeeping (GC + log purge) on every shard; failures
-/// are logged, not fatal.
-void CleanupEachShard(const std::string& name,
-                      const std::vector<Pipeline*>& pipelines) {
-  ForEachShard(static_cast<int>(pipelines.size()), [&](int s) {
-    Status cleaned = pipelines[s]->CleanupCommitted();
-    if (!cleaned.ok()) {
-      LOG_WARN << "serving " << name << ": shard " << s
-               << " post-barrier cleanup failed (" << cleaned.ToString()
-               << ")";
-    }
-  });
-}
-
 void AddStageMs(const Pipeline::RoundResult& rr,
                 ShardRouter::CoordinatedEpochStats* stats) {
   stats->map_ms += rr.map_ms;
@@ -315,43 +301,26 @@ Pipeline* ShardRouter::shard(int i) const {
 
 Status ShardRouter::Bootstrap(const std::vector<KV>& structure,
                               const std::vector<KV>& initial_state) {
-  TopologyView view = topology();
-  const int n = view.map->num_shards;
+  std::lock_guard<std::mutex> lock(coord_mu_);
+  const std::shared_ptr<const PartitionMap> map = topology().map;
+  const int n = map->num_shards;
   std::vector<std::vector<KV>> structure_parts(n), state_parts(n);
   for (const auto& kv : structure) {
-    structure_parts[view.map->ShardOf(kv.key)].push_back(kv);
+    structure_parts[map->ShardOf(kv.key)].push_back(kv);
   }
   for (const auto& kv : initial_state) {
-    state_parts[view.map->ShardOf(kv.key)].push_back(kv);
+    state_parts[map->ShardOf(kv.key)].push_back(kv);
   }
-  std::lock_guard<std::mutex> lock(coord_mu_);
-  // Phase 1: every shard's full computation over its own subgraph — no
-  // commit yet. Emissions to non-owned keys are captured, not reduced.
-  std::vector<Status> status(n);
-  ForEachShard(n, [&](int s) {
-    status[s] = view.pipelines[s]->BootstrapPrepare(structure_parts[s],
-                                                    state_parts[s]);
-  });
-  I2MR_RETURN_IF_ERROR(FirstError(status));
-
-  // Collect each shard's complete boundary set (captured by the MRBGraph
-  // preservation pass) and iterate exchange rounds to the joint fixpoint.
-  std::vector<Pipeline::RoundResult> results;
-  Status st = RefreshEachShard(view.pipelines, /*first=*/false, nullptr,
-                               &results);
-  if (st.ok()) {
-    std::vector<std::vector<DeltaEdge>> offers(n);
-    for (int s = 0; s < n; ++s) offers[s] = std::move(results[s].exports);
-    auto rounds = RunExchangeRounds(exchange_.get(), std::move(offers),
-                                    nullptr);
-    st = rounds.ok() ? Status::OK() : rounds.status();
-  }
-  if (!st.ok()) {
-    MarkAllDirty();
-    return st;
-  }
-  // Epoch 0 lands on every shard atomically.
-  return CommitBarrier(/*epoch=*/0);
+  // Round 0 is every shard's full computation over its own subgraph; its
+  // emissions to non-owned keys are captured, not reduced. Epoch 0 then
+  // lands on every shard atomically.
+  CoordinatedEpochStats stats;
+  return RunEpochLocked(
+      /*epoch=*/0,
+      [&](int s, Pipeline* pipeline) {
+        return pipeline->BootstrapPrepare(structure_parts[s], state_parts[s]);
+      },
+      &stats);
 }
 
 bool ShardRouter::bootstrapped() const {
@@ -583,9 +552,9 @@ void ShardRouter::MarkAllDirty() {
 }
 
 StatusOr<int> ShardRouter::RunExchangeRounds(
-    CrossShardExchange* exchange, std::vector<std::vector<DeltaEdge>> offers,
+    const TopologyView& view, std::vector<std::vector<DeltaEdge>> offers,
     CoordinatedEpochStats* stats) {
-  TopologyView view = topology();
+  CrossShardExchange* exchange = exchange_.get();
   const int n = view.map->num_shards;
   const double eps = options_.pipeline.spec.convergence_epsilon;
   int rounds = 0;
@@ -603,9 +572,7 @@ StatusOr<int> ShardRouter::RunExchangeRounds(
     if (!any_offer) break;
     TRACE_SPAN("exchange.round", "round=%d", rounds);
     auto inbound = exchange->Route();
-    if (stats != nullptr) {
-      for (const auto& batch : inbound) stats->edges_exchanged += batch.size();
-    }
+    for (const auto& batch : inbound) stats->edges_exchanged += batch.size();
     const bool absorb = absorb_and_stop || rounds >= kMaxExchangeRounds;
     if (absorb) {
       // The previous round's refreshes moved state by at most the
@@ -634,9 +601,7 @@ StatusOr<int> ShardRouter::RunExchangeRounds(
     std::vector<Pipeline::RoundResult> results;
     I2MR_RETURN_IF_ERROR(RefreshEachShard(view.pipelines, /*first=*/false,
                                           &inbound, &results));
-    if (stats != nullptr) {
-      for (const auto& rr : results) AddStageMs(rr, stats);
-    }
+    for (const auto& rr : results) AddStageMs(rr, stats);
     if (absorb) break;
     // The convergence gate rides on the RECEIVERS' state movement after
     // the fold (an exporter whose own state never changed says nothing
@@ -666,20 +631,20 @@ ShardRouter::RefreshCoordinatedLocked() {
   TRACE_SPAN("serving.coordinated_epoch", "router=%s shards=%d", name_.c_str(),
              num_shards());
   if (poisoned_.load()) {
-    if (pending_flip_epoch_.load() != 0) {
-      // The interrupted barrier was *decided* (record durable, staged
-      // slots intact): roll it forward before taking new work. Failure
-      // keeps the router poisoned and the next tick retries.
-      Status resumed = ResumeBarrierLocked();
-      if (!resumed.ok()) {
-        return Status::Unavailable(
-            "interrupted barrier commit not yet rolled forward: " +
-            resumed.ToString());
-      }
-    } else {
+    const uint64_t decided = pending_flip_epoch_.load();
+    if (decided == 0) {
       return Status::FailedPrecondition(
           "a barrier commit was left incomplete; reopen the router "
           "(reset=false) to recover");
+    }
+    // The interrupted barrier was *decided* (record durable, staged slots
+    // intact): roll it forward before taking new work. Failure keeps the
+    // router poisoned and the next tick retries.
+    Status resumed = FlipBarrierLocked(decided, {});
+    if (!resumed.ok()) {
+      return Status::Unavailable(
+          "interrupted barrier commit not yet rolled forward: " +
+          resumed.ToString());
     }
   }
   I2MR_RETURN_IF_ERROR(Refusal(-1));
@@ -691,51 +656,12 @@ ShardRouter::RefreshCoordinatedLocked() {
     return stats;  // nothing to commit anywhere
   }
 
-  // The topology is stable for the whole locked body: a reshard cutover
-  // swaps it only while holding coord_mu_ (coordinated fleets).
-  TopologyView view = topology();
-  const int n = view.map->num_shards;
-  // Round 0: every shard drains its log and refreshes its own subgraph,
-  // capturing boundary exports.
-  std::vector<Pipeline::RoundResult> results;
-  Status st = RefreshEachShard(view.pipelines, /*first=*/true, nullptr,
-                               &results);
-  if (!st.ok()) {
-    MarkAllDirty();
-    return st;
-  }
-  std::vector<std::vector<DeltaEdge>> offers(n);
-  std::vector<uint64_t> drained(n, 0);
-  for (int s = 0; s < n; ++s) {
-    offers[s] = std::move(results[s].exports);
-    drained[s] = results[s].deltas_drained;
-    stats.deltas_applied += results[s].deltas_drained;
-    AddStageMs(results[s], &stats);
-  }
-
-  auto rounds = RunExchangeRounds(exchange_.get(), std::move(offers),
-                                  &stats);
-  if (!rounds.ok()) {
-    MarkAllDirty();
-    return rounds.status();
-  }
-  stats.rounds = *rounds;
-
   // Everyone commits the same epoch N (vectors stay uniform: the barrier
   // is the only committer).
   uint64_t epoch = 0;
   for (uint64_t e : CommittedEpochs()) epoch = std::max(epoch, e);
   ++epoch;
-  I2MR_RETURN_IF_ERROR(CommitBarrier(epoch));
-  {
-    std::shared_lock<std::shared_mutex> topo(topo_mu_);
-    for (int s = 0; s < n; ++s) {
-      shard_epochs_committed_[s]->Increment();
-      if (drained[s] > 0) {
-        shard_deltas_applied_[s]->Add(static_cast<int64_t>(drained[s]));
-      }
-    }
-  }
+  I2MR_RETURN_IF_ERROR(RunEpochLocked(epoch, nullptr, &stats));
   stats.committed = true;
   stats.epoch = epoch;
   stats.wall_ms = wall.ElapsedMillis();
@@ -755,18 +681,57 @@ ShardRouter::RefreshCoordinatedLocked() {
   return stats;
 }
 
-Status ShardRouter::CommitBarrier(uint64_t epoch) {
+Status ShardRouter::RunEpochLocked(
+    uint64_t epoch, const std::function<Status(int, Pipeline*)>& prepare,
+    CoordinatedEpochStats* stats) {
+  // The topology is stable for the whole locked body: a reshard cutover
+  // swaps it only while holding coord_mu_ (coordinated fleets).
   TopologyView view = topology();
   const int n = view.map->num_shards;
-  auto crashed = [this](const std::string& stage) {
-    if (options_.barrier_crash_hook && options_.barrier_crash_hook(stage)) {
-      return true;
+  std::vector<uint64_t> drained(n, 0);
+  Status st = [&]() -> Status {
+    std::vector<Status> status(n);
+    if (prepare) {
+      ForEachShard(n,
+                   [&](int s) { status[s] = prepare(s, view.pipelines[s]); });
     }
-    if (fault::FaultInjector::Armed()) {
-      return fault::FaultInjector::Instance()->AtCrashPoint("barrier/" + stage);
+    I2MR_RETURN_IF_ERROR(FirstError(status));
+    // Round 0: after a bootstrap's full computation, a boundary pass
+    // collects each shard's complete boundary set (captured by the MRBGraph
+    // preservation pass); otherwise every shard drains its log and
+    // refreshes its own subgraph, capturing boundary exports.
+    std::vector<Pipeline::RoundResult> results;
+    I2MR_RETURN_IF_ERROR(RefreshEachShard(view.pipelines, /*first=*/!prepare,
+                                          nullptr, &results));
+    std::vector<std::vector<DeltaEdge>> offers(n);
+    for (int s = 0; s < n; ++s) {
+      offers[s] = std::move(results[s].exports);
+      drained[s] = results[s].deltas_drained;
+      stats->deltas_applied += results[s].deltas_drained;
+      AddStageMs(results[s], stats);
     }
-    return false;
-  };
+    auto rounds = RunExchangeRounds(view, std::move(offers), stats);
+    if (!rounds.ok()) return rounds.status();
+    stats->rounds = *rounds;
+    return Status::OK();
+  }();
+  if (!st.ok()) {
+    MarkAllDirty();
+    return st;
+  }
+  return CommitBarrier(epoch, drained);
+}
+
+bool ShardRouter::BarrierCrashed(const std::string& stage) const {
+  return (options_.barrier_crash_hook && options_.barrier_crash_hook(stage)) ||
+         (fault::FaultInjector::Armed() &&
+          fault::FaultInjector::Instance()->AtCrashPoint("barrier/" + stage));
+}
+
+Status ShardRouter::CommitBarrier(uint64_t epoch,
+                                  const std::vector<uint64_t>& drained) {
+  TopologyView view = topology();
+  const int n = view.map->num_shards;
   auto fail = [this](Status st) {
     MarkAllDirty();
     return st;
@@ -779,12 +744,12 @@ Status ShardRouter::CommitBarrier(uint64_t epoch) {
                                static_cast<unsigned long long>(epoch));
   std::vector<Status> status(n);
   ForEachShard(n, [&](int s) {
-    status[s] = view.pipelines[s]->StageEpoch(epoch, nullptr);
+    status[s] = view.pipelines[s]->StageEpoch(epoch);
   });
   stage_span.End();
   Status staged = FirstError(status);
   if (!staged.ok()) return fail(staged);
-  if (crashed("staged")) {
+  if (BarrierCrashed("staged")) {
     return fail(Status::Aborted("simulated coordinator crash after staging"));
   }
 
@@ -796,41 +761,78 @@ Status ShardRouter::CommitBarrier(uint64_t epoch) {
                                 static_cast<unsigned long long>(epoch));
   std::string payload;
   PutFixed64(&payload, epoch);
-  const std::string barrier_path = BarrierPathFor(root_, name_, *view.map);
-  Status wrote =
-      ReplaceFileDurably(barrier_path, EncodeCrcRecord(payload), sync);
+  Status wrote = ReplaceFileDurably(BarrierPathFor(root_, name_, *view.map),
+                                    EncodeCrcRecord(payload), sync);
   record_span.End();
   if (!wrote.ok()) return fail(wrote);
-  if (crashed("barrier")) {
+  if (BarrierCrashed("barrier")) {
     return fail(
         Status::Aborted("simulated coordinator crash after barrier record"));
   }
+  return FlipBarrierLocked(epoch, drained);
+}
 
-  // Phase 2 (flip): swing every shard's CURRENT. Sequential on purpose —
-  // a failure mid-flip must stop immediately and leave the barrier record
-  // in place for recovery; no GC or log purge happens until all flipped.
-  // The seqlock goes odd around the flips so a concurrent PinSnapshot
-  // retries instead of observing a mixed vector mid-publication; on a
-  // mid-flip failure the router stays poisoned and pins are refused.
+Status ShardRouter::FlipBarrierLocked(uint64_t epoch,
+                                      const std::vector<uint64_t>& drained) {
+  TopologyView view = topology();
+  const int n = view.map->num_shards;
+  const bool sync =
+      options_.pipeline.durability == DurabilityMode::kPowerFailure;
+
+  // Phase 2 (flip): swing every CURRENT not yet on `epoch`. Sequential on
+  // purpose — a failure mid-flip must stop immediately and leave the
+  // barrier record in place; no GC or log purge happens until all flipped.
+  // A roll-forward re-runs this loop: a shard that already flipped reports
+  // committed_epoch() == epoch. The seqlock goes odd around the flips so a
+  // concurrent PinSnapshot retries instead of observing a mixed vector
+  // mid-publication; a failure poisons the router before the seqlock goes
+  // even again, so pins are refused from then on.
   trace::ScopedSpan flip_span("barrier.flip", "epoch=%llu",
                               static_cast<unsigned long long>(epoch));
   commit_seq_.fetch_add(1, std::memory_order_acq_rel);
-  auto fail_mid_flip = [&](Status st) {
+  Status st;
+  bool crashed = false;
+  for (int s = 0; s < n && st.ok(); ++s) {
+    Pipeline* pipeline = view.pipelines[s];
+    if (pipeline->bootstrapped() && pipeline->committed_epoch() >= epoch) {
+      continue;
+    }
+    st = pipeline->FinalizeStagedEpoch();
+    if (st.ok() && s == 0 && (crashed = BarrierCrashed("mid_flip"))) {
+      st = Status::Aborted("simulated coordinator crash mid-flip");
+    }
+  }
+  if (st.ok() && (crashed = BarrierCrashed("flipped"))) {
+    st = Status::Aborted("simulated coordinator crash before barrier removal");
+  }
+  if (!st.ok()) poisoned_.store(true);
+  commit_seq_.fetch_add(1, std::memory_order_acq_rel);
+  flip_span.End();
+
+  // Barrier complete: retire the decision record, then housekeeping (GC of
+  // superseded epoch dirs + log purges) — deferred until now because a
+  // rollback needs the N-1 dirs and the unpurged logs. A record that
+  // cannot be removed leaves the commit standing (every CURRENT names N),
+  // but would trigger a needless rollback on reopen.
+  TRACE_SPAN("barrier.cleanup", "epoch=%llu",
+             static_cast<unsigned long long>(epoch));
+  if (st.ok()) st = RemoveAll(BarrierPathFor(root_, name_, *view.map));
+  if (st.ok() && sync) st = SyncDir(root_);
+  if (!st.ok()) {
     poisoned_.store(true);
-    commit_seq_.fetch_add(1, std::memory_order_acq_rel);  // release readers
-    return fail(st);
-  };
-  // A *real* I/O failure past the decision record is recoverable without
-  // a reopen: the epoch is decided (BARRIER durable) and every unflipped
-  // shard's staged slot is still valid, so the commit can roll *forward*
-  // once the disk heals. Keep the slots (no MarkAllDirty), poison reads,
-  // and arm the resume path. Bootstrap (epoch 0) stays non-resumable —
-  // its rollback lands on "nothing committed", which reopen handles.
-  auto fail_resumable = [&](Status st) {
-    if (epoch == 0) return fail_mid_flip(std::move(st));
-    poisoned_.store(true);
+    if (crashed || epoch == 0) {
+      // A simulated coordinator crash needs the reopen recovery, and so
+      // does bootstrap: its rollback lands on "nothing committed".
+      pending_flip_epoch_.store(0);
+      MarkAllDirty();
+      return st;
+    }
+    // A *real* I/O failure past the decision record is recoverable without
+    // a reopen: the epoch is decided (BARRIER durable) and every unflipped
+    // shard's staged slot is still valid, so the commit rolls *forward* on
+    // the next coordinated tick once the disk heals. Keep the slots (no
+    // MarkAllDirty) and keep reads refused.
     pending_flip_epoch_.store(epoch);
-    commit_seq_.fetch_add(1, std::memory_order_acq_rel);  // release readers
     LOG_WARN << "serving " << name_ << ": barrier commit of epoch " << epoch
              << " interrupted by I/O failure (" << st.ToString()
              << "); will roll forward on the next coordinated tick";
@@ -838,87 +840,31 @@ Status ShardRouter::CommitBarrier(uint64_t epoch) {
                     "barrier commit of epoch " + std::to_string(epoch) +
                         " awaiting roll-forward: " + st.ToString());
     return st;
-  };
-  for (int s = 0; s < n; ++s) {
-    Status flipped = view.pipelines[s]->FinalizeStagedEpoch();
-    if (!flipped.ok()) return fail_resumable(std::move(flipped));
-    if (s == 0 && crashed("mid_flip")) {
-      return fail_mid_flip(
-          Status::Aborted("simulated coordinator crash mid-flip"));
-    }
   }
-  if (crashed("flipped")) {
-    return fail_mid_flip(
-        Status::Aborted("simulated coordinator crash before barrier removal"));
-  }
-  commit_seq_.fetch_add(1, std::memory_order_acq_rel);
-  flip_span.End();
-
-  // Barrier complete: retire the decision record, then housekeeping (GC of
-  // superseded epoch dirs + log purges) — deferred until now because a
-  // rollback needs the N-1 dirs and the unpurged logs.
-  TRACE_SPAN("barrier.cleanup", "epoch=%llu",
-             static_cast<unsigned long long>(epoch));
-  Status cleared = RemoveAll(barrier_path);
-  if (cleared.ok() && sync) cleared = SyncDir(root_);
-  if (!cleared.ok()) {
-    // The commit stands (every CURRENT names N) but the stale barrier
-    // record would trigger a needless rollback on reopen. Resumable like
-    // a mid-flip failure: the next coordinated tick finds every shard
-    // already on N and just retries the removal.
-    if (epoch > 0) {
-      poisoned_.store(true);
-      pending_flip_epoch_.store(epoch);
-      LOG_WARN << "serving " << name_ << ": barrier record of epoch " << epoch
-               << " not retired (" << cleared.ToString()
-               << "); will retry on the next coordinated tick";
-      health_->Report("serving." + name_, HealthState::kDegraded,
-                      "barrier record removal pending: " + cleared.ToString());
-      return cleared;
-    }
-    poisoned_.store(true);
-    return fail(cleared);
-  }
-  CleanupEachShard(name_, view.pipelines);
-  return Status::OK();
-}
-
-Status ShardRouter::ResumeBarrierLocked() {
-  const uint64_t epoch = pending_flip_epoch_.load();
-  TopologyView view = topology();
-  const int n = view.map->num_shards;
-  const bool sync =
-      options_.pipeline.durability == DurabilityMode::kPowerFailure;
-  TRACE_SPAN("barrier.resume", "epoch=%llu",
-             static_cast<unsigned long long>(epoch));
-  // Finish the flips sequentially, exactly like the interrupted phase 2.
-  // FinalizeStagedEpoch is idempotent up to the CURRENT rename, and a
-  // shard that already flipped reports committed_epoch() == epoch. The
-  // seqlock goes odd around the flips for symmetry (pins are refused
-  // while poisoned anyway).
-  commit_seq_.fetch_add(1, std::memory_order_acq_rel);
-  Status st;
-  for (int s = 0; s < n && st.ok(); ++s) {
-    if (view.pipelines[s]->committed_epoch() >= epoch) continue;
-    st = view.pipelines[s]->FinalizeStagedEpoch();
-  }
-  commit_seq_.fetch_add(1, std::memory_order_acq_rel);
-  if (!st.ok()) return st;  // still poisoned; retried next tick
-
-  Status cleared = RemoveAll(BarrierPathFor(root_, name_, *view.map));
-  if (cleared.ok() && sync) cleared = SyncDir(root_);
-  if (!cleared.ok()) return cleared;  // commit stands; retried next tick
-
   pending_flip_epoch_.store(0);
-  poisoned_.store(false);
-  {
+  const bool rolled_forward = poisoned_.exchange(false);
+  if (epoch > 0) {
     std::shared_lock<std::shared_mutex> topo(topo_mu_);
-    for (int s = 0; s < n; ++s) shard_epochs_committed_[s]->Increment();
+    for (int s = 0; s < n; ++s) {
+      shard_epochs_committed_[s]->Increment();
+      if (s < static_cast<int>(drained.size()) && drained[s] > 0) {
+        shard_deltas_applied_[s]->Add(static_cast<int64_t>(drained[s]));
+      }
+    }
   }
-  CleanupEachShard(name_, view.pipelines);
-  LOG_INFO << "serving " << name_ << ": rolled interrupted barrier commit of "
-           << "epoch " << epoch << " forward";
-  health_->Report("serving." + name_, HealthState::kHealthy);
+  ForEachShard(n, [&](int s) {
+    Status cleaned = view.pipelines[s]->CleanupCommitted();
+    if (!cleaned.ok()) {
+      LOG_WARN << "serving " << name_ << ": shard " << s
+               << " post-barrier cleanup failed (" << cleaned.ToString()
+               << ")";
+    }
+  });
+  if (rolled_forward) {
+    LOG_INFO << "serving " << name_ << ": rolled interrupted barrier commit "
+             << "of epoch " << epoch << " forward";
+    health_->Report("serving." + name_, HealthState::kHealthy);
+  }
   return Status::OK();
 }
 

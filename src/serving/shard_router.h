@@ -23,8 +23,10 @@
 // two-phase protocol — stage every epoch dir, write the coordinator
 // BARRIER record, flip every CURRENT, clean up — and recovery rolls an
 // incomplete barrier back to N-1 everywhere, so readers never observe a
-// mixed epoch vector. Apps whose reduce state is global (all-to-one, e.g.
-// k-means' single centroid record) run on a one-shard map.
+// mixed epoch vector. Bootstrap and delta epochs share one routine (only
+// round 0 differs), and the barrier's flip loop is also its roll-forward.
+// Apps whose reduce state is global (all-to-one, e.g. k-means' single
+// centroid record) run on a one-shard map.
 //
 // Per-shard failover (driven by replication/replica_set.h): a lost
 // primary refuses appends routed to its shard, coordinated epochs and
@@ -157,7 +159,9 @@ class ShardRouter {
 
   /// Split the initial structure/state by key, run every shard's full
   /// computation concurrently, exchange boundary contributions to the
-  /// joint fixpoint, and commit epoch 0 on every shard under the barrier.
+  /// joint fixpoint, and commit epoch 0 on every shard under the barrier —
+  /// the same epoch routine as RefreshCoordinated, with the full
+  /// computation as round 0.
   Status Bootstrap(const std::vector<KV>& structure,
                    const std::vector<KV>& initial_state);
   bool bootstrapped() const;
@@ -294,26 +298,37 @@ class ShardRouter {
   /// coordinator drains donors while holding the lock for the whole move).
   StatusOr<CoordinatedEpochStats> RefreshCoordinatedLocked();
 
-  /// Exchange rounds (after per-shard refreshes produced `offers`) until
-  /// the joint fixpoint; returns the number of rounds run. When `stats` is
-  /// set, the routed edges and the rounds' stage ms are added to it.
-  StatusOr<int> RunExchangeRounds(CrossShardExchange* exchange,
+  /// The one epoch routine (Bootstrap, RefreshCoordinated): round 0 is
+  /// prepare(s, pipeline) on every shard plus a boundary pass when
+  /// `prepare` is set, else every shard's draining first round; then
+  /// exchange rounds to the joint fixpoint and CommitBarrier(epoch). A
+  /// failed round marks every shard dirty. Caller holds coord_mu_.
+  Status RunEpochLocked(uint64_t epoch,
+                        const std::function<Status(int, Pipeline*)>& prepare,
+                        CoordinatedEpochStats* stats);
+
+  /// Exchange rounds over `view` until the joint fixpoint; returns the
+  /// number run and adds routed edges and stage ms to `stats`.
+  StatusOr<int> RunExchangeRounds(const TopologyView& view,
                                   std::vector<std::vector<DeltaEdge>> offers,
                                   CoordinatedEpochStats* stats);
 
-  /// Two-phase barrier commit of epoch `epoch` on every shard. On error
-  /// (or a simulated coordinator crash) every shard is marked dirty —
-  /// except a real I/O failure after the decision record, which leaves
-  /// the staged slots intact and arms pending_flip_epoch_ for
-  /// ResumeBarrierLocked.
-  Status CommitBarrier(uint64_t epoch);
+  /// Two-phase barrier commit of `epoch`: stage every shard, write the
+  /// BARRIER decision record (a failure before it marks every shard
+  /// dirty), then FlipBarrierLocked. `drained[s]`: shard s's deltas.
+  Status CommitBarrier(uint64_t epoch, const std::vector<uint64_t>& drained);
 
-  /// Roll an interrupted-but-decided barrier commit forward: finish
-  /// flipping every shard still on N-1 (their staged slots survived),
-  /// retire the BARRIER record, and unpoison the router. Caller holds
-  /// coord_mu_. On failure the router stays poisoned and the next
-  /// coordinated tick retries.
-  Status ResumeBarrierLocked();
+  /// Phase 2 of a barrier commit and all of its roll-forward: finalize
+  /// every shard not yet at `epoch` with the seqlock odd, retire BARRIER,
+  /// bump the counters, clean up (and unpoison). A real I/O failure
+  /// poisons the router and, for epoch > 0, arms pending_flip_epoch_ for
+  /// the next tick; a simulated crash poisons it and marks every shard
+  /// dirty for the reopen recovery. Caller holds coord_mu_.
+  Status FlipBarrierLocked(uint64_t epoch,
+                           const std::vector<uint64_t>& drained);
+
+  /// barrier_crash_hook or a kind=crash rule on "barrier/<stage>" fired.
+  bool BarrierCrashed(const std::string& stage) const;
 
   /// Path of the coordinator's durable barrier decision record
   /// (generation-qualified past generation 0, so a staging fleet's

@@ -17,6 +17,7 @@
 #include "common/hash.h"
 #include "data/graph_gen.h"
 #include "io/env.h"
+#include "io/fault_env.h"
 #include "io/record_file.h"
 #include "mr/cluster.h"
 #include "pipeline/delta_log.h"
@@ -571,6 +572,15 @@ TEST_F(DeltaLogTest, GroupCommitKeepsBatchesContiguousAndAtomic) {
 class PipelineTest : public ::testing::Test {
  protected:
   void SetUp() override { root_ = ::testing::TempDir() + "/i2mr_pipeline"; }
+  void TearDown() override { fault::FaultInjector::Instance()->Reset(); }
+  /// Arm one kill-at-point rule on the pipeline's "pipeline/<stage>" crash
+  /// points ("after" skips that many earlier hits of the same stage).
+  static void CrashAt(const std::string& stage, int after = 0) {
+    ASSERT_TRUE(fault::FaultInjector::Instance()
+                    ->LoadSpec("op=crash,path=pipeline/" + stage +
+                               ",kind=crash,after=" + std::to_string(after))
+                    .ok());
+  }
   std::string root_;
 };
 
@@ -731,9 +741,7 @@ TEST_F(PipelineTest, CrashBetweenDrainAndCommitReplaysExactlyOnce) {
 
   // Crash after the refresh ran but before anything committed.
   PipelineOptions options = PageRankPipeline();
-  options.crash_hook = [](uint64_t, const std::string& stage) {
-    return stage == "refresh";
-  };
+  CrashAt("refresh");
   auto pipeline = Pipeline::Open(&cluster, "pr_crash", options);
   ASSERT_TRUE(pipeline.ok());
   ASSERT_TRUE((*pipeline)->Bootstrap(graph, UnitState(graph)).ok());
@@ -785,9 +793,7 @@ TEST_F(PipelineTest, CrashMidCommitLeavesPreviousEpochCurrent) {
 
   // Crash after the new epoch dir landed but before CURRENT swung to it.
   PipelineOptions options = PageRankPipeline();
-  options.crash_hook = [](uint64_t epoch, const std::string& stage) {
-    return epoch == 1 && stage == "commit";
-  };
+  CrashAt("commit", /*after=*/1);  // skip the bootstrap's epoch-0 commit
   auto pipeline = Pipeline::Open(&cluster, "pr_mid", options);
   ASSERT_TRUE(pipeline.ok());
   ASSERT_TRUE((*pipeline)->Bootstrap(graph, UnitState(graph)).ok());
@@ -830,9 +836,7 @@ TEST_F(PipelineTest, PowerFailureModeCrashAfterManifestBeforeCurrentRename) {
   PipelineOptions options = PageRankPipeline();
   options.durability = DurabilityMode::kPowerFailure;
   options.log.segment_bytes = 4 << 10;  // exercise rotation under fsync too
-  options.crash_hook = [](uint64_t epoch, const std::string& stage) {
-    return epoch == 1 && stage == "commit";
-  };
+  CrashAt("commit", /*after=*/1);  // skip the bootstrap's epoch-0 commit
   auto pipeline = Pipeline::Open(&cluster, "pr_power", options);
   ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
   ASSERT_TRUE((*pipeline)->Bootstrap(graph, UnitState(graph)).ok());
@@ -990,10 +994,7 @@ TEST_F(PipelineTest, InProcessRetryAfterCommitStageFailureSucceeds) {
 
   PipelineOptions options = PageRankPipeline();
   options.spec.num_partitions = 2;
-  auto fired = std::make_shared<std::atomic<int>>(0);
-  options.crash_hook = [fired](uint64_t epoch, const std::string& stage) {
-    return epoch == 1 && stage == "commit" && fired->fetch_add(1) == 0;
-  };
+  CrashAt("commit", /*after=*/1);  // epoch 1's first commit only
   auto pipeline = Pipeline::Open(&cluster, "pr_retry", options);
   ASSERT_TRUE(pipeline.ok());
   ASSERT_TRUE((*pipeline)->Bootstrap(graph, UnitState(graph)).ok());

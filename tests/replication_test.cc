@@ -116,6 +116,39 @@ TEST_F(ReplicationTest, ShipsCommittedEpochsAndServesThemFromFollowers) {
   }
 }
 
+TEST_F(ReplicationTest, PinnedSnapshotNeverMixesEpochs) {
+  GraphGenOptions gen;
+  gen.num_vertices = 120;
+  gen.avg_degree = 4;
+  auto graph = GenGraph(gen);
+
+  auto router = ShardRouter::Open(root_, "pr", PageRankShards(2));
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  ASSERT_TRUE((*router)->Bootstrap(graph, UnitState(graph)).ok());
+  auto set = ReplicaSet::Open(router->get(), replicas_, ReplicaSetOptions{});
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ASSERT_TRUE((*set)->SyncAll().ok());
+
+  // Shard 0's follower stops receiving epochs (its shipper skips it; an
+  // in-flight pass is waited out) but stays in the set's read rotation:
+  // one epoch behind is within max_replica_lag_epochs.
+  (*set)->shipper(0)->SetFollowerEnabled(0, false);
+  ASSERT_TRUE((*set)->shipper(0)->SyncNow().ok());
+  AppendDelta(router->get(), &graph, gen, 43);
+  ASSERT_TRUE((*router)->DrainAll().ok());
+  ASSERT_TRUE((*set)->SyncAll().ok());
+  ASSERT_EQ((*set)->replica(0, 0)->applied_epoch() + 1,
+            (*router)->shard(0)->committed_epoch());
+  ASSERT_FALSE((*set)->IsReplicaStale(0, 0));
+
+  // Every pin is one uniform cut, whichever backends the rotation picks.
+  for (int i = 0; i < 8; ++i) {
+    auto snap = (*set)->PinSnapshot();
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    EXPECT_EQ(snap->epochs(), (*router)->CommittedEpochs()) << "pin " << i;
+  }
+}
+
 TEST_F(ReplicationTest, GarbledGenerationRecordFailsOpenAsCorruption) {
   FollowerReplica follower(replicas_, "pr", FollowerReplicaOptions{});
   ASSERT_TRUE(follower.Open().ok());
@@ -428,6 +461,53 @@ TEST_F(ReplicationTest, PromoteOnPrimaryDeathServesExactCommittedState) {
   EXPECT_FALSE((*set)->IsReplicaStale(0, *promoted));
   EXPECT_TRUE((*set)->IsReplicaPromoted(0, *promoted));
   EXPECT_FALSE((*set)->IsReplicaPromoted(0, survivor));
+}
+
+TEST_F(ReplicationTest, PromoteRefusesACorruptFollowerRootUntouched) {
+  GraphGenOptions gen;
+  gen.num_vertices = 120;
+  gen.avg_degree = 4;
+  auto graph = GenGraph(gen);
+
+  auto router = ShardRouter::Open(root_, "pr", PageRankShards(2));
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  ASSERT_TRUE((*router)->Bootstrap(graph, UnitState(graph)).ok());
+  auto set = ReplicaSet::Open(router->get(), replicas_, ReplicaSetOptions{});
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  AppendDelta(router->get(), &graph, gen, 81);
+  ASSERT_TRUE((*router)->DrainAll().ok());
+  ASSERT_TRUE((*set)->SyncAll().ok());
+
+  // Garble the first length prefix of the follower's applied state.dat
+  // (rewritten as a fresh file, so no hard link shares the damage).
+  FollowerReplica* f = (*set)->replica(0, 0);
+  const std::string pdir = JoinPath(f->root(), "pipeline/pr");
+  const std::string state =
+      JoinPath(JoinPath(JoinPath(pdir, EpochStore::EpochDirName(
+                                           f->applied_epoch())),
+                        EpochStore::PartDirName(0)),
+               "state.dat");
+  auto bytes = ReadFileToString(state);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  ASSERT_GT(bytes->size(), 4u);
+  bytes->replace(0, 4, 4, '\xff');
+  ASSERT_TRUE(RemoveAll(state).ok());
+  ASSERT_TRUE(WriteStringToFile(state, *bytes).ok());
+  auto log_before = ListFiles(JoinPath(pdir, "log"));
+  ASSERT_TRUE(log_before.ok());
+
+  // Promotion opens a pipeline over the follower's root, which verifies
+  // the applied epoch before anything touches the root: refused as
+  // Corruption, the shard stays lost, and the follower's log is as found.
+  ASSERT_TRUE((*set)->KillPrimary(0).ok());
+  auto promoted = (*set)->Promote(0);
+  ASSERT_FALSE(promoted.ok());
+  EXPECT_EQ(promoted.status().code(), Status::Code::kCorruption)
+      << promoted.status().ToString();
+  EXPECT_TRUE((*set)->primary_dead(0));
+  auto log_after = ListFiles(JoinPath(pdir, "log"));
+  ASSERT_TRUE(log_after.ok());
+  EXPECT_EQ(*log_after, *log_before);
 }
 
 // ---------------------------------------------------------------------------

@@ -869,11 +869,17 @@ TEST_F(ReshardingTest, ReplicationDetectsGenerationBumpResyncsAndPromotes) {
   }
 
   // A follower whose GEN disagrees with the primary discards its staged
-  // state wholesale and the next ship pass re-seeds it from scratch.
+  // state wholesale and the next ship pass re-seeds it from scratch. The
+  // background shipper re-binds the follower at the top of every pass, so
+  // it is taken out of shipping (and an in-flight pass waited out) while
+  // the test pokes it directly.
   FollowerReplica* f = (*set)->replica(0, 0);
+  (*set)->shipper(0)->SetFollowerEnabled(0, false);
+  ASSERT_TRUE((*set)->shipper(0)->SyncNow().ok());
   ASSERT_TRUE(f->EnsureGeneration(99).ok());
   EXPECT_EQ(f->generation(), 99u);
   EXPECT_EQ(f->applied_epoch(), 0u);
+  (*set)->shipper(0)->SetFollowerEnabled(0, true);
   ASSERT_TRUE((*set)->SyncAll().ok());
   EXPECT_EQ(f->generation(), 1u);
   EXPECT_EQ(f->applied_epoch(), (*router)->shard(0)->committed_epoch());
