@@ -92,66 +92,38 @@ bool IncrementalIterativeEngine::ShouldFail(int iter, TaskId::Kind kind,
 // Structure maintenance
 // ---------------------------------------------------------------------------
 
-Status IncrementalIterativeEngine::LoadStructures(
-    std::vector<PartitionCtx>* ctxs) const {
-  ctxs->clear();
-  ctxs->resize(spec_.num_partitions);
-  for (int p = 0; p < spec_.num_partitions; ++p) {
-    auto recs = ReadRecords(StructurePath(p));
-    if (!recs.ok()) return recs.status();
-    (*ctxs)[p].structure = std::move(*recs);
-    BuildRanges(&(*ctxs)[p]);
-  }
-  return Status::OK();
-}
-
-void IncrementalIterativeEngine::BuildRanges(PartitionCtx* ctx) const {
-  ctx->dk_ranges.clear();
-  const auto& recs = ctx->structure;
-  size_t i = 0;
-  while (i < recs.size()) {
-    std::string dk = spec_.projector->Project(recs[i].key);
-    size_t j = i + 1;
-    while (j < recs.size() && spec_.projector->Project(recs[j].key) == dk) ++j;
-    ctx->dk_ranges[dk] = {i, j};
-    i = j;
-  }
-}
-
 Status IncrementalIterativeEngine::ApplyStructureDelta(
-    const std::vector<std::vector<DeltaKV>>& per_part,
-    std::vector<PartitionCtx>* ctxs) {
+    const std::vector<std::vector<DeltaKV>>& per_part) {
   for (int p = 0; p < spec_.num_partitions; ++p) {
-    auto& ctx = (*ctxs)[p];
+    // In log order, against the resident groups: a delete also finds a
+    // record inserted earlier in the same batch.
+    auto& groups = structure_[p];
     bool dirty = false;
     for (const auto& d : per_part[p]) {
-      if (d.op == DeltaOp::kDelete) {
-        auto it = std::find(ctx.structure.begin(), ctx.structure.end(),
-                            KV{d.key, d.value});
-        if (it != ctx.structure.end()) {
-          ctx.structure.erase(it);
-          dirty = true;
-        } else {
-          LOG_WARN << "delta deletes unknown structure record sk=" << d.key;
-        }
-      } else {
-        ctx.structure.push_back(KV{d.key, d.value});
+      KV kv{d.key, d.value};
+      std::string dk = spec_.projector->Project(d.key);
+      if (d.op == DeltaOp::kInsert) {
+        auto& recs = groups[std::move(dk)];
+        recs.insert(std::upper_bound(recs.begin(), recs.end(), kv),
+                    std::move(kv));
         dirty = true;
+        continue;
       }
+      auto group = groups.find(dk);
+      if (group != groups.end()) {
+        auto& recs = group->second;
+        auto it = std::lower_bound(recs.begin(), recs.end(), kv);
+        if (it != recs.end() && *it == kv) {
+          recs.erase(it);
+          if (recs.empty()) groups.erase(group);
+          dirty = true;
+          continue;
+        }
+      }
+      LOG_WARN << "delta deletes unknown structure record sk=" << d.key;
     }
-    if (dirty) {
-      std::sort(ctx.structure.begin(), ctx.structure.end(),
-                [&](const KV& a, const KV& b) {
-                  std::string pa = spec_.projector->Project(a.key);
-                  std::string pb = spec_.projector->Project(b.key);
-                  if (pa != pb) return pa < pb;
-                  return a < b;
-                });
-      I2MR_RETURN_IF_ERROR(WriteRecords(StructurePath(p), ctx.structure));
-      BuildRanges(&ctx);
-    }
+    if (dirty) I2MR_RETURN_IF_ERROR(WriteStructure(p));
   }
-  InvalidateStructureCache();
   return Status::OK();
 }
 
@@ -258,7 +230,7 @@ Status IncrementalIterativeEngine::PreserveMRBGraph(double* elapsed_ms) {
   TRACE_SPAN("engine.preserve", "job=%s", spec_.name.c_str());
   WallTimer timer;
   const int n = spec_.num_partitions;
-  std::string job_dir = cluster_->NewJobDir(spec_.name + "-preserve");
+  std::string job_dir = cluster_->ReserveJobDir(spec_.name + "-preserve");
   StageMetrics metrics;
   Partitioner hash_partitioner;
   std::unique_ptr<ShuffleExchange> exchange;
@@ -329,7 +301,7 @@ Status IncrementalIterativeEngine::PreserveMRBGraph(double* elapsed_ms) {
   });
   for (const auto& st : reduce_status) I2MR_RETURN_IF_ERROR(st);
 
-  I2MR_RETURN_IF_ERROR(RemoveAll(job_dir));
+  if (FileExists(job_dir)) I2MR_RETURN_IF_ERROR(RemoveAll(job_dir));
   mrbg_consistent_ = true;
   if (elapsed_ms != nullptr) *elapsed_ms = timer.ElapsedMillis();
   return Status::OK();
@@ -434,7 +406,7 @@ StatusOr<IterationStats> IncrementalIterativeEngine::RunIncrIteration(
   StageMetrics metrics;
   WallTimer wall;
   std::string job_dir =
-      cluster_->NewJobDir(spec_.name + "-incr-it" + std::to_string(iter));
+      cluster_->ReserveJobDir(spec_.name + "-incr-it" + std::to_string(iter));
   Partitioner hash_partitioner;
   std::unique_ptr<ShuffleExchange> exchange;
   if (EffectiveShuffleMode(spec_.shuffle_mode) == ShuffleMode::kInMemory) {
@@ -500,19 +472,18 @@ StatusOr<IterationStats> IncrementalIterativeEngine::RunIncrIteration(
       } else {
         // Iteration j >= 2: the delta input is the delta state data. Re-run
         // the Map instances of every structure kv-pair interdependent with a
-        // changed state kv-pair. The deltas live in a flat arena; the probe
-        // key is one reused buffer (assign, not construct — no per-delta
-        // allocation in steady state) and dv materializes only on a hit.
+        // changed state kv-pair. The deltas live in a flat arena and probe
+        // the resident DK groups as views; dk and dv materialize (into
+        // reused buffers) only on a hit.
         const FlatKVRun& deltas = all_to_one() ? shared_delta : cur_delta[p];
-        const auto& ctxp = (*ctxs)[p];
+        const StructureGroups& groups = structure_[p];
         std::string dk, dv;
         for (size_t di = 0; di < deltas.size(); ++di) {
+          auto group = groups.find(deltas.key(di));
+          if (group == groups.end()) continue;
           dk.assign(deltas.key(di));
-          auto range = ctxp.dk_ranges.find(dk);
-          if (range == ctxp.dk_ranges.end()) continue;
           dv.assign(deltas.value(di));
-          for (size_t i = range->second.first; i < range->second.second; ++i) {
-            const KV& rec = ctxp.structure[i];
+          for (const KV& rec : group->second) {
             ctx.Begin(MapInstanceKey(rec.key, rec.value), false);
             mapper->Map(rec.key, rec.value, dk, dv, &ctx);
             ++count;
@@ -671,7 +642,7 @@ StatusOr<IterationStats> IncrementalIterativeEngine::RunIncrIteration(
   for (const auto& st : reduce_status) I2MR_RETURN_IF_ERROR(st);
 
   I2MR_RETURN_IF_ERROR(ReplicateStateAllToOne());
-  I2MR_RETURN_IF_ERROR(RemoveAll(job_dir));
+  if (FileExists(job_dir)) I2MR_RETURN_IF_ERROR(RemoveAll(job_dir));
 
   int64_t propagated = 0;
   for (int p = 0; p < n; ++p) {
@@ -872,9 +843,8 @@ StatusOr<IncrIterRunStats> IncrementalIterativeEngine::RunIncremental(
     per_part[p].push_back(d);
   }
 
-  std::vector<PartitionCtx> ctxs;
-  I2MR_RETURN_IF_ERROR(LoadStructures(&ctxs));
-  I2MR_RETURN_IF_ERROR(ApplyStructureDelta(per_part, &ctxs));
+  I2MR_RETURN_IF_ERROR(ApplyStructureDelta(per_part));
+  std::vector<PartitionCtx> ctxs(spec_.num_partitions);
 
   // Collect new DKs whose state does not exist yet (inserted structure
   // records): their reduce instances are forced in iteration 1.

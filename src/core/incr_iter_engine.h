@@ -168,13 +168,9 @@ class IncrementalIterativeEngine : public IterativeEngine {
                                std::vector<std::string>* files);
 
  private:
-  /// Per-refresh, per-partition in-memory context.
+  /// Per-refresh, per-partition in-memory context (the structure itself
+  /// is resident: structure_).
   struct PartitionCtx {
-    std::vector<KV> structure;  // sorted by (project(SK), SK)
-    /// DK -> [begin, end) range of structure records with project(SK)==DK.
-    /// (The re-map loop probes with a reused std::string buffer, so the
-    /// O(1) hash lookup costs no per-delta allocation.)
-    std::unordered_map<std::string, std::pair<size_t, size_t>> dk_ranges;
     /// CPC: last state value emitted to the next iteration, per DK.
     std::unordered_map<std::string, std::string> last_emitted;
     /// Delta state produced by this partition's prime Reduce (input to the
@@ -187,10 +183,10 @@ class IncrementalIterativeEngine : public IterativeEngine {
     std::vector<std::string> forced_dks;
   };
 
-  Status LoadStructures(std::vector<PartitionCtx>* ctxs) const;
-  void BuildRanges(PartitionCtx* ctx) const;
-  Status ApplyStructureDelta(const std::vector<std::vector<DeltaKV>>& per_part,
-                             std::vector<PartitionCtx>* ctxs);
+  /// Apply each partition's structure deltas, in log order, to the
+  /// resident groups; rewrite the structure file of each partition they
+  /// changed.
+  Status ApplyStructureDelta(const std::vector<std::vector<DeltaKV>>& per_part);
 
   /// Rebuild the MRBGraph from the converged state with one extra map pass
   /// (then the store holds exactly one sorted batch).

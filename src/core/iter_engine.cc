@@ -62,6 +62,7 @@ IterativeEngine::IterativeEngine(LocalCluster* cluster, IterJobSpec spec)
   I2MR_CHECK(!spec_.owns_key ||
              spec_.projector->dep_type() != DepType::kAllToOne)
       << "owns_key is incompatible with all-to-one dependencies";
+  structure_.resize(spec_.num_partitions);
   states_.resize(spec_.num_partitions);
   for (int p = 0; p < spec_.num_partitions; ++p) {
     states_[p] = std::make_unique<StateStore>(StatePath(p));
@@ -89,25 +90,19 @@ uint32_t IterativeEngine::PartitionOf(const std::string& key) const {
 Status IterativeEngine::Prepare(const std::vector<KV>& structure,
                                 const std::vector<KV>& initial_state) {
   const int n = spec_.num_partitions;
-  // Partition structure kv-pairs.
-  std::vector<std::vector<KV>> parts(n);
+  // Partition structure kv-pairs and group them by project(SK); each group
+  // sorted by (SK, SV) gives the structure file's project(SK)-then-SK order,
+  // so the prime Map can merge-join it with the DK-sorted state in one pass.
+  structure_.assign(n, StructureGroups());
   for (const auto& kv : structure) {
-    uint32_t p = all_to_one() ? PartitionOf(kv.key)
-                              : PartitionOf(spec_.projector->Project(kv.key));
-    parts[p].push_back(kv);
+    std::string dk = spec_.projector->Project(kv.key);
+    uint32_t p = all_to_one() ? PartitionOf(kv.key) : PartitionOf(dk);
+    structure_[p][std::move(dk)].push_back(kv);
   }
   for (int p = 0; p < n; ++p) {
+    for (auto& [dk, recs] : structure_[p]) std::sort(recs.begin(), recs.end());
     I2MR_RETURN_IF_ERROR(ResetDir(PartitionDir(p)));
-    // Sort in project(SK) order (then SK) so the prime Map can merge-join
-    // with the DK-sorted state file in one pass.
-    std::sort(parts[p].begin(), parts[p].end(),
-              [&](const KV& a, const KV& b) {
-                std::string pa = spec_.projector->Project(a.key);
-                std::string pb = spec_.projector->Project(b.key);
-                if (pa != pb) return pa < pb;
-                return a < b;
-              });
-    I2MR_RETURN_IF_ERROR(WriteRecords(StructurePath(p), parts[p]));
+    I2MR_RETURN_IF_ERROR(WriteStructure(p));
   }
   // Partition (or replicate) state kv-pairs.
   for (int p = 0; p < n; ++p) states_[p]->Clear();
@@ -123,8 +118,7 @@ Status IterativeEngine::Prepare(const std::vector<KV>& structure,
   // still exist and get rescored by reduce_untouched_keys.
   if (!all_to_one() && spec_.init_state) {
     for (int p = 0; p < n; ++p) {
-      for (const auto& kv : parts[p]) {
-        std::string dk = spec_.projector->Project(kv.key);
+      for (const auto& [dk, recs] : structure_[p]) {
         if (states_[p]->Get(dk) == nullptr) {
           states_[p]->Put(dk, spec_.init_state(dk));
         }
@@ -132,22 +126,48 @@ Status IterativeEngine::Prepare(const std::vector<KV>& structure,
     }
   }
   I2MR_RETURN_IF_ERROR(SaveStates());
-  InvalidateStructureCache();
   prepared_ = true;
   return Status::OK();
 }
 
 Status IterativeEngine::LoadExisting() {
+  structure_.assign(spec_.num_partitions, StructureGroups());
   for (int p = 0; p < spec_.num_partitions; ++p) {
     if (!FileExists(StructurePath(p))) {
       return Status::NotFound("no structure file for partition " +
                               std::to_string(p));
     }
+    I2MR_RETURN_IF_ERROR(ReadStructure(StructurePath(p), &structure_[p]));
     I2MR_RETURN_IF_ERROR(states_[p]->Load());
   }
-  InvalidateStructureCache();
   prepared_ = true;
   return Status::OK();
+}
+
+Status IterativeEngine::ReadStructure(const std::string& path,
+                                      StructureGroups* groups) const {
+  auto records = ReadRecords(path);
+  if (!records.ok()) return records.status();
+  groups->clear();
+  auto group = groups->end();
+  for (KV& kv : *records) {
+    std::string dk = spec_.projector->Project(kv.key);
+    // The file is in project(SK) order: a new group lands at the map's end.
+    if (group == groups->end() || dk != group->first) {
+      group = groups->try_emplace(groups->end(), std::move(dk));
+    }
+    group->second.push_back(std::move(kv));
+  }
+  return Status::OK();
+}
+
+Status IterativeEngine::WriteStructure(int p) const {
+  auto w = RecordWriter::Create(StructurePath(p));
+  if (!w.ok()) return w.status();
+  for (const auto& [dk, recs] : structure_[p]) {
+    for (const auto& kv : recs) I2MR_RETURN_IF_ERROR(w.value()->Add(kv));
+  }
+  return w.value()->Close();
 }
 
 Status IterativeEngine::SaveStates() {
@@ -163,50 +183,25 @@ StatusOr<std::string> IterativeEngine::StateValue(int p,
   return Status::NotFound("no state for DK " + dk);
 }
 
-void IterativeEngine::InvalidateStructureCache() {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  structure_cache_.clear();
-}
-
 Status IterativeEngine::ForEachStructureRecord(
     int p, const std::function<Status(const std::string&, const std::string&,
                                       const std::string&, const std::string&)>&
                fn) const {
-  // Loop-invariant structure data is parsed once and kept in memory across
-  // iterations when cache_parsed_structure is on (iterMR: long-lived jobs).
-  std::shared_ptr<const std::vector<KV>> records;
-  if (spec_.cache_parsed_structure) {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (structure_cache_.size() != static_cast<size_t>(spec_.num_partitions)) {
-      structure_cache_.assign(spec_.num_partitions, nullptr);
-    }
-    records = structure_cache_[p];
+  // Loop-invariant structure data stays parsed in memory across iterations
+  // unless cache_parsed_structure is off (then: re-read per iteration).
+  const StructureGroups* groups = &structure_[p];
+  StructureGroups reread;
+  if (!spec_.cache_parsed_structure) {
+    I2MR_RETURN_IF_ERROR(ReadStructure(StructurePath(p), &reread));
+    groups = &reread;
   }
-  if (records == nullptr) {
-    auto loaded = ReadRecords(StructurePath(p));
-    if (!loaded.ok()) return loaded.status();
-    records = std::make_shared<const std::vector<KV>>(std::move(*loaded));
-    if (spec_.cache_parsed_structure) {
-      std::lock_guard<std::mutex> lock(cache_mu_);
-      structure_cache_[p] = records;
+  // One state lookup per DK group: the single-pass merge-join of §4.3.
+  for (const auto& [dk, recs] : *groups) {
+    auto dv = StateValue(p, dk);
+    if (!dv.ok()) return dv.status();
+    for (const KV& kv : recs) {
+      I2MR_RETURN_IF_ERROR(fn(kv.key, kv.value, dk, *dv));
     }
-  }
-
-  std::string cached_dk;
-  std::string cached_dv;
-  bool have_cached = false;
-  for (const KV& kv : *records) {
-    std::string dk = spec_.projector->Project(kv.key);
-    // Records are sorted by project(SK): consecutive records usually share
-    // the DK, so cache the last lookup (the single-pass merge-join of §4.3).
-    if (!have_cached || dk != cached_dk) {
-      auto dv = StateValue(p, dk);
-      if (!dv.ok()) return dv.status();
-      cached_dv = std::move(dv.value());
-      cached_dk = dk;
-      have_cached = true;
-    }
-    I2MR_RETURN_IF_ERROR(fn(kv.key, kv.value, dk, cached_dv));
   }
   return Status::OK();
 }
@@ -238,7 +233,7 @@ StatusOr<IterationStats> IterativeEngine::RunFullIteration(int iter) {
   StageMetrics metrics;
   WallTimer wall;
   std::string job_dir =
-      cluster_->NewJobDir(spec_.name + "-it" + std::to_string(iter));
+      cluster_->ReserveJobDir(spec_.name + "-it" + std::to_string(iter));
 
   Partitioner hash_partitioner;
   // Per-iteration in-memory exchange (null = disk spills only).
@@ -357,7 +352,7 @@ StatusOr<IterationStats> IterativeEngine::RunFullIteration(int iter) {
   for (const auto& st : reduce_status) I2MR_RETURN_IF_ERROR(st);
 
   I2MR_RETURN_IF_ERROR(ReplicateStateAllToOne());
-  I2MR_RETURN_IF_ERROR(RemoveAll(job_dir));
+  if (FileExists(job_dir)) I2MR_RETURN_IF_ERROR(RemoveAll(job_dir));
 
   stats.wall_ms = wall.ElapsedMillis();
   stats.map_ms = metrics.map_ms();
@@ -388,16 +383,35 @@ StatusOr<std::vector<IterationStats>> IterativeEngine::Run() {
 
 StatusOr<std::vector<KV>> IterativeEngine::StateSnapshot() const {
   std::vector<KV> out;
-  if (all_to_one()) {
-    // Every partition holds a replica; partition 0 is representative.
-    return states_[0]->Snapshot();
-  }
-  for (const auto& s : states_) {
-    auto snap = s->Snapshot();
-    out.insert(out.end(), snap.begin(), snap.end());
-  }
-  std::sort(out.begin(), out.end());
+  VisitState([&](const std::string& dk, const std::string& dv) {
+    out.push_back(KV{dk, dv});
+  });
   return out;
+}
+
+void IterativeEngine::VisitState(
+    const std::function<void(const std::string&, const std::string&)>& fn)
+    const {
+  // Every all-to-one partition holds a replica; partition 0 represents it.
+  const size_t parts = all_to_one() ? 1 : states_.size();
+  using Iter = std::map<std::string, std::string>::const_iterator;
+  std::vector<std::pair<Iter, Iter>> cursors;
+  for (size_t p = 0; p < parts; ++p) {
+    const auto& items = states_[p]->items();
+    if (!items.empty()) cursors.emplace_back(items.begin(), items.end());
+  }
+  // K-way merge in (DK, DV) order; partitions are few, so a linear scan
+  // for the smallest head beats a heap.
+  while (!cursors.empty()) {
+    size_t min = 0;
+    for (size_t c = 1; c < cursors.size(); ++c) {
+      if (*cursors[c].first < *cursors[min].first) min = c;
+    }
+    fn(cursors[min].first->first, cursors[min].first->second);
+    if (++cursors[min].first == cursors[min].second) {
+      cursors.erase(cursors.begin() + min);
+    }
+  }
 }
 
 }  // namespace i2mr

@@ -12,8 +12,8 @@
 #define I2MR_CORE_ITER_ENGINE_H_
 
 #include <functional>
+#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -76,9 +76,10 @@ struct IterJobSpec {
   /// (vertices without in-links still re-score to 1-d).
   bool reduce_untouched_keys = false;
 
-  /// Keep the parsed structure records in memory across iterations (the
-  /// iterMR optimization: jobs stay alive, so loop-invariant structure data
-  /// is read and parsed once instead of per iteration).
+  /// Full iterations map over the resident parsed structure (the iterMR
+  /// optimization: jobs stay alive, so loop-invariant structure data is
+  /// read and parsed once instead of per iteration). Off: every full
+  /// iteration re-reads and re-parses the partition's structure file.
   bool cache_parsed_structure = true;
 
   /// How map output reaches the prime Reduce (see shuffle.h). kInMemory
@@ -102,6 +103,11 @@ struct IterJobSpec {
   /// Requires a partition-by-key dependency (not all-to-one).
   std::function<bool(std::string_view key)> owns_key;
 };
+
+/// One partition's structure records grouped by DK = project(SK), each
+/// group sorted by (SK, SV). Walking the map in order visits the records in
+/// the (project(SK), SK, SV) order of the partition's structure file.
+using StructureGroups = std::map<std::string, std::vector<KV>, std::less<>>;
 
 /// Per-iteration statistics (Fig. 9 / Fig. 11 quantities).
 struct IterationStats {
@@ -128,8 +134,10 @@ class IterativeEngine {
   Status Prepare(const std::vector<KV>& structure,
                  const std::vector<KV>& initial_state);
 
-  /// Reload previously prepared partition state from disk. (Virtual: the
-  /// incremental engine also reloads its cross-shard remote-edge inbox.)
+  /// Reload previously prepared partitions from disk: the state stores and
+  /// the resident structure (refreshes never re-read structure files).
+  /// (Virtual: the incremental engine also reloads its cross-shard
+  /// remote-edge inbox.)
   virtual Status LoadExisting();
 
   /// Run full iterations to convergence (iterMR). One job startup charge.
@@ -137,6 +145,16 @@ class IterativeEngine {
 
   /// Current state across partitions, sorted by DK.
   StatusOr<std::vector<KV>> StateSnapshot() const;
+
+  /// Visit the current state in (DK, DV) order without copying it: a merge
+  /// of the per-partition DK-sorted stores (partition 0 alone for
+  /// all-to-one apps, whose partitions are replicas).
+  void VisitState(
+      const std::function<void(const std::string& dk, const std::string& dv)>&
+          fn) const;
+
+  /// The resident structure of partition p (see StructureGroups).
+  const StructureGroups& structure(int p) const { return structure_[p]; }
 
   std::string PartitionDir(int p) const;
   std::string StructurePath(int p) const;
@@ -148,10 +166,11 @@ class IterativeEngine {
   /// One full-recomputation iteration over all structure records.
   StatusOr<IterationStats> RunFullIteration(int iter);
 
-  /// Map-side join of one partition's structure file with its state store,
-  /// invoking `fn(sk, sv, dk, dv)` per structure record. Reads the local
-  /// structure file sequentially (structure caching: local FS, no DFS read,
-  /// no shuffle of structure data).
+  /// Map-side join of one partition's structure with its state store,
+  /// invoking `fn(sk, sv, dk, dv)` per structure record, in structure-file
+  /// order: the resident groups, or (cache_parsed_structure off) the local
+  /// structure file re-read (local FS, no DFS read, no shuffle of structure
+  /// data).
   Status ForEachStructureRecord(
       int p, const std::function<Status(const std::string& sk,
                                         const std::string& sv,
@@ -167,8 +186,10 @@ class IterativeEngine {
   }
   Status SaveStates();
 
-  /// Drop cached parsed structure (call after rewriting structure files).
-  void InvalidateStructureCache();
+  /// Parse a structure file into groups (one pass; the file is sorted).
+  Status ReadStructure(const std::string& path, StructureGroups* groups) const;
+  /// Rewrite partition p's structure file from its resident groups.
+  Status WriteStructure(int p) const;
 
   /// Resolve the state value for dk in partition p (store value or
   /// init_state fallback).
@@ -193,14 +214,11 @@ class IterativeEngine {
   LocalCluster* cluster_;
   IterJobSpec spec_;
   std::vector<std::unique_ptr<StateStore>> states_;
+  /// The one in-memory copy of each partition's structure, resident across
+  /// iterations and refreshes: built by Prepare, read once by LoadExisting,
+  /// patched in place by the incremental engine's structure deltas.
+  std::vector<StructureGroups> structure_;
   bool prepared_ = false;
-
- private:
-  /// Lazily filled per-partition parsed structure cache (see
-  /// IterJobSpec::cache_parsed_structure). Guarded by cache_mu_ only during
-  /// the fill; reads happen after the fill completes.
-  mutable std::vector<std::shared_ptr<const std::vector<KV>>> structure_cache_;
-  mutable std::mutex cache_mu_;
 };
 
 }  // namespace i2mr

@@ -58,6 +58,11 @@ void ResultStore::EraseInstance(const std::string& k2) {
 }
 
 void ResultStore::Put(const std::string& k3, const std::string& v3) {
+  // Puts in key order (a store built from sorted state) append in O(1).
+  if (results_.empty() || results_.rbegin()->first < k3) {
+    results_.emplace_hint(results_.end(), k3, v3);
+    return;
+  }
   results_[k3] = v3;
 }
 

@@ -14,13 +14,6 @@ Status StateStore::Load() {
   return Status::OK();
 }
 
-std::vector<KV> StateStore::Snapshot() const {
-  std::vector<KV> out;
-  out.reserve(map_.size());
-  for (const auto& [k, v] : map_) out.push_back(KV{k, v});
-  return out;
-}
-
 Status StateStore::Save() const {
   std::string tmp = path_ + ".tmp";
   auto w = RecordWriter::Create(tmp);

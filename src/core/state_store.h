@@ -32,8 +32,6 @@ class StateStore {
   size_t size() const { return map_.size(); }
   const std::map<std::string, std::string>& items() const { return map_; }
 
-  std::vector<KV> Snapshot() const;
-
   Status Save() const;
   const std::string& path() const { return path_; }
 

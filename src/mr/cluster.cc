@@ -77,14 +77,18 @@ std::string LocalCluster::WorkerDir(int w) const {
 }
 
 std::string LocalCluster::NewJobDir(const std::string& name) {
+  std::string dir = ReserveJobDir(name);
+  I2MR_CHECK_OK(CreateDirs(dir));
+  return dir;
+}
+
+std::string LocalCluster::ReserveJobDir(const std::string& name) {
   int seq = job_seq_.fetch_add(1);
   // The instance token keeps job dirs disjoint across cluster instances
   // sharing one root (each instance has its own job_seq_ starting at 0).
   char buf[48];
   std::snprintf(buf, sizeof(buf), "-i%03d-%05d", instance_, seq);
-  std::string dir = JoinPath(root_, "jobs/" + name + buf);
-  I2MR_CHECK_OK(CreateDirs(dir));
-  return dir;
+  return JoinPath(root_, "jobs/" + name + buf);
 }
 
 JobResult LocalCluster::RunJob(const JobSpec& spec) {

@@ -50,6 +50,11 @@ class LocalCluster {
   /// Fresh scratch directory for a job's shuffle spills.
   std::string NewJobDir(const std::string& name);
 
+  /// Like NewJobDir, but the directory is not created: a job whose shuffle
+  /// may stay in memory lets its first spill create it
+  /// (ShuffleWriter::Finish) and removes it only if it exists.
+  std::string ReserveJobDir(const std::string& name);
+
  private:
   std::string root_;
   int num_workers_;

@@ -369,12 +369,12 @@ Status Pipeline::StageEpochLocked(uint64_t epoch, uint64_t watermark,
   // (so the long-lived serving object never points into the .tmp dir),
   // persisted into the tmp dir via SaveAs. Built now, while failures are
   // still safe to report — past the CURRENT rename nothing may fail.
-  auto snapshot = engine_->StateSnapshot();
-  if (!snapshot.ok()) return snapshot.status();
   auto serving_store =
       ResultStore::Open(JoinPath(epochs_.EpochDir(epoch), "serving.dat"));
   if (!serving_store.ok()) return serving_store.status();
-  for (const auto& kv : *snapshot) serving_store->Put(kv.key, kv.value);
+  engine_->VisitState([&](const std::string& dk, const std::string& dv) {
+    serving_store->Put(dk, dv);
+  });
   I2MR_RETURN_IF_ERROR(serving_store->SaveAs(JoinPath(tmp, "serving.dat")));
   if (sync) I2MR_RETURN_IF_ERROR(SyncFile(JoinPath(tmp, "serving.dat")));
 

@@ -1,9 +1,14 @@
 // Tests for the incremental iterative engine (§5 + §6): refresh equivalence
 // with full re-computation, change propagation control, P∆ auto turn-off,
-// checkpointing and fault recovery.
+// checkpointing and fault recovery, and the resident structure's equivalence
+// with the structure files a fresh engine reloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <map>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -12,10 +17,13 @@
 #include "apps/pagerank.h"
 #include "apps/sssp.h"
 #include "common/codec.h"
+#include "common/hash.h"
 #include "core/incr_iter_engine.h"
 #include "data/graph_gen.h"
 #include "data/matrix_gen.h"
 #include "data/points_gen.h"
+#include "io/env.h"
+#include "io/fault_env.h"
 #include "mr/cluster.h"
 
 namespace i2mr {
@@ -32,6 +40,7 @@ class CoreIncrIterTest : public ::testing::Test {
   void SetUp() override {
     root_ = ::testing::TempDir() + "/i2mr_incr_iter";
   }
+  void TearDown() override { fault::FaultInjector::Instance()->Reset(); }
   std::string root_;
 };
 
@@ -470,6 +479,176 @@ TEST_F(CoreIncrIterTest, SecondRefreshContinuesFromFirst) {
   auto state = engine.StateSnapshot();
   ASSERT_TRUE(state.ok());
   EXPECT_LT(pagerank::MeanError(*state, reference), 1e-4);
+}
+
+TEST_F(CoreIncrIterTest, JobDirsExistOnlyWhileSomethingSpills) {
+  // A job dir is created by the first map-side spill. The in-memory
+  // shuffle spills nothing, so a refresh must not create one (an injected
+  // mkdir failure under jobs/ would fail it); a forced disk shuffle creates
+  // and removes them. Either way none is left behind.
+  LocalCluster cluster(root_ + "_jobs", 3);
+  GraphGenOptions gen;
+  gen.num_vertices = 120;
+  auto graph = GenGraph(gen);
+  IncrIterOptions options;
+  options.mrbg_auto_off_ratio = 2;
+  IncrementalIterativeEngine engine(
+      &cluster, pagerank::MakeIterSpec("pr_jobs", 3, 40, 1e-6), options);
+  ASSERT_TRUE(engine.RunInitial(graph, UnitState(graph)).ok());
+  const std::string jobs = JoinPath(cluster.root(), "jobs");
+  if (EffectiveShuffleMode(ShuffleMode::kInMemory) == ShuffleMode::kInMemory) {
+    ASSERT_TRUE(fault::FaultInjector::Instance()
+                    ->LoadSpec("op=mkdir,path=" + jobs + "/,kind=eio,times=-1")
+                    .ok());
+  }
+  GraphDeltaOptions dopt;
+  dopt.update_fraction = 0.05;
+  auto refresh = engine.RunIncremental(GenGraphDelta(gen, dopt, &graph));
+  ASSERT_TRUE(refresh.ok()) << refresh.status().ToString();
+  EXPECT_GT(refresh->iterations.size(), 1u);
+  EXPECT_TRUE(std::filesystem::is_empty(jobs));
+}
+
+// -- Resident structure vs. reloaded structure -------------------------------
+
+// The resident structure, flattened; checks each group's invariants (DK =
+// project(SK), partition = the structure partition, records sorted).
+std::multiset<KV> ResidentRecords(const IterativeEngine& engine) {
+  const auto& spec = engine.spec();
+  const bool all_to_one = spec.projector->dep_type() == DepType::kAllToOne;
+  std::multiset<KV> out;
+  for (int p = 0; p < spec.num_partitions; ++p) {
+    for (const auto& [dk, recs] : engine.structure(p)) {
+      EXPECT_FALSE(recs.empty()) << "empty group " << dk;
+      EXPECT_TRUE(std::is_sorted(recs.begin(), recs.end())) << dk;
+      for (const auto& kv : recs) {
+        EXPECT_EQ(spec.projector->Project(kv.key), dk);
+        EXPECT_EQ(Hash64(all_to_one ? kv.key : dk) % spec.num_partitions,
+                  static_cast<uint64_t>(p));
+        out.insert(kv);
+      }
+    }
+  }
+  return out;
+}
+
+// The edge cases every batch carries: a delete-then-reinsert of a live
+// record, a duplicate of a live record, an insert deleted again in the same
+// batch, and a delete of a record that does not exist.
+void AppendEdgeCases(const std::vector<KV>& live, const KV& transient,
+                     int round, std::vector<DeltaKV>* batch) {
+  const KV& reinserted = live[(7 * round + 1) % live.size()];
+  const KV& duplicated = live[(7 * round + 3) % live.size()];
+  const KV& missing = live[(7 * round + 5) % live.size()];
+  batch->push_back({DeltaOp::kDelete, reinserted.key, reinserted.value});
+  batch->push_back({DeltaOp::kInsert, reinserted.key, reinserted.value});
+  batch->push_back({DeltaOp::kInsert, duplicated.key, duplicated.value});
+  batch->push_back({DeltaOp::kInsert, transient.key, transient.value});
+  batch->push_back({DeltaOp::kDelete, transient.key, transient.value});
+  batch->push_back({DeltaOp::kDelete, missing.key, "no such record"});
+}
+
+// Drive one engine through `batches`. After each refresh its resident
+// structure must equal the batches applied one by one in log order, and a
+// fresh engine that LoadExisting()s a copy of its files must hold the same
+// structure and produce byte-identical state on the next refresh.
+void ExpectResidentMatchesReloaded(
+    const std::string& root, const IterJobSpec& spec, IncrIterOptions options,
+    const std::vector<KV>& structure, const std::vector<KV>& initial_state,
+    const std::vector<std::vector<DeltaKV>>& batches) {
+  // Copies of the live files must not race a compaction pass.
+  options.store_options.background_compaction = false;
+  LocalCluster cluster(root + "_live", spec.num_partitions);
+  IncrementalIterativeEngine live(&cluster, spec, options);
+  ASSERT_TRUE(live.RunInitial(structure, initial_state).ok());
+  std::multiset<KV> model(structure.begin(), structure.end());
+
+  for (size_t b = 0; b <= batches.size(); ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    std::unique_ptr<LocalCluster> fresh_cluster;
+    std::unique_ptr<IncrementalIterativeEngine> fresh;
+    if (b > 0) {
+      // Reload what the live engine's previous refresh left on disk.
+      fresh_cluster =
+          std::make_unique<LocalCluster>(root + "_fresh", spec.num_partitions);
+      std::filesystem::copy(JoinPath(cluster.root(), "state"),
+                            JoinPath(fresh_cluster->root(), "state"),
+                            std::filesystem::copy_options::recursive);
+      fresh = std::make_unique<IncrementalIterativeEngine>(fresh_cluster.get(),
+                                                           spec, options);
+      ASSERT_TRUE(fresh->LoadExisting().ok());
+      for (int p = 0; p < spec.num_partitions; ++p) {
+        EXPECT_TRUE(fresh->structure(p) == live.structure(p)) << "part " << p;
+      }
+    }
+    if (b == batches.size()) break;
+
+    auto refreshed = live.RunIncremental(batches[b]);
+    ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+    for (const auto& d : batches[b]) {
+      KV kv{d.key, d.value};
+      if (d.op == DeltaOp::kInsert) {
+        model.insert(kv);
+      } else if (auto it = model.find(kv); it != model.end()) {
+        model.erase(it);
+      }
+    }
+    EXPECT_TRUE(ResidentRecords(live) == model);
+    if (fresh == nullptr) continue;
+    ASSERT_TRUE(fresh->RunIncremental(batches[b]).ok());
+    EXPECT_TRUE(ResidentRecords(*fresh) == model);
+    auto live_state = live.StateSnapshot();
+    auto fresh_state = fresh->StateSnapshot();
+    ASSERT_TRUE(live_state.ok() && fresh_state.ok());
+    EXPECT_TRUE(*live_state == *fresh_state) << "state diverged";
+  }
+}
+
+TEST_F(CoreIncrIterTest, PageRankResidentStructureMatchesReloadedFiles) {
+  GraphGenOptions gen;
+  gen.num_vertices = 150;
+  gen.avg_degree = 4;
+  const auto graph0 = GenGraph(gen);
+  auto graph = graph0;
+  std::vector<std::vector<DeltaKV>> batches;
+  for (int round = 0; round < 4; ++round) {
+    GraphDeltaOptions dopt;
+    dopt.update_fraction = 0.06;
+    dopt.insert_fraction = 0.02;
+    dopt.delete_fraction = 0.02;
+    dopt.seed = 500 + round;
+    batches.push_back(GenGraphDelta(gen, dopt, &graph));
+    KV transient{PaddedNum(900 + round), graph[0].key};
+    AppendEdgeCases(graph, transient, round, &batches.back());
+  }
+  IncrIterOptions options;
+  options.filter_threshold = 0.0;
+  options.mrbg_auto_off_ratio = 2;  // keep the incremental path under test
+  ExpectResidentMatchesReloaded(
+      root_ + "_resident_pr", pagerank::MakeIterSpec("pr_res", 3, 80, 1e-8),
+      options, graph0, UnitState(graph0), batches);
+}
+
+TEST_F(CoreIncrIterTest, KmeansResidentStructureMatchesReloadedFiles) {
+  // All-to-one: structure partitioned by hash(SK), one DK group per
+  // partition, and every refresh a full re-computation over it.
+  PointsGenOptions gen;
+  gen.num_points = 150;
+  gen.dims = 2;
+  gen.num_clusters = 3;
+  const auto points0 = GenPoints(gen);
+  auto points = points0;
+  std::vector<std::vector<DeltaKV>> batches;
+  for (int round = 0; round < 3; ++round) {
+    batches.push_back(GenPointsDelta(gen, 0.08, 0.03, 600 + round, &points));
+    KV transient{"transient-" + std::to_string(round), points[0].value};
+    AppendEdgeCases(points, transient, round, &batches.back());
+  }
+  IncrIterOptions options;
+  options.maintain_mrbg = false;
+  ExpectResidentMatchesReloaded(
+      root_ + "_resident_km", kmeans::MakeIterSpec("km_res", 3, 30, 1e-7),
+      options, points0, kmeans::InitialState(points0, 3), batches);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -982,6 +983,92 @@ TEST_F(PipelineTest, SurvivesFullProcessRestartViaClusterReattach) {
     EXPECT_LT(pagerank::MeanError((*pipeline)->ServingSnapshot(), reference),
               1e-3);
   }
+}
+
+// A refresh that fails after the engine began patching its resident
+// structure (some partitions rewritten, one half-applied in memory) must
+// leave nothing behind: the in-process retry restores the committed epoch
+// into a fresh engine, and every later epoch matches a twin pipeline that
+// never failed, byte for byte. `arm` injects the failure, which the failed
+// epoch must report with `expected_error` in its status.
+void ExpectFailedRefreshLeavesNoTrace(const std::string& root,
+                                      const std::function<void()>& arm,
+                                      const std::string& expected_error) {
+  GraphGenOptions gen;
+  gen.num_vertices = 160;
+  gen.avg_degree = 4;
+  const auto graph0 = GenGraph(gen);
+  auto v = [](uint64_t id) { return PaddedNum(id); };
+  // Epoch 1: updates, inserts and deletes, plus an insert deleted again
+  // later in the same batch. Epoch 2: a plain update batch.
+  std::vector<std::vector<DeltaKV>> batches;
+  auto graph = graph0;
+  for (int epoch = 1; epoch <= 2; ++epoch) {
+    GraphDeltaOptions dopt;
+    dopt.update_fraction = 0.1;
+    dopt.insert_fraction = epoch == 1 ? 0.03 : 0.0;
+    dopt.delete_fraction = epoch == 1 ? 0.03 : 0.0;
+    dopt.seed = 300 + epoch;
+    batches.push_back(GenGraphDelta(gen, dopt, &graph));
+  }
+  batches[0].push_back({DeltaOp::kInsert, v(9000), v(1)});
+  batches[0].push_back({DeltaOp::kInsert, v(9001), v(2)});
+  batches[0].push_back({DeltaOp::kDelete, v(9000), v(1)});
+
+  LocalCluster failed_cluster(root + "_failed", 4);
+  LocalCluster twin_cluster(root + "_twin", 4);
+  auto failed = Pipeline::Open(&failed_cluster, "pr", PageRankPipeline());
+  auto twin = Pipeline::Open(&twin_cluster, "pr", PageRankPipeline());
+  ASSERT_TRUE(failed.ok() && twin.ok());
+  ASSERT_TRUE((*failed)->Bootstrap(graph0, UnitState(graph0)).ok());
+  ASSERT_TRUE((*twin)->Bootstrap(graph0, UnitState(graph0)).ok());
+
+  ASSERT_TRUE((*failed)->AppendBatch(batches[0]).ok());
+  arm();
+  auto failure = (*failed)->RunEpoch();
+  ASSERT_FALSE(failure.ok());
+  EXPECT_NE(failure.status().ToString().find(expected_error),
+            std::string::npos)
+      << failure.status().ToString();
+  fault::FaultInjector::Instance()->Reset();
+  EXPECT_EQ((*failed)->committed_epoch(), 0u);
+
+  for (size_t e = 0; e < batches.size(); ++e) {
+    if (e > 0) {
+      ASSERT_TRUE((*failed)->AppendBatch(batches[e]).ok());
+    }
+    ASSERT_TRUE((*twin)->AppendBatch(batches[e]).ok());
+    auto retried = (*failed)->RunEpoch();
+    auto clean = (*twin)->RunEpoch();
+    ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    EXPECT_EQ(retried->epoch, e + 1);
+    EXPECT_EQ(retried->deltas_applied, clean->deltas_applied);
+    EXPECT_TRUE((*failed)->ServingSnapshot() == (*twin)->ServingSnapshot())
+        << "epoch " << e + 1 << " diverged from the unfailed twin";
+  }
+}
+
+TEST_F(PipelineTest, FailedStructureRewriteLeavesNoHalfAppliedStructure) {
+  // EIO creating partition 1's new structure file: partition 0's delta is
+  // already applied and written, partition 1's applied only in memory.
+  const std::string path = root_ + "_eio_failed/state/pr/part-001/structure";
+  ExpectFailedRefreshLeavesNoTrace(
+      root_ + "_eio",
+      [&] {
+        ASSERT_TRUE(fault::FaultInjector::Instance()
+                        ->LoadSpec("op=create,path=" + path + ",kind=eio")
+                        .ok());
+      },
+      "injected EIO on create");
+}
+
+TEST_F(PipelineTest, CrashAfterRefreshLeavesNoAppliedStructure) {
+  // The refresh ran to completion (structure fully applied and rewritten)
+  // before the simulated crash.
+  ExpectFailedRefreshLeavesNoTrace(
+      root_ + "_crash", [] { CrashAt("refresh"); },
+      "simulated crash after refresh");
 }
 
 TEST_F(PipelineTest, InProcessRetryAfterCommitStageFailureSucceeds) {

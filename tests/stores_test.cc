@@ -51,11 +51,10 @@ TEST_F(StoresTest, StateStoreSaveLoadRoundTrip) {
   ASSERT_TRUE(loaded.Load().ok());
   EXPECT_EQ(loaded.size(), 2u);
   EXPECT_EQ(*loaded.Get("z"), "26");
-  // Snapshot is sorted by DK.
-  auto snap = loaded.Snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].key, "a");
-  EXPECT_EQ(snap[1].key, "z");
+  // Items are sorted by DK.
+  ASSERT_EQ(loaded.items().size(), 2u);
+  EXPECT_EQ(loaded.items().begin()->first, "a");
+  EXPECT_EQ(loaded.items().rbegin()->first, "z");
 }
 
 TEST_F(StoresTest, StateStoreLoadMissingFileIsEmpty) {
