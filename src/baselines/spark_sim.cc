@@ -47,15 +47,6 @@ StatusOr<DatasetPtr> SparkSim::MakeDataset(std::vector<std::vector<KV>> parts) {
   return ds;
 }
 
-size_t SparkSim::resident_bytes() const {
-  size_t total = 0;
-  for (const auto& weak : registry_) {
-    auto ds = weak.lock();
-    if (ds != nullptr && !ds->spilled_) total += ds->bytes_;
-  }
-  return total;
-}
-
 Status SparkSim::EnforceBudget() {
   std::lock_guard<std::mutex> lock(mu_);
   // Gather live datasets, oldest first.

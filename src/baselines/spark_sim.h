@@ -86,7 +86,6 @@ class SparkSim {
   StatusOr<std::vector<KV>> Collect(const DatasetPtr& in);
 
   const Stats& stats() const { return stats_; }
-  size_t resident_bytes() const;
   size_t memory_budget() const { return options_.memory_budget_bytes; }
 
  private:

@@ -101,6 +101,34 @@ std::string HealthRegistry::ToString() const {
   return out;
 }
 
+Availability::Availability(HealthRegistry* health, std::string component,
+                           Status (*refusal)(std::string))
+    : health_(health), component_(std::move(component)), refusal_(refusal) {
+  if (health_->state(component_) != HealthState::kHealthy) {
+    health_->Report(component_, HealthState::kHealthy);
+  }
+}
+
+void Availability::Set(HealthState state, Refuses refuses,
+                       const std::string& reason) {
+  std::lock_guard<std::mutex> lock(mu_);
+  reason_ = state == HealthState::kHealthy ? "" : reason;
+  refuses_.store(refuses, std::memory_order_release);
+  health_->Report(component_, state, reason_);
+}
+
+std::string Availability::reason() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return reason_;
+}
+
+Status Availability::Refusal(Op op) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  // The state may have cleared since Check's load.
+  if (static_cast<int>(refuses()) < static_cast<int>(op)) return Status::OK();
+  return refusal_(reason_);
+}
+
 bool HealthRegistry::Remove(const std::string& component) {
   std::lock_guard<std::mutex> lock(mu_);
   if (components_.erase(component) == 0) return false;

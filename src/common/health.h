@@ -2,9 +2,15 @@
 // shippers and the metrics exporter report kHealthy/kDegraded/kFailed with a
 // reason. States mirror into the MetricsRegistry as `health.<component>`
 // gauges (0/1/2) so the existing MetricsExporter publishes them for free.
+//
+// A component that can refuse service (a pipeline, a router, a router's
+// shard) holds an Availability: what it refuses right now and why. Every
+// refusal check reads it and every transition reports through it, so a
+// refused operation and the component's health entry always agree.
 #ifndef I2MR_COMMON_HEALTH_H_
 #define I2MR_COMMON_HEALTH_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -12,6 +18,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/status.h"
 
 namespace i2mr {
 
@@ -60,6 +67,45 @@ class HealthRegistry {
   MetricsRegistry* metrics_;
   mutable std::mutex mu_;
   std::map<std::string, ComponentHealth> components_;
+};
+
+/// One component's availability: what it refuses and why. Set/Clear
+/// report every transition to the component's HealthRegistry entry, and
+/// Check is the gate every operation passes.
+class Availability {
+ public:
+  enum class Refuses : int { kNothing = 0, kWrites = 1, kEverything = 2 };
+  /// kWrites and up refuse a write; only kEverything refuses a read.
+  enum class Op : int { kWrite = 1, kRead = 2 };
+
+  /// Refused operations fail with `refusal(reason)`, e.g.
+  /// &Status::Unavailable. A new component starts healthy, whatever a
+  /// previous incarnation left in its entry.
+  Availability(HealthRegistry* health, std::string component,
+               Status (*refusal)(std::string));
+
+  /// OK unless `op` is refused: one atomic load while nothing is.
+  Status Check(Op op) const {
+    if (static_cast<int>(refuses()) < static_cast<int>(op)) return Status::OK();
+    return Refusal(op);
+  }
+
+  void Set(HealthState state, Refuses refuses, const std::string& reason);
+  void Clear() { Set(HealthState::kHealthy, Refuses::kNothing, ""); }
+
+  Refuses refuses() const { return refuses_.load(std::memory_order_acquire); }
+  std::string reason() const;  // "" when healthy
+  const std::string& component() const { return component_; }
+
+ private:
+  Status Refusal(Op op) const;
+
+  HealthRegistry* const health_;
+  const std::string component_;
+  Status (*const refusal_)(std::string);
+  std::atomic<Refuses> refuses_{Refuses::kNothing};
+  mutable std::mutex mu_;  // guards reason_ and orders the reports
+  std::string reason_;
 };
 
 }  // namespace i2mr

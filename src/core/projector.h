@@ -22,8 +22,6 @@ enum class DepType {
   kAllToOne,   // e.g. Kmeans: every point ↔ the single centroid set
 };
 
-const char* DepTypeName(DepType type);
-
 class Projector {
  public:
   virtual ~Projector() = default;

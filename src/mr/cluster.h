@@ -40,7 +40,6 @@ class LocalCluster {
   Dfs* dfs() { return &dfs_; }
   ThreadPool* pool() { return &pool_; }
   const CostModel& cost() const { return cost_; }
-  void set_cost(const CostModel& cost) { cost_ = cost; }
   int num_workers() const { return num_workers_; }
   const std::string& root() const { return root_; }
 

@@ -93,8 +93,6 @@ class ShuffleWriter : public MapContext {
   /// partition was empty or went through the exchange).
   Status Finish(Reducer* combiner, StageMetrics* metrics);
 
-  int64_t records_emitted() const { return records_; }
-
  private:
   int num_partitions_;
   const Partitioner* partitioner_;

@@ -60,7 +60,6 @@ Status ContentChunkStore::Attach(const std::string& dir) {
   dir_ = dir;
   I2MR_RETURN_IF_ERROR(CreateDirs(dir));
   index_.clear();
-  bytes_stored_ = 0;
   open_segment_ = 0;
   writer_ = nullptr;
 
@@ -91,7 +90,6 @@ Status ContentChunkStore::Attach(const std::string& dir) {
       if (Crc32(payload) != crc || Hash64(payload) != hash) break;
       index_.emplace(hash, ContentChunkRef{hash, len, crc, seg,
                                            static_cast<uint64_t>(payload_off)});
-      bytes_stored_ += len;
       off = payload_off + len;
     }
   }
@@ -139,7 +137,6 @@ StatusOr<ContentChunkRef> ContentChunkStore::Put(std::string_view payload,
   I2MR_RETURN_IF_ERROR(writer_->Append(payload));
   ContentChunkRef ref{hash, len, crc, open_segment_, payload_off};
   index_.emplace(hash, ref);
-  bytes_stored_ += len;
   return ref;
 }
 

@@ -54,7 +54,6 @@ class ChunkIndex {
 
   const std::vector<BatchInfo>& batches() const { return batches_; }
   void AddBatch(const BatchInfo& b) { batches_.push_back(b); }
-  void ClearBatches() { batches_.clear(); }
 
   /// Iterate all (key, location) pairs in unspecified order.
   template <typename Fn>
@@ -126,9 +125,6 @@ class ContentChunkStore {
   /// Flush (and with sync=true fsync) the open segment.
   Status Flush(bool sync);
 
-  size_t chunk_count() const { return index_.size(); }
-  uint64_t bytes_stored() const { return bytes_stored_; }
-
  private:
   std::string SegmentPath(uint64_t segment) const;
   Status RotateLocked();
@@ -140,7 +136,6 @@ class ContentChunkStore {
   /// content-hash -> every distinct chunk with that hash (collisions keep
   /// both; identity requires length + crc to also match).
   std::unordered_multimap<uint64_t, ContentChunkRef> index_;
-  uint64_t bytes_stored_ = 0;
 };
 
 }  // namespace i2mr

@@ -1047,11 +1047,6 @@ uint64_t MRBGStore::file_bytes() const {
   return sealed_bytes_ + file_end_;
 }
 
-uint64_t MRBGStore::live_bytes() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return live_bytes_;
-}
-
 uint64_t MRBGStore::wasted_bytes() const {
   std::lock_guard<std::mutex> lk(mu_);
   uint64_t total = sealed_bytes_ + file_end_;

@@ -219,8 +219,6 @@ class MRBGStore {
   }
   /// Logical on-disk footprint (all segments, incl. unflushed appends).
   uint64_t file_bytes() const;
-  /// Bytes of live (indexed) chunk versions.
-  uint64_t live_bytes() const;
   /// Bytes of superseded versions, tombstones and dead tails.
   uint64_t wasted_bytes() const;
   /// Sealed + active segment files.

@@ -296,12 +296,11 @@ void DeltaLog::EnsureNextSeqAfter(uint64_t seq) {
 }
 
 bool DeltaLog::SimulateCrashLocked(const char* stage) {
-  bool crash = options_.crash_hook && options_.crash_hook(stage);
-  if (!crash && fault::FaultInjector::Armed()) {
-    crash = fault::FaultInjector::Instance()->AtCrashPoint(
-        std::string("delta_log/") + stage);
+  if (!fault::FaultInjector::Armed() ||
+      !fault::FaultInjector::Instance()->AtCrashPoint(
+          std::string("delta_log/") + stage)) {
+    return false;
   }
-  if (!crash) return false;
   LOG_WARN << "delta log " << dir_ << ": simulated crash at stage '" << stage
            << "'";
   if (file_ != nullptr) {

@@ -76,16 +76,6 @@ struct DeltaLogOptions {
   /// kProcessCrash: appends are flushed to the OS. kPowerFailure: appends,
   /// rotation and the PURGE mark are fsync'd before success is reported.
   DurabilityMode durability = DurabilityMode::kProcessCrash;
-
-  /// Test hook simulating process death at a segment boundary: return true
-  /// to abandon the operation at the given stage ("rotate" — the old
-  /// active was sealed but no new segment exists yet; "purge-marked" — the
-  /// PURGE watermark is durable but consumed segments are not yet
-  /// retired). The log then refuses further appends until reopened.
-  /// The same points fire from the fault-injection layer: a kind=crash
-  /// rule matching "delta_log/rotate" or "delta_log/purge-marked"
-  /// (io/fault_env.h) kills here without wiring a lambda.
-  std::function<bool(const std::string& stage)> crash_hook;
 };
 
 class DeltaLog {
@@ -216,6 +206,11 @@ class DeltaLog {
   Status WritePurgeMarkLocked();
   /// Unlink or archive a fully consumed segment file.
   Status RetireSegmentFile(const std::string& path);
+  /// True when a kind=crash rule (io/fault_env.h) fires at
+  /// "delta_log/<stage>": "rotate" (the old active was sealed but no new
+  /// segment exists yet) or "purge-marked" (the PURGE watermark is durable
+  /// but consumed segments are not yet retired). The log then refuses
+  /// further appends until reopened, as after process death.
   bool SimulateCrashLocked(const char* stage);
 
   const std::string dir_;

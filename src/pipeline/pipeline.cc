@@ -23,7 +23,10 @@ Pipeline::Pipeline(LocalCluster* cluster, std::string name,
       name_(std::move(name)),
       options_(std::move(options)),
       epochs_(JoinPath(cluster_->root(), "pipeline/" + name_),
-              options_.durability == DurabilityMode::kPowerFailure) {
+              options_.durability == DurabilityMode::kPowerFailure),
+      availability_(options_.health != nullptr ? options_.health
+                                               : HealthRegistry::Default(),
+                    "pipeline." + name_, &Status::Unavailable) {
   // One engine namespace per pipeline: state dirs, checkpoints and job
   // scratch space must never collide across pipelines on a shared cluster.
   options_.spec.name = name_;
@@ -33,8 +36,6 @@ Pipeline::Pipeline(LocalCluster* cluster, std::string name,
   options_.engine.charge_job_startup_per_refresh = false;
   engine_ = std::make_unique<IncrementalIterativeEngine>(
       cluster_, options_.spec, options_.engine);
-  health_ = options_.health != nullptr ? options_.health
-                                       : HealthRegistry::Default();
 }
 
 StatusOr<std::unique_ptr<Pipeline>> Pipeline::Open(LocalCluster* cluster,
@@ -153,60 +154,16 @@ void Pipeline::ArmLagTrigger() {
   if (oldest_pending_ns_.load() == 0) oldest_pending_ns_.store(NowNanos());
 }
 
-std::string Pipeline::degraded_reason() const {
-  std::lock_guard<std::mutex> lock(degraded_mu_);
-  return degraded_reason_;
-}
-
-Status Pipeline::AdmitAppend() {
-  if (!degraded()) return Status::OK();
-  // Elect at most one append per probe interval: the winner of the CAS
-  // goes through to the log as the recovery probe, everyone else bounces
+bool Pipeline::ElectProbe() {
+  // At most one append per probe interval: the winner of the CAS goes
+  // through to the log as the recovery probe, everyone else bounces
   // without touching the (presumed broken) disk.
   int64_t now = NowNanos();
   int64_t next = next_probe_ns_.load(std::memory_order_relaxed);
-  if (now >= next &&
-      next_probe_ns_.compare_exchange_strong(
-          next, now + static_cast<int64_t>(
-                          options_.degraded_probe_interval_ms * 1e6))) {
-    return Status::OK();
-  }
-  return Status::Unavailable("pipeline " + name_ +
-                             " is degraded (read-only): " + degraded_reason());
-}
-
-void Pipeline::EnterDegraded(const Status& cause) {
-  {
-    std::lock_guard<std::mutex> lock(degraded_mu_);
-    degraded_reason_ = cause.ToString();
-  }
-  next_probe_ns_.store(
-      NowNanos() +
-          static_cast<int64_t>(options_.degraded_probe_interval_ms * 1e6),
-      std::memory_order_relaxed);
-  bool was = degraded_.exchange(true, std::memory_order_release);
-  if (!was) {
-    LOG_WARN << "pipeline " << name_
-             << ": entering degraded read-only mode: " << cause.ToString();
-  }
-  // "log closed" (a failed rollback shut the log) needs a reopen to clear;
-  // probes can't fix it, so report kFailed instead of kDegraded.
-  health_->Report("pipeline." + name_,
-                  cause.code() == Status::Code::kFailedPrecondition
-                      ? HealthState::kFailed
-                      : HealthState::kDegraded,
-                  cause.ToString());
-}
-
-void Pipeline::ExitDegraded() {
-  if (!degraded_.exchange(false, std::memory_order_release)) return;
-  {
-    std::lock_guard<std::mutex> lock(degraded_mu_);
-    degraded_reason_.clear();
-  }
-  LOG_INFO << "pipeline " << name_
-           << ": probe write succeeded, resuming from degraded mode";
-  health_->Report("pipeline." + name_, HealthState::kHealthy);
+  return now >= next &&
+         next_probe_ns_.compare_exchange_strong(
+             next, now + static_cast<int64_t>(
+                             options_.degraded_probe_interval_ms * 1e6));
 }
 
 StatusOr<uint64_t> Pipeline::Append(const DeltaKV& delta) {
@@ -214,13 +171,14 @@ StatusOr<uint64_t> Pipeline::Append(const DeltaKV& delta) {
 }
 
 StatusOr<uint64_t> Pipeline::AppendBatch(const std::vector<DeltaKV>& deltas) {
-  I2MR_RETURN_IF_ERROR(AdmitAppend());
-  bool was_degraded = degraded();
+  Status refused = availability_.Check(Availability::Op::kWrite);
+  const bool probe = !refused.ok();
+  if (probe && !ElectProbe()) return refused;
   Status last;
   for (int attempt = 0;; ++attempt) {
     auto seq = log_->AppendBatch(deltas);
     if (seq.ok()) {
-      if (was_degraded) ExitDegraded();
+      if (probe) availability_.Clear();
       if (!deltas.empty()) ArmLagTrigger();
       return seq;
     }
@@ -235,7 +193,18 @@ StatusOr<uint64_t> Pipeline::AppendBatch(const std::vector<DeltaKV>& deltas) {
   }
   if (last.IsIOError() ||
       last.code() == Status::Code::kFailedPrecondition) {
-    EnterDegraded(last);
+    next_probe_ns_.store(
+        NowNanos() +
+            static_cast<int64_t>(options_.degraded_probe_interval_ms * 1e6),
+        std::memory_order_relaxed);
+    // "log closed" (a failed rollback shut the log) needs a reopen to
+    // clear; probes can't fix it, so it reads kFailed, not kDegraded.
+    availability_.Set(last.code() == Status::Code::kFailedPrecondition
+                          ? HealthState::kFailed
+                          : HealthState::kDegraded,
+                      Availability::Refuses::kWrites,
+                      "pipeline " + name_ +
+                          " is degraded (read-only): " + last.ToString());
   }
   return last;
 }

@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "common/health.h"
 #include "core/incr_iter_engine.h"
 #include "core/result_store.h"
 #include "mr/cluster.h"
@@ -52,8 +53,6 @@
 #include "pipeline/epoch_store.h"
 
 namespace i2mr {
-
-class HealthRegistry;
 
 struct PipelineOptions {
   /// The app's iterative job spec. `spec.name` is overridden with the
@@ -158,9 +157,12 @@ class Pipeline {
 
   /// True while the pipeline is in degraded read-only mode (appends bounce
   /// until a probe append succeeds; reads keep serving).
-  bool degraded() const { return degraded_.load(std::memory_order_acquire); }
-  /// Why the pipeline degraded ("" when healthy).
-  std::string degraded_reason() const;
+  bool degraded() const {
+    return availability_.refuses() != Availability::Refuses::kNothing;
+  }
+  /// Why the pipeline degraded ("" when healthy) — also the message of
+  /// every bounced append and the "pipeline.<name>" health reason.
+  std::string degraded_reason() const { return availability_.reason(); }
 
   /// Deltas logged but not yet consumed by a committed epoch.
   uint64_t pending() const;
@@ -308,11 +310,9 @@ class Pipeline {
   /// abandoned there and the working state marked dirty.
   bool SimulateCrash(uint64_t epoch, const char* stage);
 
-  /// Degraded-mode gate for Append/AppendBatch: OK ⇒ this caller may hit
-  /// the log (healthy, or elected as the probe); Unavailable ⇒ bounce.
-  Status AdmitAppend();
-  void EnterDegraded(const Status& cause);
-  void ExitDegraded();
+  /// While degraded: true for the one append per probe interval that may
+  /// try the log.
+  bool ElectProbe();
 
   /// Start the max-lag clock if it isn't already running (post-append).
   void ArmLagTrigger();
@@ -349,13 +349,12 @@ class Pipeline {
   /// first round restores the committed snapshot before proceeding.
   std::atomic<bool> dirty_{false};
 
-  /// Degraded read-only mode (persistent append failure). next_probe_ns_
-  /// elects one append per probe interval via CAS; the rest bounce.
-  HealthRegistry* health_ = nullptr;  // resolved in Open
-  std::atomic<bool> degraded_{false};
+  /// "pipeline.<name>": refuses writes in degraded read-only mode
+  /// (persistent append failure; kFailed once the log closed), and
+  /// next_probe_ns_ elects one append per probe interval via CAS to try
+  /// the log anyway.
+  Availability availability_;
   std::atomic<int64_t> next_probe_ns_{0};
-  mutable std::mutex degraded_mu_;  // guards degraded_reason_
-  std::string degraded_reason_;
   /// Arrival time of the oldest unconsumed delta (0 = none). Updates are
   /// serialized by trigger_mu_ so a commit deciding "nothing pending"
   /// cannot clobber a concurrent append that just armed the clock; reads

@@ -139,7 +139,6 @@ void ReplicaSet::StartShipper(ShardState& st, int shard) {
   }
   ReplicaShipperOptions so;
   so.poll_ms = options_.ship_poll_ms;
-  so.max_replica_lag_epochs = options_.max_replica_lag_epochs;
   // Per-shard health: "replication.<name>.shard<i>" goes kDegraded while
   // this shard's ship passes fail (backoff in effect), kHealthy again on
   // the first full success.
@@ -274,8 +273,8 @@ StatusOr<std::string> ReplicaSet::Get(const std::string& key) const {
   return pin.Lookup(key);
 }
 
-// Writes go through the router, so they meet its refusals (poison, lost
-// primaries) and, mid-reshard, its dual journal.
+// Writes go through the router, so they meet its refusals (incomplete
+// commits, lost primaries) and, mid-reshard, its dual journal.
 
 StatusOr<uint64_t> ReplicaSet::Append(const DeltaKV& delta) {
   {

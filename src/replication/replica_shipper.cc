@@ -145,7 +145,10 @@ Status ReplicaShipper::ShipPass() {
   Status first_error = Status::OK();
   const uint64_t generation = primary_->generation();
   for (size_t i = 0; i < followers_.size(); ++i) {
-    if (!follower_enabled(i)) continue;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!enabled_[i]) continue;
+    }
     FollowerReplica* f = followers_[i];
     if (!f->open()) continue;
     // Generation binding comes FIRST: after a reshard bumped the primary's
@@ -227,28 +230,6 @@ void ReplicaShipper::SetFollowerEnabled(size_t i, bool enabled) {
   enabled_[i] = enabled;
   dirty_ = true;
   cv_.notify_all();
-}
-
-bool ReplicaShipper::follower_enabled(size_t i) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return enabled_[i];
-}
-
-uint64_t ReplicaShipper::lag_epochs(size_t i) const {
-  uint64_t committed = primary_->committed_epoch();
-  uint64_t applied = followers_[i]->applied_epoch();
-  return committed > applied ? committed - applied : 0;
-}
-
-bool ReplicaShipper::IsStale(size_t i) const {
-  if (!follower_enabled(i)) return true;
-  FollowerReplica* f = followers_[i];
-  if (!f->open() || !f->serving()) return true;
-  return lag_epochs(i) > options_.max_replica_lag_epochs;
-}
-
-bool ReplicaShipper::IsCaughtUp(size_t i) const {
-  return !IsStale(i) && lag_epochs(i) == 0;
 }
 
 }  // namespace i2mr

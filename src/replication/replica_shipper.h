@@ -19,9 +19,9 @@
 //   4. publishes the follower's lag gauge.
 //
 // Passes are idempotent: every step re-derives what is missing from disk
-// state, so a crashed/raced pass is healed by the next one. Staleness
-// (lag > max_replica_lag_epochs, or disabled/closed) is the routing
-// signal ReplicaSet uses to skip a follower.
+// state, so a crashed/raced pass is healed by the next one. Whether a
+// follower is fresh enough to serve is ReplicaSet's routing decision
+// (ReplicaLag / IsReplicaStale), not the shipper's.
 #ifndef I2MR_REPLICATION_REPLICA_SHIPPER_H_
 #define I2MR_REPLICATION_REPLICA_SHIPPER_H_
 
@@ -43,11 +43,6 @@ struct ReplicaShipperOptions {
   /// Poll fallback interval; commit/seal notifications wake the thread
   /// sooner.
   int poll_ms = 20;
-
-  /// A follower whose applied epoch trails the primary's committed epoch
-  /// by more than this reports stale and is skipped by routing until it
-  /// catches up.
-  uint64_t max_replica_lag_epochs = 4;
 
   /// Cap on the ship thread's failure backoff. Consecutive failed passes
   /// back off exponentially (poll_ms, 2*poll_ms, ... max_backoff_ms) with
@@ -84,17 +79,9 @@ class ReplicaShipper {
   /// use this to reach a known-shipped state without sleeping).
   Status SyncNow();
 
-  /// Enable/disable shipping to follower `i` (a disabled follower is
-  /// stale by definition). Used to simulate a dead replica.
+  /// Enable/disable shipping to follower `i`. Used to simulate a dead
+  /// replica.
   void SetFollowerEnabled(size_t i, bool enabled);
-  bool follower_enabled(size_t i) const;
-
-  /// Lag in epochs of follower `i` behind the primary's committed epoch.
-  uint64_t lag_epochs(size_t i) const;
-  /// Disabled, closed, not yet serving, or lagging beyond the max.
-  bool IsStale(size_t i) const;
-  /// Serving the primary's exact committed epoch.
-  bool IsCaughtUp(size_t i) const;
 
   FollowerReplica* follower(size_t i) const { return followers_[i]; }
   Pipeline* primary() const { return primary_; }

@@ -68,7 +68,7 @@ StatusOr<ReshardStats> ReshardCoordinator::Run() {
   const std::string& name = router_->name();
   const std::string& root = router_->root_;
   MetricsRegistry* metrics = router_->metrics();
-  HealthRegistry* health = router_->health_;
+  HealthRegistry* health = router_->options().health;
   const std::string mbase = "serving." + name + ".reshard.";
   Counter* chunks_total = metrics->Get(mbase + "chunks_total");
   Counter* chunks_reused = metrics->Get(mbase + "chunks_reused");
@@ -87,8 +87,8 @@ StatusOr<ReshardStats> ReshardCoordinator::Run() {
   // the new topology afterwards.
   std::lock_guard<std::mutex> coord(router_->coord_mu_);
 
-  // A poisoned router or a lost primary: recover before resharding.
-  I2MR_RETURN_IF_ERROR(router_->Refusal(-1));
+  // A refusing router or a lost primary: recover before resharding.
+  I2MR_RETURN_IF_ERROR(router_->Refusal(-1, Availability::Op::kWrite));
   if (!router_->bootstrapped()) {
     return Status::FailedPrecondition("router not bootstrapped");
   }
@@ -148,10 +148,11 @@ StatusOr<ReshardStats> ReshardCoordinator::Run() {
   staging_opts.persist_partition_map = false;
   staging_opts.reset = true;
   staging_opts.admission = nullptr;  // donors already pay the tenant quota
-  staging_opts.barrier_crash_hook = nullptr;
   auto staging_or = ShardRouter::Open(root, name, std::move(staging_opts));
   if (!staging_or.ok()) return staging_or.status();
   std::unique_ptr<ShardRouter> staging = std::move(staging_or.value());
+  // Whatever the staging fleet reported is retired with the move.
+  health_components.push_back(staging->availability_.component());
   plan_span.End();
 
   // ---- Phase 2: fence + arm the dual journal ------------------------------
@@ -200,7 +201,8 @@ StatusOr<ReshardStats> ReshardCoordinator::Run() {
     }
     ShardRouter* staging_ptr = staging.get();
     std::atomic<uint64_t>* errors = &journal_errors;
-    router_->journal_ = [staging_ptr, dual_journal, errors](const DeltaKV& d) {
+    router_->SetJournal([staging_ptr, dual_journal,
+                         errors](const DeltaKV& d) {
       auto seq = staging_ptr->Append(d);
       if (seq.ok()) {
         dual_journal->Increment();
@@ -209,7 +211,7 @@ StatusOr<ReshardStats> ReshardCoordinator::Run() {
         LOG_WARN << "reshard dual-journal append failed (move will abort "
                  << "before cutover): " << seq.status().ToString();
       }
-    };
+    });
   }
   // Disarm on every non-cutover exit: the journal captures the staging
   // fleet, which dies with this scope.
@@ -219,7 +221,7 @@ StatusOr<ReshardStats> ReshardCoordinator::Run() {
     void Disarm() {
       if (!active) return;
       std::unique_lock<std::shared_mutex> gate(router->append_gate_);
-      router->journal_ = nullptr;
+      router->SetJournal(nullptr);
       active = false;
     }
     ~JournalGuard() { Disarm(); }
@@ -395,9 +397,9 @@ StatusOr<ReshardStats> ReshardCoordinator::Run() {
     // by RecoverReshard on reopen. Revoke the decision — retire the
     // marker and make sure the PARTMAP still names the old map — so the
     // old generation stands consistently; if revocation itself fails,
-    // poison the router (appends and lookups refused until the
-    // roll-forward reopen), exactly like the flip_marker crash hook.
-    auto revoke_or_poison = [&](const Status& cause) {
+    // fail the router (appends and lookups refused until the roll-forward
+    // reopen), exactly like the flip_marker crash point.
+    auto revoke_or_fail = [&](const Status& cause) {
       Status revoked = RemoveAll(ShardRouter::ReshardMarkerPath(root, name));
       if (revoked.ok() && sync) revoked = SyncDir(root);
       if (revoked.ok()) {
@@ -415,12 +417,12 @@ StatusOr<ReshardStats> ReshardCoordinator::Run() {
                  << "write (" << cause.ToString()
                  << "); decision revoked, the old map stands";
       } else {
-        router_->poisoned_.store(true);
-        LOG_WARN << "reshard " << name << ": cutover failed after the marker "
-                 << "write (" << cause.ToString()
-                 << ") and the decision could not be revoked ("
-                 << revoked.ToString()
-                 << "); router poisoned until the roll-forward reopen";
+        router_->FailUntilReopen(
+            "reshard cutover to generation " +
+            std::to_string(new_map.generation) +
+            " failed after its marker write (" + cause.ToString() +
+            ") and the decision could not be revoked (" + revoked.ToString() +
+            ")");
       }
     };
     // Commit point: the durable marker carries the new map. From here a
@@ -430,23 +432,24 @@ StatusOr<ReshardStats> ReshardCoordinator::Run() {
     if (!marked.ok()) {
       // The save's own failure can still have left a durable marker (tmp
       // + rename, with only the directory sync failing); revoke it.
-      revoke_or_poison(marked);
+      revoke_or_fail(marked);
       return marked;
     }
     if (Crashed("flip_marker")) {
       // In-process simulation of dying right after the decision: the old
       // topology must not serve new reads that recovery would contradict.
-      router_->poisoned_.store(true);
-      return Status::Aborted(
+      const Status crashed = Status::Aborted(
           "simulated coordinator crash after the reshard marker");
+      router_->FailUntilReopen(crashed.ToString());
+      return crashed;
     }
     Status published =
         PartitionMap::Save(PartitionMap::RecordPath(root, name), new_map, sync);
     if (!published.ok()) {
-      revoke_or_poison(published);
+      revoke_or_fail(published);
       return published;
     }
-    router_->journal_ = nullptr;
+    router_->SetJournal(nullptr);
     journal_guard.active = false;  // cleared under this gate hold
     router_->AdoptTopology(std::move(staging->shards_),
                            std::move(staging->exchange_), staging->map_,

@@ -43,8 +43,9 @@
 // in-process I/O failure between the marker write and the topology swap
 // revokes the decision (marker retired, PARTMAP restored to the old map)
 // so the old generation stands consistently; if revocation itself fails,
-// the router is poisoned — appends and lookups refused — until the
-// roll-forward reopen, so no acked write can be contradicted by recovery.
+// the router fails ("serving.<name>" kFailed: appends, lookups and pins
+// refused) until the roll-forward reopen, so no acked write can be
+// contradicted by recovery.
 //
 // Metrics (serving.<name>.reshard.*): chunks_total, chunks_reused,
 // bytes_moved, dual_journal_deltas, cutover_ms. Health: every donor and
@@ -77,14 +78,15 @@ struct ReshardOptions {
   /// finer reuse granularity under churn, more chunks to index.
   int buckets_per_stream = 64;
 
-  /// Test hook simulating coordinator death inside the move, in the style
-  /// of ShardRouterOptions::barrier_crash_hook. Stages: "plan" (nothing
+  /// Test hook simulating coordinator death inside the move (return true
+  /// to die at `stage`; a probe that returns false observes the move
+  /// mid-flight). Stages: "plan" (nothing
   /// changed yet), "dual_journal" (journaling armed, transfer not begun),
   /// "transfer" (chunks durable, staging fleet not bootstrapped),
   /// "flip" (cutover fenced, RESHARD marker not yet written — recovery
   /// keeps the old map), "flip_marker" (marker durable, topology not
-  /// swapped — recovery rolls forward to the new map; the router is
-  /// poisoned in-process exactly like a mid-flip barrier crash). The same
+  /// swapped — recovery rolls forward to the new map; the router fails
+  /// in-process exactly like a mid-flip barrier crash). The same
   /// points fire from the fault-injection layer as "reshard/<stage>".
   std::function<bool(const std::string& stage)> crash_hook;
 };
@@ -114,8 +116,8 @@ class ReshardCoordinator {
   /// Execute the full reshard. On success the router serves the new
   /// generation and the returned stats describe the move. On failure the
   /// router still serves the old map (or — after the "flip_marker" point,
-  /// or when a post-marker failure's decision could not be revoked — is
-  /// poisoned pending the roll-forward reopen) — never a mix.
+  /// or when a post-marker failure's decision could not be revoked —
+  /// refuses everything pending the roll-forward reopen) — never a mix.
   StatusOr<ReshardStats> Run();
 
  private:

@@ -137,11 +137,6 @@ StatusOr<ShardSnapshot> ShardSnapshot::PinCut(const ShardRouter* router,
   // also brackets — then retries onto the new map.
   int spins = 0;
   for (;;) {
-    if (router->poisoned()) {
-      return Status::FailedPrecondition(
-          "a barrier commit was left incomplete; reopen the router "
-          "(reset=false) to recover");
-    }
     uint64_t seq = router->commit_seq();
     if ((seq & 1) != 0) {
       // A flip is in progress.
@@ -152,6 +147,10 @@ StatusOr<ShardSnapshot> ShardSnapshot::PinCut(const ShardRouter* router,
       }
       continue;
     }
+    // Asked after the even seq was read: a failed flip refuses before its
+    // seqlock goes even again, so this check cannot pass on the stale side
+    // of it.
+    I2MR_RETURN_IF_ERROR(router->Refusal(-1, Availability::Op::kRead));
     ShardRouter::TopologyView view = router->topology();
     snap.pins_.clear();
     snap.epochs_.clear();

@@ -76,8 +76,8 @@ class ShardSnapshot {
   friend class ShardGroup;
   friend class ReplicaSet;  // builds snapshots over primary+replica pins
 
-  /// Pin one uniform cut of `router`'s primaries: refused while the router
-  /// is poisoned, bracketed by its barrier-flip seqlock (wait while odd,
+  /// Pin one uniform cut of `router`'s primaries: refused as the router's
+  /// Refusal says, bracketed by its barrier-flip seqlock (wait while odd,
   /// re-pin if it moved), every pin from one TopologyView. Fills map_,
   /// pins_ and epochs_; the caller sets shard_reads_ (and may swap a pin
   /// for another backend's pin of the same epoch).

@@ -91,7 +91,12 @@ ShardRouter::ShardRouter(std::string name, std::string root,
                          ShardRouterOptions options)
     : name_(std::move(name)),
       root_(std::move(root)),
-      options_(std::move(options)) {}
+      options_(std::move(options)),
+      availability_(options_.health,
+                    options_.persist_partition_map
+                        ? "serving." + name_
+                        : "reshard." + name_ + ".staging",
+                    &Status::FailedPrecondition) {}
 
 ShardRouter::~ShardRouter() { Stop(); }
 
@@ -199,7 +204,6 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
 
   std::unique_ptr<ShardRouter> router(
       new ShardRouter(name, root, std::move(options)));
-  router->health_ = router->options_.health;
   router->map_ = std::make_shared<const PartitionMap>(map);
   const ShardRouterOptions& opts = router->options_;
   if (opts.reset) {
@@ -220,6 +224,7 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
     if (!shard.ok()) return shard.status();
     router->shards_.push_back(std::move(*shard));
   }
+  router->ResetShardAvailability();
   router->deltas_routed_ =
       opts.metrics->Get("serving." + name + ".router.deltas_routed");
   router->lookups_routed_ =
@@ -335,22 +340,12 @@ bool ShardRouter::bootstrapped() const {
 // Routed ingestion + lookups
 // ---------------------------------------------------------------------------
 
-Status ShardRouter::Refusal(int shard) const {
-  if (poisoned_.load()) {
-    // A durable decision (a barrier record or a reshard marker) already
-    // supersedes the live topology: an ack against this generation's log
-    // could be discarded by the recovery that resolves the poison. Refuse
-    // like Lookup does — an acked append must survive recovery.
-    return Status::FailedPrecondition(
-        "a barrier commit or reshard cutover was left incomplete; refused "
-        "until recovery");
-  }
+Status ShardRouter::Refusal(int shard, Availability::Op op) const {
+  I2MR_RETURN_IF_ERROR(availability_.Check(op));
   std::shared_lock<std::shared_mutex> topo(topo_mu_);
-  for (int s = 0; s < static_cast<int>(shards_.size()); ++s) {
-    if ((shard < 0 || shard == s) && shards_[s]->lost) {
-      return Status::FailedPrecondition(
-          "shard " + std::to_string(s) +
-          " lost its primary; promote a follower first");
+  for (int s = 0; s < static_cast<int>(shard_availability_.size()); ++s) {
+    if (shard < 0 || shard == s) {
+      I2MR_RETURN_IF_ERROR(shard_availability_[s]->Check(op));
     }
   }
   return Status::OK();
@@ -366,7 +361,7 @@ StatusOr<uint64_t> ShardRouter::Append(const DeltaKV& delta) {
   std::shared_lock<std::shared_mutex> gate(append_gate_);
   TopologyView view = topology();
   const int s = view.map->ShardOf(delta.key);
-  I2MR_RETURN_IF_ERROR(Refusal(s));
+  I2MR_RETURN_IF_ERROR(Refusal(s, Availability::Op::kWrite));
   auto seq = view.pipelines[s]->Append(delta);
   // Successes only: a failed log append was not routed into any shard.
   if (seq.ok()) {
@@ -391,7 +386,7 @@ Status ShardRouter::AppendBatch(const std::vector<DeltaKV>& deltas) {
   std::vector<int> targets;
   for (int s = 0; s < n; ++s) {
     if (parts[s].empty()) continue;
-    I2MR_RETURN_IF_ERROR(Refusal(s));  // before any shard logs its part
+    I2MR_RETURN_IF_ERROR(Refusal(s, Availability::Op::kWrite));
     targets.push_back(s);
   }
   auto journal_part = [this](const std::vector<DeltaKV>& part) {
@@ -431,17 +426,10 @@ Status ShardRouter::AppendBatch(const std::vector<DeltaKV>& deltas) {
 }
 
 StatusOr<std::string> ShardRouter::Lookup(const std::string& key) const {
-  if (poisoned_.load()) {
-    // A barrier commit died between the decision record and the last
-    // CURRENT flip: some shards serve epoch N, others N-1, and recovery
-    // will roll N back — answers from it would be retroactively
-    // un-committed. Refuse, like PinSnapshot does.
-    return Status::FailedPrecondition(
-        "a barrier commit was left incomplete; reopen the router "
-        "(reset=false) to recover");
-  }
   TopologyView view = topology();
-  auto result = view.pipelines[view.map->ShardOf(key)]->Lookup(key);
+  const int s = view.map->ShardOf(key);
+  I2MR_RETURN_IF_ERROR(Refusal(s, Availability::Op::kRead));
+  auto result = view.pipelines[s]->Lookup(key);
   // An answered lookup — including a definitive NotFound — was served; a
   // shard that failed to answer (e.g. not bootstrapped) was not.
   if (result.ok() || result.status().IsNotFound()) {
@@ -478,17 +466,19 @@ void ShardRouter::Start() {
       const bool ready =
           std::any_of(pipelines.begin(), pipelines.end(),
                       [](Pipeline* p) { return p->EpochReady(); });
-      // A pending roll-forward counts as ready even with the router
-      // poisoned: RefreshCoordinated resumes the interrupted barrier
-      // before (or instead of) taking new work. A lost primary waits for
-      // its promotion.
+      // A pending roll-forward counts as ready even though the router
+      // refuses everything else: RefreshCoordinated resumes the
+      // interrupted barrier before (or instead of) taking new work. A
+      // lost primary waits for its promotion.
       const bool resumable = pending_flip_epoch_.load() != 0;
-      if ((ready && Refusal(-1).ok()) || resumable) {
+      if ((ready && Refusal(-1, Availability::Op::kWrite).ok()) ||
+          resumable) {
         bool admitted = resumable || options_.admission == nullptr ||
                         options_.tenant.empty() ||
                         options_.admission->AdmitEpoch(options_.tenant);
         if (admitted) {
-          auto st = RefreshCoordinated();
+          std::unique_lock<std::mutex> lock(coord_mu_);
+          auto st = RefreshCoordinatedLocked();
           if (!st.ok()) {
             ++failures;
             epoch_failures_->Increment();
@@ -497,13 +487,17 @@ void ShardRouter::Start() {
             LOG_WARN << "serving " << name_ << ": coordinated epoch failed ("
                      << st.status().ToString() << "); backing off "
                      << backoff_ms << "ms";
-            health_->Report("serving." + name_, HealthState::kDegraded,
-                            st.status().ToString());
+            // Backing off refuses nothing; a refusal the failure left
+            // (awaiting roll-forward, or reopen) is the stronger state.
+            if (availability_.refuses() == Availability::Refuses::kNothing) {
+              availability_.Set(HealthState::kDegraded,
+                                Availability::Refuses::kNothing,
+                                st.status().ToString());
+            }
+            lock.unlock();
             backoff_sleep(backoff_ms);
           } else {
-            if (failures > 0) {
-              health_->Report("serving." + name_, HealthState::kHealthy);
-            }
+            if (failures > 0) availability_.Clear();
             failures = 0;
           }
         }
@@ -630,16 +624,11 @@ ShardRouter::RefreshCoordinatedLocked() {
   WallTimer wall;
   TRACE_SPAN("serving.coordinated_epoch", "router=%s shards=%d", name_.c_str(),
              num_shards());
-  if (poisoned_.load()) {
-    const uint64_t decided = pending_flip_epoch_.load();
-    if (decided == 0) {
-      return Status::FailedPrecondition(
-          "a barrier commit was left incomplete; reopen the router "
-          "(reset=false) to recover");
-    }
+  const uint64_t decided = pending_flip_epoch_.load();
+  if (decided != 0) {
     // The interrupted barrier was *decided* (record durable, staged slots
-    // intact): roll it forward before taking new work. Failure keeps the
-    // router poisoned and the next tick retries.
+    // intact): roll it forward before taking new work. Failure keeps
+    // everything refused and the next tick retries.
     Status resumed = FlipBarrierLocked(decided, {});
     if (!resumed.ok()) {
       return Status::Unavailable(
@@ -647,7 +636,7 @@ ShardRouter::RefreshCoordinatedLocked() {
           resumed.ToString());
     }
   }
-  I2MR_RETURN_IF_ERROR(Refusal(-1));
+  I2MR_RETURN_IF_ERROR(Refusal(-1, Availability::Op::kWrite));
   if (!bootstrapped()) {
     return Status::FailedPrecondition("router not bootstrapped");
   }
@@ -723,9 +712,20 @@ Status ShardRouter::RunEpochLocked(
 }
 
 bool ShardRouter::BarrierCrashed(const std::string& stage) const {
-  return (options_.barrier_crash_hook && options_.barrier_crash_hook(stage)) ||
-         (fault::FaultInjector::Armed() &&
-          fault::FaultInjector::Instance()->AtCrashPoint("barrier/" + stage));
+  return fault::FaultInjector::Armed() &&
+         fault::FaultInjector::Instance()->AtCrashPoint("barrier/" + stage);
+}
+
+void ShardRouter::FailUntilReopen(const std::string& reason) {
+  pending_flip_epoch_.store(0);
+  availability_.Set(HealthState::kFailed,
+                    Availability::Refuses::kEverything,
+                    reason + "; reopen the router (reset=false) to recover");
+}
+
+void ShardRouter::SetJournal(
+    std::function<void(const DeltaKV& delta)> journal) {
+  journal_ = std::move(journal);
 }
 
 Status ShardRouter::CommitBarrier(uint64_t epoch,
@@ -785,13 +785,29 @@ Status ShardRouter::FlipBarrierLocked(uint64_t epoch,
   // A roll-forward re-runs this loop: a shard that already flipped reports
   // committed_epoch() == epoch. The seqlock goes odd around the flips so a
   // concurrent PinSnapshot retries instead of observing a mixed vector
-  // mid-publication; a failure poisons the router before the seqlock goes
+  // mid-publication; a failure refuses everything before the seqlock goes
   // even again, so pins are refused from then on.
   trace::ScopedSpan flip_span("barrier.flip", "epoch=%llu",
                               static_cast<unsigned long long>(epoch));
   commit_seq_.fetch_add(1, std::memory_order_acq_rel);
   Status st;
   bool crashed = false;
+  // A failure past the decision record. A simulated coordinator crash
+  // needs the reopen recovery, and so does bootstrap: its rollback lands
+  // on "nothing committed". A *real* I/O failure of a delta epoch does
+  // not: the epoch is decided (BARRIER durable) and every unflipped
+  // shard's staged slot is still valid, so the commit rolls *forward* on
+  // the next coordinated tick once the disk heals.
+  auto refuse = [&](const Status& cause) {
+    const std::string what = "barrier commit of epoch " +
+                             std::to_string(epoch) + " left incomplete (" +
+                             cause.ToString() + ")";
+    if (crashed || epoch == 0) return FailUntilReopen(what);
+    pending_flip_epoch_.store(epoch);
+    availability_.Set(HealthState::kDegraded,
+                      Availability::Refuses::kEverything,
+                      what + "; rolling forward on the next coordinated tick");
+  };
   for (int s = 0; s < n && st.ok(); ++s) {
     Pipeline* pipeline = view.pipelines[s];
     if (pipeline->bootstrapped() && pipeline->committed_epoch() >= epoch) {
@@ -805,7 +821,7 @@ Status ShardRouter::FlipBarrierLocked(uint64_t epoch,
   if (st.ok() && (crashed = BarrierCrashed("flipped"))) {
     st = Status::Aborted("simulated coordinator crash before barrier removal");
   }
-  if (!st.ok()) poisoned_.store(true);
+  if (!st.ok()) refuse(st);
   commit_seq_.fetch_add(1, std::memory_order_acq_rel);
   flip_span.End();
 
@@ -816,33 +832,18 @@ Status ShardRouter::FlipBarrierLocked(uint64_t epoch,
   // but would trigger a needless rollback on reopen.
   TRACE_SPAN("barrier.cleanup", "epoch=%llu",
              static_cast<unsigned long long>(epoch));
-  if (st.ok()) st = RemoveAll(BarrierPathFor(root_, name_, *view.map));
-  if (st.ok() && sync) st = SyncDir(root_);
+  if (st.ok()) {
+    st = RemoveAll(BarrierPathFor(root_, name_, *view.map));
+    if (st.ok() && sync) st = SyncDir(root_);
+    if (!st.ok()) refuse(st);
+  }
   if (!st.ok()) {
-    poisoned_.store(true);
-    if (crashed || epoch == 0) {
-      // A simulated coordinator crash needs the reopen recovery, and so
-      // does bootstrap: its rollback lands on "nothing committed".
-      pending_flip_epoch_.store(0);
-      MarkAllDirty();
-      return st;
-    }
-    // A *real* I/O failure past the decision record is recoverable without
-    // a reopen: the epoch is decided (BARRIER durable) and every unflipped
-    // shard's staged slot is still valid, so the commit rolls *forward* on
-    // the next coordinated tick once the disk heals. Keep the slots (no
-    // MarkAllDirty) and keep reads refused.
-    pending_flip_epoch_.store(epoch);
-    LOG_WARN << "serving " << name_ << ": barrier commit of epoch " << epoch
-             << " interrupted by I/O failure (" << st.ToString()
-             << "); will roll forward on the next coordinated tick";
-    health_->Report("serving." + name_, HealthState::kDegraded,
-                    "barrier commit of epoch " + std::to_string(epoch) +
-                        " awaiting roll-forward: " + st.ToString());
+    // A roll-forward keeps the staged slots; the reopen recovery does not
+    // need them.
+    if (crashed || epoch == 0) MarkAllDirty();
     return st;
   }
-  pending_flip_epoch_.store(0);
-  const bool rolled_forward = poisoned_.exchange(false);
+  const bool rolled_forward = pending_flip_epoch_.exchange(0) != 0;
   if (epoch > 0) {
     std::shared_lock<std::shared_mutex> topo(topo_mu_);
     for (int s = 0; s < n; ++s) {
@@ -860,11 +861,7 @@ Status ShardRouter::FlipBarrierLocked(uint64_t epoch,
                << ")";
     }
   });
-  if (rolled_forward) {
-    LOG_INFO << "serving " << name_ << ": rolled interrupted barrier commit "
-             << "of epoch " << epoch << " forward";
-    health_->Report("serving." + name_, HealthState::kHealthy);
-  }
+  if (rolled_forward) availability_.Clear();
   return Status::OK();
 }
 
@@ -917,25 +914,27 @@ Status ShardRouter::RecoverBarrier(const std::string& root,
 
 Status ShardRouter::MarkPrimaryLost(int shard) {
   // coord_mu_ waits out an in-flight coordinated epoch, the exclusive
-  // append gate waits out in-flight appends: once the flag is up, nothing
-  // reaches the dead primary.
+  // append gate waits out in-flight appends: once the shard refuses
+  // writes, nothing reaches the dead primary.
   std::lock_guard<std::mutex> coord(coord_mu_);
   std::unique_lock<std::shared_mutex> gate(append_gate_);
   std::unique_lock<std::shared_mutex> topo(topo_mu_);
   if (shard < 0 || shard >= static_cast<int>(shards_.size())) {
     return Status::InvalidArgument("no shard " + std::to_string(shard));
   }
-  shards_[shard]->lost = true;
-  LOG_WARN << "serving " << name_ << ": shard " << shard
-           << " lost its primary; appends to it, coordinated epochs and "
-           << "reshards are refused until a promotion";
+  shard_availability_[shard]->Set(
+      HealthState::kFailed, Availability::Refuses::kWrites,
+      "shard " + std::to_string(shard) +
+          " lost its primary; appends to it, coordinated epochs and "
+          "reshards are refused until a follower is promoted");
   return Status::OK();
 }
 
 bool ShardRouter::primary_lost(int shard) const {
   std::shared_lock<std::shared_mutex> topo(topo_mu_);
-  return shard >= 0 && shard < static_cast<int>(shards_.size()) &&
-         shards_[shard]->lost;
+  return shard >= 0 && shard < static_cast<int>(shard_availability_.size()) &&
+         shard_availability_[shard]->refuses() !=
+             Availability::Refuses::kNothing;
 }
 
 StatusOr<Pipeline*> ShardRouter::PromotePrimary(int shard,
@@ -974,10 +973,10 @@ StatusOr<Pipeline*> ShardRouter::PromotePrimary(int shard,
   Pipeline* pipeline = promoted->pipeline.get();
   // The swap, like AdoptTopology's: pins retry around it, and the lost
   // slice retires alive so pins taken from it keep serving. The exclusive
-  // append gate clears the lost flag: an append takes its topology view
-  // and asks Refusal under one shared hold, so it either sees the lost
-  // slice and is refused or routes to the promoted one — it never passes
-  // the check and then writes to the retired primary.
+  // append gate clears the shard's refusal: an append takes its topology
+  // view and asks Refusal under one shared hold, so it either sees the
+  // lost slice and is refused or routes to the promoted one — it never
+  // passes the check and then writes to the retired primary.
   {
     std::unique_lock<std::shared_mutex> gate(append_gate_);
     commit_seq_.fetch_add(1, std::memory_order_acq_rel);
@@ -985,6 +984,7 @@ StatusOr<Pipeline*> ShardRouter::PromotePrimary(int shard,
       std::unique_lock<std::shared_mutex> topo(topo_mu_);
       retired_.push_back(std::move(shards_[shard]));
       shards_[shard] = std::move(promoted);
+      shard_availability_[shard]->Clear();
     }
     commit_seq_.fetch_add(1, std::memory_order_acq_rel);
   }
@@ -1014,8 +1014,19 @@ void ShardRouter::AdoptTopology(std::vector<std::unique_ptr<Shard>> shards,
     shard_deltas_applied_ = std::move(deltas_applied);
     options_.num_shards = map_->num_shards;
     options_.pipeline.generation = map_->generation;
+    ResetShardAvailability();
   }
   commit_seq_.fetch_add(1, std::memory_order_acq_rel);
+}
+
+void ShardRouter::ResetShardAvailability() {
+  // A reshard starts only with no shard refusing.
+  shard_availability_.clear();
+  for (int s = 0; s < map_->num_shards; ++s) {
+    shard_availability_.push_back(std::make_unique<Availability>(
+        options_.health, "serving." + name_ + ".shard" + std::to_string(s),
+        &Status::FailedPrecondition));
+  }
 }
 
 }  // namespace i2mr

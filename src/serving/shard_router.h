@@ -33,6 +33,13 @@
 // reshards until PromotePrimary() swaps a caught-up follower's root in as
 // that shard's pipeline — the router owns every shard's primary.
 //
+// Refusals: the router ("serving.<name>") and each shard
+// ("serving.<name>.shard<s>") hold one Availability (common/health.h),
+// and Refusal() is the one check every entry point asks. The router
+// refuses everything while a decided barrier awaits its roll-forward
+// (kDegraded) or an incomplete commit awaits the reopen recovery
+// (kFailed); a shard refuses writes while its primary is lost (kFailed).
+//
 // Epoch-consistent cross-shard reads and per-tenant admission live one
 // layer up, in ShardGroup / AdmissionController.
 #ifndef I2MR_SERVING_SHARD_ROUTER_H_
@@ -49,6 +56,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/health.h"
 #include "mr/cluster.h"
 #include "common/metrics.h"
 #include "pipeline/pipeline.h"
@@ -58,7 +66,6 @@
 
 namespace i2mr {
 
-class HealthRegistry;
 class ReshardCoordinator;
 
 struct ShardRouterOptions {
@@ -68,18 +75,6 @@ struct ShardRouterOptions {
   /// Must stay true: coordinated refresh (see the header comment) is the
   /// only multi-shard mode, and Open rejects false.
   bool cross_shard_exchange = true;
-
-  /// Test hook simulating coordinator death inside the barrier commit.
-  /// Stages: "staged" (every shard's epoch dir staged, BARRIER not yet
-  /// written), "barrier" (BARRIER durable, nothing flipped), "mid_flip"
-  /// (exactly one shard's CURRENT flipped), "flipped" (all flipped,
-  /// BARRIER not yet removed). Return true to abandon the commit with the
-  /// on-disk state exactly as a crash would leave it; the router marks
-  /// every shard dirty and refuses the epoch. The same points fire from
-  /// the fault-injection layer: a kind=crash rule matching
-  /// "barrier/<stage>" (io/fault_env.h) kills here without wiring a
-  /// lambda.
-  std::function<bool(const std::string& stage)> barrier_crash_hook;
 
   /// Per-shard cluster cost model.
   CostModel cost;
@@ -108,11 +103,10 @@ struct ShardRouterOptions {
   /// Counter registry (Default() when null).
   MetricsRegistry* metrics = nullptr;
 
-  /// Health registry (Default() when null). The router reports
-  /// "serving.<name>" — kDegraded while coordinated epochs are failing or
-  /// an interrupted barrier awaits roll-forward, kHealthy once epochs
-  /// commit again — and forwards the registry into every shard pipeline
-  /// (which reports "pipeline.<name>" for its degraded read-only mode).
+  /// Health registry (Default() when null) for the router's and its
+  /// shards' availability (see the header comment), forwarded into every
+  /// shard pipeline (which reports "pipeline.<name>" for its degraded
+  /// read-only mode).
   HealthRegistry* health = nullptr;
 
   /// Internal (ReshardCoordinator): open this fleet under an explicit
@@ -121,7 +115,9 @@ struct ShardRouterOptions {
   PartitionMap partition_map{0, 0};
 
   /// Internal (ReshardCoordinator): a staging fleet must not write the
-  /// live PARTMAP record — publishing the new map is the cutover.
+  /// live PARTMAP record — publishing the new map is the cutover — and
+  /// reports its availability as "reshard.<name>.staging", never over the
+  /// live router's "serving.<name>".
   bool persist_partition_map = true;
 };
 
@@ -166,18 +162,21 @@ class ShardRouter {
                    const std::vector<KV>& initial_state);
   bool bootstrapped() const;
 
-  /// Durably append one update to its key's shard. Refused (like Lookup)
-  /// while the router is poisoned — a durable barrier/reshard decision
-  /// already supersedes the live topology, and recovery could discard an
-  /// ack made against it — and while the key's shard has lost its primary.
+  /// Durably append one update to its key's shard, unless Refusal
+  /// refuses the write: past a durable barrier/reshard decision the
+  /// recovery could discard an ack made against the live topology.
   StatusOr<uint64_t> Append(const DeltaKV& delta);
-  /// Partition a batch by key and append per shard (one group per shard).
-  /// Refused whole, before any shard logs it, when one of its shards is
-  /// refused.
+  /// Partition a batch by key and append per shard (one group per shard),
+  /// refused whole, before any shard logs it, when one shard refuses it.
   Status AppendBatch(const std::vector<DeltaKV>& deltas);
 
   /// Point lookup from the key's shard's latest committed epoch.
   StatusOr<std::string> Lookup(const std::string& key) const;
+
+  /// FailedPrecondition with the refusing component's health reason when
+  /// the router or shard `shard` (-1: any) refuses `op`; OK otherwise.
+  /// Every entry point (and ShardSnapshot::PinCut) asks it before acting.
+  Status Refusal(int shard, Availability::Op op) const;
 
   /// Background epoch scheduling: one coordinator thread driving
   /// RefreshCoordinated whenever a shard's epoch trigger fires. Failed
@@ -229,10 +228,11 @@ class ShardRouter {
   uint64_t commit_seq() const {
     return commit_seq_.load(std::memory_order_acquire);
   }
-  /// True after a barrier commit died between the decision record and the
-  /// last CURRENT flip: the on-disk state needs the reopen recovery, and
-  /// cross-shard reads are refused rather than served mixed.
-  bool poisoned() const { return poisoned_.load(); }
+  /// The router refuses everything: a barrier commit or a reshard cutover
+  /// was left incomplete past its decision record.
+  bool poisoned() const {
+    return availability_.refuses() == Availability::Refuses::kEverything;
+  }
   /// Nonzero when a *real* I/O failure (not a simulated coordinator
   /// crash) interrupted the barrier after its decision record was
   /// durable: the epoch is decided, the staged slots are intact, and the
@@ -274,8 +274,6 @@ class ShardRouter {
   struct Shard {
     std::unique_ptr<LocalCluster> cluster;
     std::unique_ptr<Pipeline> pipeline;  // destroyed before its cluster
-    /// The primary died (MarkPrimaryLost); guarded by topo_mu_.
-    bool lost = false;
   };
 
   ShardRouter(std::string name, std::string root, ShardRouterOptions options);
@@ -288,11 +286,6 @@ class ShardRouter {
                                              bool reset,
                                              const PartitionMap& map,
                                              int s) const;
-
-  /// FailedPrecondition while the router is poisoned or while shard
-  /// `shard`'s primary is lost (shard = -1: any shard's); OK otherwise.
-  /// Every state-changing entry point asks this before it changes state.
-  Status Refusal(int shard) const;
 
   /// RefreshCoordinated body; caller holds coord_mu_ (the reshard
   /// coordinator drains donors while holding the lock for the whole move).
@@ -320,15 +313,25 @@ class ShardRouter {
 
   /// Phase 2 of a barrier commit and all of its roll-forward: finalize
   /// every shard not yet at `epoch` with the seqlock odd, retire BARRIER,
-  /// bump the counters, clean up (and unpoison). A real I/O failure
-  /// poisons the router and, for epoch > 0, arms pending_flip_epoch_ for
-  /// the next tick; a simulated crash poisons it and marks every shard
-  /// dirty for the reopen recovery. Caller holds coord_mu_.
+  /// bump the counters, clean up. A failure refuses everything (see the
+  /// implementation). Caller holds coord_mu_.
   Status FlipBarrierLocked(uint64_t epoch,
                            const std::vector<uint64_t>& drained);
 
-  /// barrier_crash_hook or a kind=crash rule on "barrier/<stage>" fired.
+  /// Refuse everything until the reopen recovery. Caller holds coord_mu_.
+  void FailUntilReopen(const std::string& reason);
+
+  /// A kind=crash rule on "barrier/<stage>" (io/fault_env.h) fired.
+  /// Stages: "staged" (every shard's epoch dir staged, BARRIER not yet
+  /// written), "barrier" (BARRIER durable, nothing flipped), "mid_flip"
+  /// (exactly one shard's CURRENT flipped), "flipped" (all flipped,
+  /// BARRIER not yet removed); the commit is abandoned with the on-disk
+  /// state exactly as a crash would leave it.
   bool BarrierCrashed(const std::string& stage) const;
+
+  /// Arm (or with nullptr disarm) the dual-journal sink. Caller holds
+  /// append_gate_ exclusive.
+  void SetJournal(std::function<void(const DeltaKV& delta)> journal);
 
   /// Path of the coordinator's durable barrier decision record
   /// (generation-qualified past generation 0, so a staging fleet's
@@ -371,18 +374,26 @@ class ShardRouter {
 
   void MarkAllDirty();
 
+  /// A fresh availability per shard of map_. Caller holds topo_mu_
+  /// exclusive (or owns the router alone, in Open).
+  void ResetShardAvailability();
+
   const std::string name_;
   const std::string root_;
   ShardRouterOptions options_;
 
-  /// Guards the live topology — map_, shards_, exchange_, the per-shard
-  /// counter vectors — shared for every read/route, exclusive only for
-  /// the pointer swaps of a reshard cutover, a lost-primary mark and a
-  /// promotion. Lock order: append_gate_ (when
-  /// taken) before topo_mu_ before anything inside a pipeline.
+  /// Guards the live topology — map_, shards_, shard_availability_,
+  /// exchange_, the per-shard counter vectors — shared for every
+  /// read/route, exclusive only for the pointer swaps of a reshard
+  /// cutover, a lost-primary mark and a promotion. Lock order:
+  /// append_gate_ (when taken) before topo_mu_ before anything inside a
+  /// pipeline.
   mutable std::shared_mutex topo_mu_;
   std::shared_ptr<const PartitionMap> map_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// "serving.<name>.shard<s>", one per live shard: refuses writes while
+  /// the shard's primary is lost (MarkPrimaryLost until PromotePrimary).
+  std::vector<std::unique_ptr<Availability>> shard_availability_;
   /// Donor slices of previous generations (retired at cutover) and lost
   /// primaries (retired at promotion), kept alive so pins taken from them
   /// stay valid.
@@ -391,7 +402,8 @@ class ShardRouter {
   /// Append gate: appends hold it shared; the reshard coordinator takes
   /// it exclusive for the brief watermark fence (enable dual-journaling
   /// against a drained fleet) and the final cutover, and failover for
-  /// setting and clearing a shard's lost flag. Reads never touch it.
+  /// marking a shard's primary lost and promoting its replacement. Reads
+  /// never touch it.
   mutable std::shared_mutex append_gate_;
   /// Dual-journal sink (set only mid-reshard, under the exclusive gate):
   /// every successfully routed append is also offered to the destination
@@ -412,22 +424,20 @@ class ShardRouter {
 
   /// Serializes RefreshCoordinated / DrainAll / the coordinator thread /
   /// failover transitions (and, for the length of a move, the reshard
-  /// coordinator). Lock order: coord_mu_ before append_gate_.
+  /// coordinator) — and with them every router and shard availability
+  /// transition. Lock order: coord_mu_ before append_gate_.
   std::mutex coord_mu_;
   std::unique_ptr<CrossShardExchange> exchange_;
   std::thread coordinator_;
   std::atomic<bool> coordinating_{false};
   /// See commit_seq().
   std::atomic<uint64_t> commit_seq_{0};
-  /// Set when a barrier commit died after the decision record was written
-  /// but before every CURRENT flipped: the on-disk state needs the reopen
-  /// recovery (RecoverBarrier); further coordinated epochs are refused.
-  std::atomic<bool> poisoned_{false};
-  /// See pending_flip_epoch(). Epoch 0 (bootstrap) is never resumable —
-  /// its rollback already lands on "nothing committed".
+  /// "serving.<name>" (see the header comment).
+  Availability availability_;
+  /// See pending_flip_epoch(): the decided epoch the next tick rolls
+  /// forward. Epoch 0 (bootstrap) is never resumable — its rollback
+  /// already lands on "nothing committed".
   std::atomic<uint64_t> pending_flip_epoch_{0};
-  /// Resolved health registry (options_.health or Default()).
-  HealthRegistry* health_ = nullptr;
   /// Per-shard commit counters, published per barrier commit. Guarded by
   /// topo_mu_.
   std::vector<Counter*> shard_epochs_committed_;

@@ -2,19 +2,26 @@
 // degradation it drives: spec parsing, trigger semantics (fail-once /
 // fail-N-times / every-Nth / after-N), ENOSPC vs EIO error shaping, torn
 // writes, injected latency, crash points replacing the legacy crash_hook
-// lambdas, the HealthRegistry, and the ENOSPC degradation scenarios —
+// lambdas, the HealthRegistry and the per-component Availability state
+// (including readers and appenders racing a router's refuse-then-roll-
+// forward transition), and the ENOSPC degradation scenarios —
 // delta-log append (pipeline enters degraded read-only mode and
 // auto-resumes), segment seal (rotation rolls back and the log stays
 // usable), epoch stage (old-or-new, never torn) and MRBG compaction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "apps/pagerank.h"
+#include "apps/sssp.h"
+#include "common/codec.h"
 #include "common/health.h"
 #include "common/metrics.h"
 #include "common/metrics_exporter.h"
@@ -26,6 +33,8 @@
 #include "mrbg/mrbg_store.h"
 #include "pipeline/delta_log.h"
 #include "pipeline/pipeline.h"
+#include "serving/shard_group.h"
+#include "serving/shard_router.h"
 
 namespace i2mr {
 namespace {
@@ -240,6 +249,157 @@ TEST(HealthRegistryTest, ReportsTransitionsAndMirrorsGauges) {
   EXPECT_TRUE(health.Remove("pipeline.x"));
   EXPECT_FALSE(health.Remove("pipeline.x"));
   EXPECT_TRUE(health.AllHealthy());
+}
+
+// ---------------------------------------------------------------------------
+// Availability: one state decides a component's refusals and health entry
+// ---------------------------------------------------------------------------
+
+TEST(AvailabilityTest, StateDecidesRefusalsAndTheHealthEntry) {
+  using Op = Availability::Op;
+  using Refuses = Availability::Refuses;
+  MetricsRegistry metrics;
+  HealthRegistry health(&metrics);
+  health.Report("c", HealthState::kFailed, "left by a previous incarnation");
+  Availability a(&health, "c", &Status::Unavailable);
+  EXPECT_EQ(health.state("c"), HealthState::kHealthy);  // starts healthy
+  EXPECT_TRUE(a.Check(Op::kWrite).ok());
+  EXPECT_TRUE(a.Check(Op::kRead).ok());
+
+  a.Set(HealthState::kDegraded, Refuses::kWrites, "disk full");
+  Status write = a.Check(Op::kWrite);
+  EXPECT_TRUE(write.IsUnavailable());
+  EXPECT_EQ(write.message(), "disk full");
+  EXPECT_TRUE(a.Check(Op::kRead).ok());
+  EXPECT_EQ(health.state("c"), HealthState::kDegraded);
+  EXPECT_EQ(health.reason("c"), "disk full");
+  EXPECT_EQ(metrics.GetGauge("health.c")->value(), 1);
+
+  a.Set(HealthState::kFailed, Refuses::kEverything, "gone");
+  EXPECT_EQ(a.Check(Op::kRead).message(), "gone");
+  EXPECT_EQ(health.state("c"), HealthState::kFailed);
+  EXPECT_EQ(health.reason("c"), "gone");
+
+  // Degraded without refusing anything (e.g. backing off a failed epoch).
+  a.Set(HealthState::kDegraded, Refuses::kNothing, "backing off");
+  EXPECT_TRUE(a.Check(Op::kWrite).ok());
+  EXPECT_EQ(health.state("c"), HealthState::kDegraded);
+
+  a.Clear();
+  EXPECT_EQ(a.refuses(), Refuses::kNothing);
+  EXPECT_EQ(a.reason(), "");
+  EXPECT_EQ(health.state("c"), HealthState::kHealthy);
+  EXPECT_EQ(metrics.GetGauge("health.c")->value(), 0);
+}
+
+// A router's state transition raced by its readers and writers: a real
+// I/O failure interrupts a barrier mid-flip (everything refused while the
+// decided epoch awaits its roll-forward), then the next coordinated tick
+// rolls it forward. No pin is ever served a mixed epoch vector, every
+// failed read or append is the router's refusal, and every acked append
+// is applied once the fleet drains.
+TEST_F(FaultEnvTest, ReadersAndAppendersRacingRefuseThenRollForwardSeeNoMix) {
+  MetricsRegistry metrics;
+  HealthRegistry health(&metrics);
+  const int n = 16;
+  std::vector<KV> graph;
+  for (int i = 0; i < n; ++i) {
+    graph.push_back(KV{PaddedNum(i), PaddedNum((i + 1) % n) + ":1"});
+  }
+  ShardRouterOptions options;
+  options.num_shards = 2;
+  options.workers_per_shard = 2;
+  options.metrics = &metrics;
+  options.health = &health;
+  options.pipeline.spec = sssp::MakeIterSpec("sp", PaddedNum(0), 2, 200);
+  options.pipeline.engine.filter_threshold = 0.0;
+  std::vector<KV> init;
+  for (const auto& kv : graph) {
+    init.push_back(KV{kv.key, options.pipeline.spec.init_state(kv.key)});
+  }
+  auto router = ShardRouter::Open(JoinPath(dir_, "fleet"), "sp", options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  ASSERT_TRUE((*router)->Bootstrap(graph, init).ok());
+  ASSERT_TRUE((*router)
+                  ->Append(DeltaKV{DeltaOp::kInsert, PaddedNum(0),
+                                   PaddedNum(5) + ":1"})
+                  .ok());
+
+  ShardGroup group(router->get());
+  std::atomic<bool> stop{false};
+  std::atomic<int> pins{0}, mixed{0}, unexpected{0};
+  std::atomic<int64_t> acked{1};
+  auto refused = [](const Status& st) {
+    return st.code() == Status::Code::kFailedPrecondition;
+  };
+  std::vector<std::thread> threads;
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      while (!stop.load()) {
+        auto snap = group.PinSnapshot();
+        if (snap.ok()) {
+          pins.fetch_add(1);
+          const std::vector<uint64_t>& e = snap->epochs();
+          if (std::adjacent_find(e.begin(), e.end(),
+                                 std::not_equal_to<uint64_t>()) != e.end()) {
+            mixed.fetch_add(1);
+          }
+        } else if (!refused(snap.status())) {
+          unexpected.fetch_add(1);
+        }
+        auto v = (*router)->Lookup(PaddedNum(r));
+        if (!v.ok() && !refused(v.status())) unexpected.fetch_add(1);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 1; !stop.load(); ++i) {
+      auto seq = (*router)->Append(DeltaKV{
+          DeltaOp::kInsert, PaddedNum(i % n), PaddedNum((i + 3) % n) + ":2"});
+      if (seq.ok()) {
+        acked.fetch_add(1);
+      } else if (!refused(seq.status())) {
+        unexpected.fetch_add(1);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+
+  // Shard 0's flip (CURRENT write + rename) lands and shard 1's CURRENT
+  // write fails: the shards' committed epochs differ until the roll-
+  // forward, and the decided epoch (barrier record durable) rolls forward
+  // on the next tick.
+  fault::FaultRule rule;
+  rule.ops = fault::kWriteFile | fault::kRename;
+  rule.path_substr = "CURRENT";
+  rule.kind = fault::FaultKind::kEIO;
+  rule.after = 2;
+  rule.times = 1;
+  fault::FaultInjector::Instance()->AddRule(rule);
+  auto failed = (*router)->RefreshCoordinated();
+  EXPECT_FALSE(failed.ok());
+  EXPECT_NE((*router)->shard(0)->committed_epoch(),
+            (*router)->shard(1)->committed_epoch());
+  EXPECT_TRUE((*router)->poisoned());
+  EXPECT_EQ(health.state("serving.sp"), HealthState::kDegraded);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  fault::FaultInjector::Instance()->Reset();
+  auto resumed = (*router)->RefreshCoordinated();
+  EXPECT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_FALSE((*router)->poisoned());
+  EXPECT_EQ(health.state("serving.sp"), HealthState::kHealthy);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  stop.store(true);
+  for (auto& t : threads) t.join();
+
+  ASSERT_TRUE((*router)->DrainAll().ok());
+  EXPECT_EQ((*router)->TotalPending(), 0u);
+  EXPECT_GT(pins.load(), 0);
+  EXPECT_EQ(mixed.load(), 0);
+  EXPECT_EQ(unexpected.load(), 0);
+  EXPECT_EQ(metrics.Get("serving.sp.router.deltas_routed")->value(),
+            acked.load());
 }
 
 // ---------------------------------------------------------------------------

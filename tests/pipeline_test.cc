@@ -51,6 +51,7 @@ class DeltaLogTest : public ::testing::Test {
     dir_ = ::testing::TempDir() + "/i2mr_delta_log";
     ASSERT_TRUE(ResetDir(dir_).ok());
   }
+  void TearDown() override { fault::FaultInjector::Instance()->Reset(); }
   std::string dir_;
 };
 
@@ -411,9 +412,10 @@ TEST_F(DeltaLogTest, CrashBetweenSealAndNewSegmentLosesNothing) {
   {
     // 90-byte threshold: the third 32-byte frame crosses it.
     DeltaLogOptions options = SmallSegments(90);
-    options.crash_hook = [](const std::string& stage) {
-      return stage == "rotate";
-    };
+    ASSERT_TRUE(fault::FaultInjector::Instance()
+                    ->LoadSpec("op=crash,path=delta_log/rotate,kind=crash,"
+                               "times=-1")
+                    .ok());
     auto log = DeltaLog::Open(dir_, options);
     ASSERT_TRUE(log.ok());
     // The third append crosses the threshold; its rotation "dies" after
@@ -425,6 +427,7 @@ TEST_F(DeltaLogTest, CrashBetweenSealAndNewSegmentLosesNothing) {
     // The "dead process" accepts nothing more.
     EXPECT_FALSE((*log)->Append(DeltaKV{DeltaOp::kInsert, "k3", "v"}).ok());
   }
+  fault::FaultInjector::Instance()->Reset();
   // Restart: all three acknowledged records recovered, appends continue.
   auto log = DeltaLog::Open(dir_, SmallSegments());
   ASSERT_TRUE(log.ok()) << log.status().ToString();
@@ -438,9 +441,10 @@ TEST_F(DeltaLogTest, CrashBetweenSealAndNewSegmentLosesNothing) {
 TEST_F(DeltaLogTest, CrashMidPurgeAfterMarkIsCompletedOnReopen) {
   {
     DeltaLogOptions options = SmallSegments();
-    options.crash_hook = [](const std::string& stage) {
-      return stage == "purge-marked";
-    };
+    ASSERT_TRUE(fault::FaultInjector::Instance()
+                    ->LoadSpec("op=crash,path=delta_log/purge-marked,"
+                               "kind=crash,times=-1")
+                    .ok());
     auto log = DeltaLog::Open(dir_, options);
     ASSERT_TRUE(log.ok());
     ASSERT_TRUE(AppendN(log->get(), 10).ok());
@@ -449,6 +453,7 @@ TEST_F(DeltaLogTest, CrashMidPurgeAfterMarkIsCompletedOnReopen) {
     EXPECT_FALSE((*log)->PurgeThrough(6).ok());
     EXPECT_EQ((*log)->purge_watermark(), 6u);
   }
+  fault::FaultInjector::Instance()->Reset();
   size_t leftover = SegmentFilesIn(dir_).size();
   ASSERT_GE(leftover, 3u);  // nothing was retired before the "crash"
 

@@ -21,6 +21,8 @@
 #include "apps/pagerank.h"
 #include "apps/sssp.h"
 #include "common/codec.h"
+#include "common/health.h"
+#include "common/metrics.h"
 #include "data/graph_gen.h"
 #include "io/compress.h"
 #include "io/env.h"
@@ -90,7 +92,8 @@ TEST_F(ReplicationTest, ShipsCommittedEpochsAndServesThemFromFollowers) {
     EXPECT_EQ(f->applied_watermark(),
               (*router)->shard(s)->committed_watermark());
     EXPECT_GT(f->shipped_bytes()->value(), 0);
-    EXPECT_TRUE((*set)->shipper(s)->IsCaughtUp(0));
+    EXPECT_TRUE((*set)->ReplicaLag(s, 0) == 0 &&
+                !(*set)->IsReplicaStale(s, 0));
   }
 
   // Follower-served reads agree with the primary for every key.
@@ -609,6 +612,51 @@ TEST_F(ReplicationTest, LostPrimaryRefusesWritesEpochsAndReshardsNotReads) {
   ASSERT_TRUE((*set)->AppendBatch(AddShortcut(&graph, 9, 21, "0.5")).ok());
   ASSERT_TRUE((*set)->DrainAll().ok());
   EXPECT_EQ((*router)->CommittedEpochs(), (std::vector<uint64_t>{2, 2}));
+}
+
+// A lost primary is its shard component's state: "serving.<name>.shard0"
+// reads kFailed with the reason its refused appends carry, the router and
+// the other shard stay healthy, and the promotion returns it to healthy.
+TEST_F(ReplicationTest, LostPrimaryFailsItsShardHealthUntilPromotion) {
+  auto graph = RingGraph(24, /*weighted=*/true);
+  MetricsRegistry metrics;
+  HealthRegistry health(&metrics);
+  ShardRouterOptions options = SsspShards(PaddedNum(0));
+  options.metrics = &metrics;
+  options.health = &health;
+  auto router = ShardRouter::Open(root_, "sp", options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  ASSERT_TRUE(
+      (*router)->Bootstrap(graph, InitStateFor(options.pipeline.spec, graph)).ok());
+  ReplicaSetOptions ro;
+  ro.replicas_per_shard = 1;
+  auto set = ReplicaSet::Open(router->get(), replicas_, ro);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ASSERT_TRUE((*set)->SyncAll().ok());
+  EXPECT_EQ(health.state("serving.sp.shard0"), HealthState::kHealthy);
+
+  ASSERT_TRUE((*set)->KillPrimary(0).ok());
+  EXPECT_EQ(health.state("serving.sp.shard0"), HealthState::kFailed);
+  EXPECT_EQ(health.state("serving.sp.shard1"), HealthState::kHealthy);
+  EXPECT_EQ(health.state("serving.sp"), HealthState::kHealthy);
+  std::string key0;
+  for (const auto& kv : graph) {
+    if ((*router)->ShardOf(kv.key) == 0) {
+      key0 = kv.key;
+      break;
+    }
+  }
+  ASSERT_FALSE(key0.empty());
+  auto refused = (*router)->Append(DeltaKV{DeltaOp::kInsert, key0, "x:1"});
+  EXPECT_EQ(refused.status().code(), Status::Code::kFailedPrecondition);
+  EXPECT_EQ(refused.status().message(), health.reason("serving.sp.shard0"));
+  EXPECT_TRUE((*router)->Lookup(key0).ok());  // reads go on
+
+  auto promoted = (*set)->Promote(0);
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  EXPECT_EQ(health.state("serving.sp.shard0"), HealthState::kHealthy);
+  EXPECT_FALSE((*router)->primary_lost(0));
+  EXPECT_TRUE((*router)->Append(DeltaKV{DeltaOp::kInsert, key0, "x:1"}).ok());
 }
 
 TEST_F(ReplicationTest, PromotedShardOfCoordinatedFleetStaysExact) {

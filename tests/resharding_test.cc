@@ -728,6 +728,56 @@ TEST_F(ReshardingTest, WarmRetryReusesEveryChunkOfACrashedTransfer) {
   }
 }
 
+// The flip_marker crash point fails the live router: every refused write,
+// read and pin returns exactly its "serving.<name>" health reason, and the
+// roll-forward reopen starts healthy in the same registry.
+TEST_F(ReshardingTest, FlipMarkerCrashFailsServingAndEveryRefusalMatchesIt) {
+  auto graph = RingGraph(24, /*weighted=*/true);
+  auto spec = sssp::MakeIterSpec("sp", PaddedNum(0), 2, 200);
+  MetricsRegistry metrics;
+  HealthRegistry health(&metrics);
+  auto options = CoordinatedOptions(spec, 2);
+  options.metrics = &metrics;
+  options.health = &health;
+  {
+    auto router = ShardRouter::Open(root_, "sp", options);
+    ASSERT_TRUE(router.ok()) << router.status().ToString();
+    ASSERT_TRUE(
+        (*router)->Bootstrap(graph, InitStateFor(spec, graph)).ok());
+    ASSERT_TRUE(fault::FaultInjector::Instance()
+                    ->LoadSpec("op=crash,path=reshard/flip_marker,kind=crash")
+                    .ok());
+    ReshardOptions opts;
+    opts.new_num_shards = 3;
+    opts.chunk_max_bytes = 512;
+    ReshardCoordinator coordinator(router->get(), opts);
+    ASSERT_FALSE(coordinator.Run().ok());
+    fault::FaultInjector::Instance()->Reset();
+
+    EXPECT_EQ(health.state("serving.sp"), HealthState::kFailed);
+    const std::string reason = health.reason("serving.sp");
+    EXPECT_NE(reason.find("reshard marker"), std::string::npos) << reason;
+    auto append = (*router)->Append(
+        DeltaKV{DeltaOp::kInsert, graph.front().key, graph.front().value});
+    EXPECT_EQ(append.status().code(), Status::Code::kFailedPrecondition);
+    EXPECT_EQ(append.status().message(), reason);
+    auto lookup = (*router)->Lookup(graph.front().key);
+    EXPECT_EQ(lookup.status().code(), Status::Code::kFailedPrecondition);
+    EXPECT_EQ(lookup.status().message(), reason);
+    ShardGroup group(router->get());
+    auto pin = group.PinSnapshot();
+    EXPECT_EQ(pin.status().code(), Status::Code::kFailedPrecondition);
+    EXPECT_EQ(pin.status().message(), reason);
+  }
+
+  options.reset = false;
+  auto reopened = ShardRouter::Open(root_, "sp", options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->generation(), 1u);
+  EXPECT_EQ(health.state("serving.sp"), HealthState::kHealthy);
+  EXPECT_TRUE((*reopened)->Lookup(graph.front().key).ok());
+}
+
 // ---------------------------------------------------------------------------
 // Observability: reshard metrics + health states
 // ---------------------------------------------------------------------------

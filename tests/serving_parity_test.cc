@@ -22,6 +22,7 @@
 #include "common/codec.h"
 #include "data/graph_gen.h"
 #include "io/env.h"
+#include "io/fault_env.h"
 #include "serving/shard_group.h"
 #include "serving/shard_router.h"
 #include "shard_test_util.h"
@@ -73,6 +74,7 @@ class ServingParityTest : public ::testing::Test {
     root_ = ::testing::TempDir() + "/i2mr_serving_parity";
     ASSERT_TRUE(ResetDir(root_).ok());
   }
+  void TearDown() override { fault::FaultInjector::Instance()->Reset(); }
   std::string root_;
 };
 
@@ -444,18 +446,18 @@ TEST_F(BarrierRecoveryTest, CrashMidBarrierNeverExposesAMixedEpoch) {
 
   for (const std::string stage : {"staged", "barrier", "mid_flip", "flipped"}) {
     std::string root = JoinPath(root_, "crash_" + stage);
-    std::atomic<bool> armed{false};
-    std::atomic<bool> fired{false};
     auto options = CoordinatedOptions(spec, 3);
-    options.barrier_crash_hook = [&, stage](const std::string& s) {
-      if (s != stage || !armed.load()) return false;
-      return !fired.exchange(true);
-    };
+    // Crash the first delta barrier at `stage`: the bootstrap barrier
+    // passes the point once first.
+    fault::FaultInjector::Instance()->Reset();
+    ASSERT_TRUE(fault::FaultInjector::Instance()
+                    ->LoadSpec("op=crash,path=barrier/" + stage +
+                               ",kind=crash,after=1")
+                    .ok());
     {
       auto router = ShardRouter::Open(root, "prc", options);
       ASSERT_TRUE(router.ok()) << router.status().ToString();
       ASSERT_TRUE((*router)->Bootstrap(graph, init).ok()) << stage;
-      armed.store(true);  // crash the next (delta) barrier, not bootstrap
       ASSERT_TRUE((*router)->AppendBatch(batch).ok());
       auto st = (*router)->DrainAll();
       ASSERT_FALSE(st.ok()) << stage << ": simulated crash must surface";
@@ -504,11 +506,10 @@ TEST_F(BarrierRecoveryTest, CrashInsideBootstrapBarrierRollsBackToEmpty) {
   const auto init = InitStateFor(spec, graph);
 
   std::string root = JoinPath(root_, "bootcrash");
-  std::atomic<bool> fired{false};
   auto options = CoordinatedOptions(spec, 3);
-  options.barrier_crash_hook = [&](const std::string& s) {
-    return s == "mid_flip" && !fired.exchange(true);
-  };
+  ASSERT_TRUE(fault::FaultInjector::Instance()
+                  ->LoadSpec("op=crash,path=barrier/mid_flip,kind=crash")
+                  .ok());
   {
     auto router = ShardRouter::Open(root, "prb", options);
     ASSERT_TRUE(router.ok()) << router.status().ToString();

@@ -21,9 +21,12 @@
 #include "apps/kmeans.h"
 #include "apps/pagerank.h"
 #include "common/codec.h"
+#include "common/health.h"
+#include "common/metrics.h"
 #include "data/graph_gen.h"
 #include "data/points_gen.h"
 #include "io/env.h"
+#include "io/fault_env.h"
 #include "serving/admission.h"
 #include "serving/shard_group.h"
 #include "serving/shard_router.h"
@@ -38,6 +41,7 @@ class ServingTest : public ::testing::Test {
     root_ = ::testing::TempDir() + "/i2mr_serving";
     ASSERT_TRUE(ResetDir(root_).ok());
   }
+  void TearDown() override { fault::FaultInjector::Instance()->Reset(); }
   std::string root_;
 };
 
@@ -204,24 +208,22 @@ TEST_F(ServingTest, DrainAllRecoversAfterTransientBarrierFailure) {
   auto v = [](uint64_t id) { return PaddedNum(id); };
   std::vector<KV> graph = {{v(1), v(2)}, {v(2), v(3)}, {v(3), v(1)}};
   ShardRouterOptions options = PageRankShards(2);
-  std::atomic<bool> armed{false};
-  std::atomic<bool> fired{false};
-  options.barrier_crash_hook = [&](const std::string& stage) {
-    // Abandon the first delta epoch's barrier once, before its decision
-    // record: a transient failure, not a poisoned router.
-    if (stage != "staged" || !armed.load()) return false;
-    return !fired.exchange(true);
-  };
+  // Abandon the first delta epoch's barrier once, before its decision
+  // record (the bootstrap barrier passes the point first): a transient
+  // failure, not a poisoned router.
+  auto* faults = fault::FaultInjector::Instance();
+  ASSERT_TRUE(
+      faults->LoadSpec("op=crash,path=barrier/staged,kind=crash,after=1")
+          .ok());
   auto router = ShardRouter::Open(root_, "pr", options);
   ASSERT_TRUE(router.ok()) << router.status().ToString();
   ASSERT_TRUE((*router)->Bootstrap(graph, UnitState(graph)).ok());
-  armed.store(true);
   ASSERT_TRUE((*router)->Append({DeltaOp::kInsert, v(4), v(1)}).ok());
 
   // The first drain hits the injected failure and reports it; nothing of
   // the delta is visible.
   EXPECT_FALSE((*router)->DrainAll().ok());
-  EXPECT_TRUE(fired.load());
+  EXPECT_EQ(faults->injections(), 1u);
   EXPECT_FALSE((*router)->poisoned());
   EXPECT_TRUE((*router)->Lookup(v(4)).status().IsNotFound());
   for (uint64_t e : (*router)->CommittedEpochs()) EXPECT_EQ(e, 0u);
@@ -232,6 +234,57 @@ TEST_F(ServingTest, DrainAllRecoversAfterTransientBarrierFailure) {
   EXPECT_EQ((*router)->TotalPending(), 0u);
   for (uint64_t e : (*router)->CommittedEpochs()) EXPECT_EQ(e, 1u);
   EXPECT_TRUE((*router)->Lookup(v(4)).ok());
+}
+
+// One refusal, one health entry: a coordinator crash past the barrier's
+// decision record fails "serving.<name>", and every refused write, read
+// and pin returns exactly the entry's reason. The reopened router starts
+// healthy in the same registry.
+TEST_F(ServingTest, MidFlipCrashFailsServingAndEveryRefusalMatchesItsHealth) {
+  auto v = [](uint64_t id) { return PaddedNum(id); };
+  std::vector<KV> graph = {{v(1), v(2)}, {v(2), v(3)}, {v(3), v(1)}};
+  MetricsRegistry metrics;
+  HealthRegistry health(&metrics);
+  ShardRouterOptions options = PageRankShards(2);
+  options.metrics = &metrics;
+  options.health = &health;
+  // The bootstrap barrier passes the point once first.
+  ASSERT_TRUE(fault::FaultInjector::Instance()
+                  ->LoadSpec("op=crash,path=barrier/mid_flip,kind=crash,"
+                             "after=1")
+                  .ok());
+  {
+    auto router = ShardRouter::Open(root_, "pr", options);
+    ASSERT_TRUE(router.ok()) << router.status().ToString();
+    ASSERT_TRUE((*router)->Bootstrap(graph, UnitState(graph)).ok());
+    ASSERT_TRUE((*router)->Append({DeltaOp::kInsert, v(4), v(1)}).ok());
+    EXPECT_FALSE((*router)->DrainAll().ok());
+
+    EXPECT_TRUE((*router)->poisoned());
+    EXPECT_EQ(health.state("serving.pr"), HealthState::kFailed);
+    const std::string reason = health.reason("serving.pr");
+    EXPECT_NE(reason.find("reopen"), std::string::npos) << reason;
+    auto append = (*router)->Append({DeltaOp::kInsert, v(5), v(1)});
+    EXPECT_EQ(append.status().code(), Status::Code::kFailedPrecondition);
+    EXPECT_EQ(append.status().message(), reason);
+    auto lookup = (*router)->Lookup(v(1));
+    EXPECT_EQ(lookup.status().code(), Status::Code::kFailedPrecondition);
+    EXPECT_EQ(lookup.status().message(), reason);
+    ShardGroup group(router->get());
+    auto pin = group.PinSnapshot();
+    EXPECT_EQ(pin.status().code(), Status::Code::kFailedPrecondition);
+    EXPECT_EQ(pin.status().message(), reason);
+    EXPECT_EQ((*router)->RefreshCoordinated().status().message(), reason);
+  }
+  fault::FaultInjector::Instance()->Reset();
+
+  options.reset = false;
+  auto reopened = ShardRouter::Open(root_, "pr", options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(health.state("serving.pr"), HealthState::kHealthy);
+  EXPECT_EQ(health.reason("serving.pr"), "");
+  ASSERT_TRUE((*reopened)->DrainAll().ok());
+  EXPECT_TRUE((*reopened)->Lookup(v(4)).ok());
 }
 
 TEST_F(ServingTest, OneShardRouterAnswersLookupsWhileBackgroundEpochsRun) {
@@ -752,9 +805,10 @@ TEST_F(ServingTest, RouterCountersCountOnlySuccessfulAppendsAndLookups) {
   // start failing mid-test, exactly the case the counters used to
   // overcount.
   options.pipeline.log.segment_bytes = 256;
-  options.pipeline.log.crash_hook = [](const std::string& stage) {
-    return stage == "rotate";
-  };
+  ASSERT_TRUE(fault::FaultInjector::Instance()
+                  ->LoadSpec("op=crash,path=delta_log/rotate,kind=crash,"
+                             "times=-1")
+                  .ok());
   auto router = ShardRouter::Open(root_, "pr", options);
   ASSERT_TRUE(router.ok()) << router.status().ToString();
   auto deltas_routed = [&] {
