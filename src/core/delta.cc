@@ -7,10 +7,16 @@ namespace i2mr {
 std::string EncodeEdgeValue(uint64_t mk, bool deleted, std::string_view v2) {
   std::string out;
   out.reserve(9 + v2.size());
-  PutFixed64(&out, mk);
-  out.push_back(deleted ? '\x00' : '\x01');
-  out.append(v2.data(), v2.size());
+  EncodeEdgeValueTo(mk, deleted, v2, &out);
   return out;
+}
+
+void EncodeEdgeValueTo(uint64_t mk, bool deleted, std::string_view v2,
+                       std::string* out) {
+  out->clear();
+  PutFixed64(out, mk);
+  out->push_back(deleted ? '\x00' : '\x01');
+  out->append(v2.data(), v2.size());
 }
 
 Status DecodeEdgeValue(std::string_view data, DeltaEdge* edge) {

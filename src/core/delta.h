@@ -23,6 +23,10 @@ namespace i2mr {
 /// Serialize an MRBGraph edge change for the shuffle.
 std::string EncodeEdgeValue(uint64_t mk, bool deleted, std::string_view v2);
 
+/// EncodeEdgeValue into `out`, replacing its contents (reuses its buffer).
+void EncodeEdgeValueTo(uint64_t mk, bool deleted, std::string_view v2,
+                       std::string* out);
+
 /// Parse an encoded edge value into a DeltaEdge (k2 supplied by the caller).
 Status DecodeEdgeValue(std::string_view data, DeltaEdge* edge);
 

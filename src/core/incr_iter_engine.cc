@@ -69,7 +69,9 @@ class TaggingMapContext : public MapContext {
 IncrementalIterativeEngine::IncrementalIterativeEngine(LocalCluster* cluster,
                                                        IterJobSpec spec,
                                                        IncrIterOptions options)
-    : IterativeEngine(cluster, std::move(spec)), options_(std::move(options)) {}
+    : IterativeEngine(cluster, std::move(spec)),
+      options_(std::move(options)),
+      dirty_(spec_.num_partitions, 0) {}
 
 std::string IncrementalIterativeEngine::MrbgDir(int r) const {
   return JoinPath(PartitionDir(r), "mrbg");
@@ -122,7 +124,15 @@ Status IncrementalIterativeEngine::ApplyStructureDelta(
       }
       LOG_WARN << "delta deletes unknown structure record sk=" << d.key;
     }
-    if (dirty) I2MR_RETURN_IF_ERROR(WriteStructure(p));
+    if (!dirty) continue;
+    // Full iterations re-read the file when the parsed structure is not
+    // cached, so then it must follow every delta; otherwise Persist
+    // writes it.
+    if (spec_.cache_parsed_structure) {
+      dirty_[p] |= kStructureDirty;
+    } else {
+      I2MR_RETURN_IF_ERROR(WriteStructure(p));
+    }
   }
   return Status::OK();
 }
@@ -157,6 +167,36 @@ Status IncrementalIterativeEngine::CloseStores(IncrIterRunStats* stats) {
   return Status::OK();
 }
 
+Status IncrementalIterativeEngine::Persist() {
+  TRACE_SPAN("engine.persist", "job=%s", spec_.name.c_str());
+  const int n = spec_.num_partitions;
+  std::vector<Status> statuses(n);
+  ParallelFor(cluster_->pool(), n, [&](int p) {
+    statuses[p] = [&]() -> Status {
+      // A bit clears only once its file is written: a failed Persist
+      // leaves the rest for the next one.
+      if (dirty_[p] & kStructureDirty) {
+        I2MR_RETURN_IF_ERROR(WriteStructure(p));
+        dirty_[p] &= ~kStructureDirty;
+      }
+      if (dirty_[p] & kStateDirty) {
+        I2MR_RETURN_IF_ERROR(states_[p]->Save());
+        dirty_[p] &= ~kStateDirty;
+      }
+      if (dirty_[p] & kRemoteDirty) {
+        I2MR_RETURN_IF_ERROR(SaveRemoteInbox(p));
+        dirty_[p] &= ~kRemoteDirty;
+      }
+      if (static_cast<size_t>(p) < stores_.size() && stores_[p] != nullptr) {
+        I2MR_RETURN_IF_ERROR(stores_[p]->PersistIndex());
+      }
+      return Status::OK();
+    }();
+  });
+  for (const auto& st : statuses) I2MR_RETURN_IF_ERROR(st);
+  return Status::OK();
+}
+
 Status IncrementalIterativeEngine::CollectStoreStats(IncrIterRunStats* stats) {
   for (auto& s : stores_) {
     if (s == nullptr) continue;
@@ -166,7 +206,6 @@ Status IncrementalIterativeEngine::CollectStoreStats(IncrIterRunStats* stats) {
       stats->store_bytes_read += ss.bytes_read;
     }
     s->ResetStats();
-    I2MR_RETURN_IF_ERROR(s->PersistIndex());
   }
   return Status::OK();
 }
@@ -628,9 +667,10 @@ StatusOr<IterationStats> IncrementalIterativeEngine::RunIncrIteration(
           reduced_keys.fetch_add(1);
         }
       }
-      // Defer index persistence to the end of the refresh job (checkpoints
-      // persist explicitly when enabled).
+      // Defer index persistence to Persist (checkpoints persist explicitly
+      // when enabled).
       I2MR_RETURN_IF_ERROR(store->FinishBatch(/*persist_index=*/false));
+      if (!groups.empty()) dirty_[r] |= kStateDirty;
       {
         std::lock_guard<std::mutex> lock(diff_mu);
         total_diff += local_diff;
@@ -642,6 +682,8 @@ StatusOr<IterationStats> IncrementalIterativeEngine::RunIncrIteration(
   for (const auto& st : reduce_status) I2MR_RETURN_IF_ERROR(st);
 
   I2MR_RETURN_IF_ERROR(ReplicateStateAllToOne());
+  // The replicated all-to-one state changed every partition's copy.
+  if (all_to_one() && reduced_keys.load() > 0) MarkAllDirty(kStateDirty);
   if (FileExists(job_dir)) I2MR_RETURN_IF_ERROR(RemoveAll(job_dir));
 
   int64_t propagated = 0;
@@ -677,6 +719,7 @@ Status IncrementalIterativeEngine::LoadExisting() {
     std::lock_guard<std::mutex> lock(exports_mu_);
     pending_exports_.clear();
   }
+  dirty_.assign(spec_.num_partitions, 0);
   return LoadRemoteInbox();
 }
 
@@ -702,16 +745,20 @@ Status IncrementalIterativeEngine::LoadRemoteInbox() {
 }
 
 Status IncrementalIterativeEngine::SaveRemoteInbox(int p) const {
-  // Same (dk, encoded edge) records the shuffle moves around; the file is
-  // rewritten whole (inboxes are boundary-sized, not state-sized) onto a
-  // fresh inode, so hard-linked epoch snapshots of it never mutate.
-  std::vector<KV> records;
+  // Same (dk, encoded edge) records the shuffle moves around, streamed
+  // from the inbox through one reused value buffer. The file is rewritten
+  // whole (inboxes are boundary-sized, not state-sized) onto a fresh
+  // inode, so hard-linked epoch snapshots of it never mutate.
+  auto w = RecordWriter::Create(RemotePath(p));
+  if (!w.ok()) return w.status();
+  std::string value;
   for (const auto& [dk, by_mk] : remote_[p]) {
     for (const auto& [mk, v2] : by_mk) {
-      records.push_back(KV{dk, EncodeEdgeValue(mk, /*deleted=*/false, v2)});
+      EncodeEdgeValueTo(mk, /*deleted=*/false, v2, &value);
+      I2MR_RETURN_IF_ERROR(w.value()->Add(dk, value));
     }
   }
-  return WriteRecords(RemotePath(p), records);
+  return w.value()->Close();
 }
 
 StatusOr<size_t> IncrementalIterativeEngine::ApplyRemoteEdges(
@@ -723,7 +770,6 @@ StatusOr<size_t> IncrementalIterativeEngine::ApplyRemoteEdges(
   if (!prepared_) I2MR_RETURN_IF_ERROR(LoadExisting());
   if (remote_.empty()) remote_.resize(spec_.num_partitions);
   size_t changed = 0;
-  std::set<int> dirty_parts;
   for (const auto& e : edges) {
     const int p = static_cast<int>(PartitionOf(e.k2));
     auto& part = remote_[p];
@@ -738,10 +784,9 @@ StatusOr<size_t> IncrementalIterativeEngine::ApplyRemoteEdges(
       by_mk[e.mk] = e.v2;
     }
     ++changed;
-    dirty_parts.insert(p);
+    dirty_[p] |= kRemoteDirty;
     pending_remote_dks_.insert(e.k2);
   }
-  for (int p : dirty_parts) I2MR_RETURN_IF_ERROR(SaveRemoteInbox(p));
   return changed;
 }
 
@@ -819,11 +864,23 @@ StatusOr<IncrIterRunStats> IncrementalIterativeEngine::RunInitial(
   if (options_.maintain_mrbg) {
     I2MR_RETURN_IF_ERROR(PreserveMRBGraph(&stats.preserve_ms));
   }
+  // Prepare and Run wrote every working file.
+  dirty_.assign(spec_.num_partitions, 0);
   stats.wall_ms = wall.ElapsedMillis();
   return stats;
 }
 
 StatusOr<IncrIterRunStats> IncrementalIterativeEngine::RunIncremental(
+    const std::vector<DeltaKV>& delta_structure) {
+  WallTimer wall;
+  auto stats = Refresh(delta_structure);
+  if (!stats.ok()) return stats.status();
+  I2MR_RETURN_IF_ERROR(Persist());
+  stats->wall_ms = wall.ElapsedMillis();
+  return stats;
+}
+
+StatusOr<IncrIterRunStats> IncrementalIterativeEngine::Refresh(
     const std::vector<DeltaKV>& delta_structure) {
   IncrIterRunStats stats;
   WallTimer wall;
@@ -886,7 +943,7 @@ StatusOr<IncrIterRunStats> IncrementalIterativeEngine::RunIncremental(
       stats.iterations.push_back(std::move(it.value()));
       if (stats.iterations.back().total_diff <= spec_.convergence_epsilon) break;
     }
-    I2MR_RETURN_IF_ERROR(SaveStates());
+    MarkAllDirty(kStateDirty);
     stats.wall_ms = wall.ElapsedMillis();
     return stats;
   }
@@ -938,9 +995,9 @@ StatusOr<IncrIterRunStats> IncrementalIterativeEngine::RunIncremental(
       stats.iterations.push_back(std::move(it.value()));
       if (stats.iterations.back().total_diff <= spec_.convergence_epsilon) break;
     }
+    MarkAllDirty(kStateDirty);
   }
 
-  I2MR_RETURN_IF_ERROR(SaveStates());
   if (auto_off && options_.maintain_mrbg) {
     // Rebuild a consistent MRBGraph so the next refresh can be incremental.
     // The stores must be fully closed first: the preservation pass resets

@@ -9,7 +9,11 @@
 //  * RunIncremental: starts from the previous converged state; iteration 1
 //    consumes the delta structure input, iterations j>=2 consume the delta
 //    state data; only affected Map/Reduce instances re-execute, merging
-//    against the preserved MRBGraph (multi-batch MRBG files, §5.2).
+//    against the preserved MRBGraph (multi-batch MRBG files, §5.2). It is
+//    Refresh (the computation, in memory apart from the MRBG segment
+//    appends) followed by Persist (the working files of the partitions
+//    that changed); the pipeline calls the two apart, so the exchange
+//    rounds of one epoch write their files once, at stage.
 //
 // Includes change propagation control (§5.3) with accumulated-change
 // filtering, automatic MRBGraph turn-off when P∆ exceeds a threshold
@@ -114,9 +118,22 @@ class IncrementalIterativeEngine : public IterativeEngine {
   StatusOr<IncrIterRunStats> RunInitial(const std::vector<KV>& structure,
                                         const std::vector<KV>& initial_state);
 
-  /// Job Ai (i >= 2): incremental refresh with a delta structure input.
+  /// Job Ai (i >= 2): incremental refresh with a delta structure input —
+  /// Refresh, then Persist.
   StatusOr<IncrIterRunStats> RunIncremental(
       const std::vector<DeltaKV>& delta_structure);
+
+  /// The refresh of RunIncremental without its file writes: structure,
+  /// state and the remote inbox change in memory, the MRBG stores append
+  /// their new chunk versions to their segments. The working files of the
+  /// partitions it changed lag the engine until the next Persist.
+  StatusOr<IncrIterRunStats> Refresh(
+      const std::vector<DeltaKV>& delta_structure);
+
+  /// Write the working files of every partition changed since the last
+  /// Persist (structure.dat, state.dat, remote.dat) and every open MRBG
+  /// store's index. Unchanged partitions keep their files (and inodes).
+  Status Persist();
 
   std::string MrbgDir(int r) const;
   const IncrIterOptions& options() const { return options_; }
@@ -130,14 +147,16 @@ class IncrementalIterativeEngine : public IterativeEngine {
   // captured here as boundary edges — (K2, MK, V2) with the MRBGraph's
   // replace/delete-by-(K2, MK) semantics — instead of reducing locally as
   // phantom keys. The serving layer's CrossShardExchange routes them to the
-  // owning engine, which folds them into a durable per-partition inbox
-  // (remote.dat, snapshotted and restored with the engine state) whose
-  // values join every subsequent reduce of the affected DKs.
+  // owning engine, which folds them into a per-partition inbox whose values
+  // join every subsequent reduce of the affected DKs. The inbox is folded
+  // in memory; Persist writes it (remote.dat) with the rest of the working
+  // files, and the pipeline commits and restores it with the engine state.
 
-  /// Fold routed-in edges from sibling shards into the remote inbox.
+  /// Fold routed-in edges from sibling shards into the remote inbox, in
+  /// memory (the partitions it changes are written by the next Persist).
   /// Upserts/deletes by (K2, MK); DKs whose folded value set actually
-  /// changed are forced into the next RunIncremental's first-iteration
-  /// reduce. Returns how many edges changed the inbox (0 = no-op round).
+  /// changed are forced into the next Refresh's first-iteration reduce.
+  /// Returns how many edges changed the inbox (0 = no-op round).
   StatusOr<size_t> ApplyRemoteEdges(const std::vector<DeltaEdge>& edges);
 
   /// Drain the boundary emissions captured since the last call: the latest
@@ -146,7 +165,7 @@ class IncrementalIterativeEngine : public IterativeEngine {
   std::vector<DeltaEdge> TakeBoundaryExports();
 
   /// Remote-inbox DKs already folded but not yet re-reduced (a refresh
-  /// that failed after the fold); the next RunIncremental absorbs them.
+  /// that failed after the fold); the next Refresh absorbs them.
   bool HasPendingRemoteKeys() const { return !pending_remote_dks_.empty(); }
 
   /// Off-line MRBGraph reconstruction (paper §3.4: "The MRBGraph file is
@@ -184,9 +203,19 @@ class IncrementalIterativeEngine : public IterativeEngine {
   };
 
   /// Apply each partition's structure deltas, in log order, to the
-  /// resident groups; rewrite the structure file of each partition they
-  /// changed.
+  /// resident groups, and mark the partitions they changed.
   Status ApplyStructureDelta(const std::vector<std::vector<DeltaKV>>& per_part);
+
+  /// Which working files of a partition lag its resident copy (bits of
+  /// dirty_); Persist writes them.
+  enum DirtyFile : uint8_t {
+    kStructureDirty = 1,
+    kStateDirty = 2,
+    kRemoteDirty = 4,
+  };
+  void MarkAllDirty(DirtyFile file) {
+    for (auto& d : dirty_) d |= file;
+  }
 
   /// Rebuild the MRBGraph from the converged state with one extra map pass
   /// (then the store holds exactly one sorted batch).
@@ -197,8 +226,8 @@ class IncrementalIterativeEngine : public IterativeEngine {
   Status OpenStores();
   Status CloseStores(IncrIterRunStats* stats);
   /// Per-refresh stat harvest for resident stores: fold the read counters
-  /// into `stats`, persist the index/manifest, reset the counters — but
-  /// keep the stores (and their compactors) open.
+  /// into `stats` and reset them — but keep the stores (and their
+  /// compactors) open.
   Status CollectStoreStats(IncrIterRunStats* stats);
 
   Status Checkpoint(int iteration);
@@ -240,6 +269,9 @@ class IncrementalIterativeEngine : public IterativeEngine {
       remote_;
   /// Inbox DKs changed since the last refresh (forced into iteration 1).
   std::set<std::string> pending_remote_dks_;
+  /// Per partition: DirtyFile bits of the working files to write at the
+  /// next Persist. A reduce task sets only its own partition's entry.
+  std::vector<uint8_t> dirty_;
   /// Captured boundary emissions awaiting TakeBoundaryExports, keyed
   /// (K2, MK) so a re-executed instance replaces its earlier capture.
   std::map<std::pair<std::string, uint64_t>, DeltaEdge> pending_exports_;

@@ -284,6 +284,10 @@ Status Pipeline::StageEpochLocked(uint64_t epoch, uint64_t watermark,
   TRACE_SPAN("epoch.stage", "pipeline=%s epoch=%llu", name_.c_str(),
              static_cast<unsigned long long>(epoch));
   const int n = options_.spec.num_partitions;
+  // The refresh rounds ran in memory: bring the engine's working files up
+  // to the state after the final round — once per epoch, however many
+  // rounds it took — before they are linked.
+  I2MR_RETURN_IF_ERROR(engine_->Persist());
   I2MR_RETURN_IF_ERROR(epochs_.OpenSlot(epoch));
   const std::string tmp = epochs_.SlotDir(epoch);
 
@@ -523,7 +527,7 @@ StatusOr<Pipeline::RoundResult> Pipeline::RefreshRoundLocked(
 
   size_t remote_changed = 0;
   if (!remote_in.empty()) {
-    dirty_.store(true);  // the inbox files diverge from the snapshot
+    dirty_.store(true);  // the inbox diverges from the snapshot
     auto applied = engine_->ApplyRemoteEdges(remote_in);
     if (!applied.ok()) return applied.status();
     remote_changed = *applied;
@@ -533,7 +537,8 @@ StatusOr<Pipeline::RoundResult> Pipeline::RefreshRoundLocked(
       engine_->HasPendingRemoteKeys()) {
     dirty_.store(true);  // the working state is about to diverge
     WallTimer refresh;
-    auto run = engine_->RunIncremental(deltas);
+    // In memory only: the stage persists the working files once.
+    auto run = engine_->Refresh(deltas);
     if (!run.ok()) return run.status();
     rr.refreshed = true;
     rr.refresh_ms = refresh.ElapsedMillis();

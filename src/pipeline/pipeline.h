@@ -20,6 +20,12 @@
 //                        watermark, generation, CRC)
 //     CURRENT            names the committed epoch dir
 //
+// The engine's working files are scratch between stages: refresh rounds
+// change the engine in memory (plus MRBG segment appends), and the stage
+// writes the partitions that changed, once per epoch, before linking them.
+// Nothing else reads them; a failed epoch is rolled back from the committed
+// snapshot, not from the working files.
+//
 // The epoch dirs and CURRENT belong to the pipeline's EpochStore
 // (pipeline/epoch_store.h): a commit fills the slot epoch-<E>.tmp, seals it
 // as epoch-<E>, then flips CURRENT. The flip is the commit: a crash at any
@@ -194,8 +200,10 @@ class Pipeline {
   /// (deltas arriving later wait for the next epoch). `remote_in`
   /// is folded into the engine's remote inbox; the refresh runs when there
   /// is any work (drained deltas, changed remote edges, or inbox DKs a
-  /// previous failed round left pending). Returns captured boundary
-  /// exports; the router's final absorb round discards them.
+  /// previous failed round left pending). A round writes no working file
+  /// (IncrementalIterativeEngine::Refresh): the fold and the refresh stay
+  /// in memory until StageEpoch. Returns captured boundary exports; the
+  /// router's final absorb round discards them.
   struct RoundResult {
     std::vector<DeltaEdge> exports;
     uint64_t deltas_drained = 0;
@@ -223,9 +231,11 @@ class Pipeline {
   Status BootstrapPrepare(const std::vector<KV>& structure,
                           const std::vector<KV>& initial_state);
 
-  /// Phase 1: write + rename epoch-<E>/ with the in-flight watermark, but
-  /// do NOT flip CURRENT — a crash before the coordinator's barrier record
-  /// leaves this an orphan dir that recovery garbage-collects.
+  /// Phase 1: persist the engine's working files as of the final round
+  /// (IncrementalIterativeEngine::Persist — the epoch's only write of
+  /// them), then write + rename epoch-<E>/ with the in-flight watermark,
+  /// but do NOT flip CURRENT — a crash before the coordinator's barrier
+  /// record leaves this an orphan dir that recovery garbage-collects.
   Status StageEpoch(uint64_t epoch);
 
   /// Phase 2: flip CURRENT to the staged epoch and publish the serving

@@ -360,7 +360,9 @@ TEST_F(FaultChaosTest, InterruptedBarrierRollsForwardWithoutReopen) {
   rule.ops = fault::kWriteFile | fault::kRename;
   rule.path_substr = "CURRENT";
   rule.kind = fault::FaultKind::kEIO;
-  rule.after = 1;  // let the first shard's flip through
+  // A flip is a write of CURRENT.tmp and a rename onto CURRENT: let shard
+  // 0's two ops through, fail shard 1's write.
+  rule.after = 2;
   rule.times = 1;
   fault::FaultInjector::Instance()->AddRule(rule);
 
@@ -370,6 +372,10 @@ TEST_F(FaultChaosTest, InterruptedBarrierRollsForwardWithoutReopen) {
   const uint64_t pending = (*router)->pending_flip_epoch();
   EXPECT_GT(pending, 0u);
   EXPECT_EQ(health.state("serving.sys"), HealthState::kDegraded);
+  // The window is real: shard 0 committed the decided epoch, shard 1 not.
+  const std::vector<uint64_t> mixed = (*router)->CommittedEpochs();
+  EXPECT_EQ(mixed.front(), pending);
+  EXPECT_LT(mixed.back(), pending);
   // Mixed-vector window: reads are refused, never served mixed.
   auto refused = (*router)->Lookup(VertexKey(0));
   ASSERT_FALSE(refused.ok());

@@ -417,6 +417,190 @@ TEST_F(ServingParityTest, ConcurrentPinsStayUniformWhileBarriersFlip) {
 }
 
 // ---------------------------------------------------------------------------
+// Exchange rounds run in memory: each epoch writes a shard's working files
+// once, at stage, and a failed epoch rolls back to the committed snapshot
+// ---------------------------------------------------------------------------
+
+/// SSSP on a weighted ring, on two coordinated shards, beside its unsharded
+/// reference. A shortcut relaxes a chain of distances that crosses the
+/// shard boundary many times, so its epoch takes several exchange rounds.
+class InMemoryRoundsTest : public ServingParityTest {
+ protected:
+  static constexpr int kRing = 32;
+
+  void SetUp() override {
+    ServingParityTest::SetUp();
+    graph_ = RingGraph(kRing, /*weighted=*/true);
+    spec_ = sssp::MakeIterSpec("sp", PaddedNum(0), 2, 200);
+    ref_ = OpenUnsharded(JoinPath(root_, "ref"), spec_);
+    ASSERT_TRUE(ref_.pipeline != nullptr);
+    ASSERT_TRUE(
+        ref_.pipeline->Bootstrap(graph_, InitStateFor(spec_, graph_)).ok());
+  }
+
+  std::string FleetRoot() const { return JoinPath(root_, "fleet"); }
+
+  std::unique_ptr<ShardRouter> OpenFleet(bool reset) {
+    auto options = CoordinatedOptions(spec_, 2);
+    options.reset = reset;
+    auto router = ShardRouter::Open(FleetRoot(), "sp", options);
+    EXPECT_TRUE(router.ok()) << router.status().ToString();
+    if (!router.ok()) return nullptr;
+    if (reset) {
+      EXPECT_TRUE(
+          (*router)->Bootstrap(graph_, InitStateFor(spec_, graph_)).ok());
+    }
+    return std::move(*router);
+  }
+
+  /// The edge from -> to with `weight`, as a delta batch; the reference
+  /// has already drained it.
+  std::vector<DeltaKV> Edge(int from, int to, const std::string& weight) {
+    auto batch = AddShortcut(&graph_, from, to, weight);
+    EXPECT_TRUE(ref_.pipeline->AppendBatch(batch).ok());
+    DrainUnsharded(ref_.pipeline.get());
+    return batch;
+  }
+
+  void ExpectReference(const ShardRouter& router, const std::string& what) {
+    ExpectNumericParity(ShardedSnapshot(router),
+                        ref_.pipeline->ServingSnapshot(), 1e-9, what);
+  }
+
+  std::vector<KV> graph_;
+  IterJobSpec spec_;
+  Unsharded ref_;
+};
+
+TEST_F(InMemoryRoundsTest, MultiRoundEpochWritesEachWorkingFileOnce) {
+  auto router = OpenFleet(/*reset=*/true);
+  ASSERT_TRUE(router != nullptr);
+  ASSERT_TRUE(router->AppendBatch(Edge(3, 3 + kRing / 2, "0.5")).ok());
+
+  // From here on, every open-for-write of a state or inbox file fires a
+  // zero-latency rule, which logs it.
+  for (const char* file : {"/state.dat", "/remote.dat"}) {
+    fault::FaultRule count;
+    count.ops = fault::kOpenWrite;
+    count.path_substr = file;
+    count.kind = fault::FaultKind::kLatency;
+    count.times = -1;
+    fault::FaultInjector::Instance()->AddRule(count);
+  }
+  auto epoch = router->RefreshCoordinated();
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+  ASSERT_TRUE(epoch->committed);
+  ASSERT_GE(epoch->rounds, 3) << "the shortcut must take several rounds";
+
+  std::map<std::string, int> writes;  // path -> times opened for write
+  for (const auto& event : fault::FaultInjector::Instance()->EventLog()) {
+    writes[event.substr(event.rfind(' ') + 1)]++;  // "<kind> <op> <path>"
+  }
+  std::vector<int> states(2, 0), inboxes(2, 0);
+  for (const auto& [path, count] : writes) {
+    EXPECT_EQ(count, 1) << path << " written " << count << " times";
+    for (int s = 0; s < 2; ++s) {
+      const std::string shard =
+          JoinPath(FleetRoot(), router->partition_map().ShardDirName(s)) + "/";
+      if (path.rfind(shard, 0) != 0) continue;
+      const bool inbox = path.find("/remote.dat") != std::string::npos;
+      ++(inbox ? inboxes : states)[s];
+    }
+  }
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_GT(states[s], 0) << "shard " << s << " persisted no state";
+    EXPECT_GT(inboxes[s], 0) << "shard " << s << " persisted no inbox";
+  }
+  ExpectReference(*router, "sssp/one write per epoch");
+}
+
+TEST_F(InMemoryRoundsTest, FaultAfterAnInMemoryFoldRollsBack) {
+  auto router = OpenFleet(/*reset=*/true);
+  ASSERT_TRUE(router != nullptr);
+  ExpectReference(*router, "sssp/bootstrap");
+
+  // Epoch 1 fails inside a later round: the shortcut's shard refreshes
+  // alone in round 0, so the other shard's first file append is an MRBG
+  // append of the refresh after its first fold of routed-in edges.
+  const int from = 3;
+  const int other = 1 - router->ShardOf(PaddedNum(from));
+  ASSERT_TRUE(router->AppendBatch(Edge(from, from + kRing / 2, "0.5")).ok());
+  const auto before = ShardedSnapshot(*router);
+  fault::FaultRule rule;
+  rule.ops = fault::kAppend;
+  rule.path_substr =
+      JoinPath(FleetRoot(), router->partition_map().ShardDirName(other)) +
+      "/state/";
+  rule.kind = fault::FaultKind::kEIO;
+  fault::FaultInjector::Instance()->AddRule(rule);
+  ASSERT_FALSE(router->RefreshCoordinated().ok());
+  const auto events = fault::FaultInjector::Instance()->EventLog();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_NE(events[0].find("/mrbg/"), std::string::npos) << events[0];
+  ExpectUniformEpochs(*router, 0, "sssp/failed round");
+  ExpectExactParity(ShardedSnapshot(*router), before, "sssp/failed round");
+
+  // The next epoch on the same fleet rolls the folded state back first.
+  fault::FaultInjector::Instance()->Reset();
+  ASSERT_TRUE(router->DrainAll().ok());
+  ExpectUniformEpochs(*router, 1, "sssp/after failed round");
+  ExpectReference(*router, "sssp/after failed round");
+
+  // Epoch 2 dies after every shard persisted and staged it.
+  ASSERT_TRUE(router->AppendBatch(Edge(11, 11 + kRing / 2, "0.5")).ok());
+  ASSERT_TRUE(fault::FaultInjector::Instance()
+                  ->LoadSpec("op=crash,path=barrier/staged,kind=crash")
+                  .ok());
+  ASSERT_FALSE(router->RefreshCoordinated().ok());
+  ExpectUniformEpochs(*router, 1, "sssp/crash after stage");
+  fault::FaultInjector::Instance()->Reset();
+  ASSERT_TRUE(router->DrainAll().ok());
+  ExpectUniformEpochs(*router, 2, "sssp/after crash after stage");
+  ExpectReference(*router, "sssp/after crash after stage");
+
+  // A reopen restores what was committed, and refreshes on from it.
+  router.reset();
+  router = OpenFleet(/*reset=*/false);
+  ASSERT_TRUE(router != nullptr);
+  ExpectUniformEpochs(*router, 2, "sssp/reopen");
+  ExpectReference(*router, "sssp/reopen");
+  ASSERT_TRUE(router->AppendBatch(Edge(20, 4, "0.25")).ok());
+  ASSERT_TRUE(router->DrainAll().ok());
+  ExpectReference(*router, "sssp/epoch after reopen");
+}
+
+TEST_F(InMemoryRoundsTest, ReopenServesTheInboxOfTheFinalRound) {
+  auto router = OpenFleet(/*reset=*/true);
+  ASSERT_TRUE(router != nullptr);
+  // A shortcut whose ends live on different shards: its contribution to
+  // `to` reaches the owner only through the exchange, into its inbox.
+  int from = 2;
+  while (router->ShardOf(PaddedNum(from)) ==
+         router->ShardOf(PaddedNum(from + kRing / 2))) {
+    ++from;
+  }
+  ASSERT_LT(from, kRing / 2);
+  const int to = from + kRing / 2;
+  ASSERT_TRUE(router->AppendBatch(Edge(from, to, "0.5")).ok());
+  auto epoch = router->RefreshCoordinated();
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+  ASSERT_GE(epoch->rounds, 2);
+
+  router.reset();
+  router = OpenFleet(/*reset=*/false);
+  ASSERT_TRUE(router != nullptr);
+  ExpectReference(*router, "sssp/reopened");
+
+  // Lower the distance of to - 1 only so far that `to` still takes its
+  // distance from the inbox edge: `to` re-reduces, and an inbox missing
+  // that edge would give it the ring path's longer distance.
+  ASSERT_TRUE(router->AppendBatch(Edge(0, to - 1, std::to_string(from + 1)))
+                  .ok());
+  ASSERT_TRUE(router->DrainAll().ok());
+  ExpectReference(*router, "sssp/re-reduce from the restored inbox");
+}
+
+// ---------------------------------------------------------------------------
 // Barrier crash recovery: an incomplete commit rolls back to N-1 everywhere
 // ---------------------------------------------------------------------------
 

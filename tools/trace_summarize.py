@@ -15,12 +15,16 @@ Checks (any failure exits non-zero):
   - --require-span NAME: at least one "X" event with that name exists;
   - --require-within INNER:OUTER: at least one INNER span lies fully
     inside an OUTER span on the same track (parent/child sanity, e.g.
-    `engine.refresh:epoch.round`).
+    `engine.refresh:epoch.round`);
+  - --forbid-within INNER:OUTER: no INNER span lies inside an OUTER span
+    on the same track (the inverse, e.g. `engine.persist:epoch.round`:
+    exchange rounds write no working files).
 
 Usage:
   python3 tools/trace_summarize.py build/trace.json \
       --require-span serving.coordinated_epoch \
-      --require-within barrier.flip:serving.coordinated_epoch
+      --require-within barrier.flip:serving.coordinated_epoch \
+      --forbid-within engine.persist:epoch.round
 """
 
 import argparse
@@ -130,6 +134,21 @@ def check_within(complete, inner_name, outer_name):
     )
 
 
+def check_not_within(complete, inner_name, outer_name):
+    outers = [e for e in complete if e["name"] == outer_name]
+    nested = [
+        i
+        for i in complete
+        if i["name"] == inner_name and any(contains(i, o) for o in outers)
+    ]
+    if not nested:
+        return None
+    return (
+        f"--forbid-within: {len(nested)} {inner_name!r} span(s) contained "
+        f"in an {outer_name!r} span on the same tid"
+    )
+
+
 def summarize(complete, events):
     per_name = collections.defaultdict(list)
     for ev in complete:
@@ -168,6 +187,13 @@ def main():
         metavar="INNER:OUTER",
         help="fail unless some INNER span nests inside an OUTER span",
     )
+    parser.add_argument(
+        "--forbid-within",
+        action="append",
+        default=[],
+        metavar="INNER:OUTER",
+        help="fail if any INNER span nests inside an OUTER span",
+    )
     args = parser.parse_args()
 
     try:
@@ -183,14 +209,18 @@ def main():
     for required in args.require_span:
         if required not in names:
             errors.append(f"--require-span: no {required!r} span in trace")
-    for pair in args.require_within:
-        inner, sep, outer = pair.partition(":")
-        if not sep:
-            errors.append(f"--require-within needs INNER:OUTER, got {pair!r}")
-            continue
-        err = check_within(complete, inner, outer)
-        if err:
-            errors.append(err)
+    for flag, pairs, check in (
+        ("--require-within", args.require_within, check_within),
+        ("--forbid-within", args.forbid_within, check_not_within),
+    ):
+        for pair in pairs:
+            inner, sep, outer = pair.partition(":")
+            if not sep:
+                errors.append(f"{flag} needs INNER:OUTER, got {pair!r}")
+                continue
+            err = check(complete, inner, outer)
+            if err:
+                errors.append(err)
 
     summarize(complete, events)
     if errors:
