@@ -2,11 +2,12 @@
 // coordinated shards (cross-shard contributions exchanged, epochs
 // committed on both shards under a barrier), each primary feeding two
 // read replicas by delta-log shipping.
-// Every follower is a full vertical slice — its own root with shipped log
-// segments and epoch dirs, laid out byte-for-byte like a shard root — so
-// a follower serves pinned epoch-consistent reads through the exact same
-// snapshot machinery as the primary, and promoting one is just "open a
-// pipeline over its root".
+// Every follower is a pipeline opened read-only over its own root — shipped
+// log segments and epoch dirs laid out byte-for-byte like a shard root,
+// epochs installed through the pipeline's own commit — so a follower
+// serves pinned epoch-consistent reads through the exact same snapshot
+// machinery as the primary, and promoting one is a mode switch on the open
+// pipeline: restore the engine, open the log.
 //
 // The walk-through:
 //   1. Bootstrap the sharded computation, open a ReplicaSet (2 followers
@@ -17,9 +18,9 @@
 //      and the shipper heals it back to zero lag.
 //   4. Kill shard 0's PRIMARY: reads continue from its followers at the
 //      last durably committed epoch; the router refuses writes to the
-//      shard and coordinated epochs. Promote the freshest follower — A/B
-//      verification, then the router opens the shard's pipeline over its
-//      root and swaps it in — and writes resume, serving exactly the
+//      shard and coordinated epochs. Promote the freshest follower — its
+//      pipeline verifies the epoch it serves, becomes writable in place,
+//      and the router swaps it in — and writes resume, serving exactly the
 //      pre-crash committed state. The fleet's ranks then still match an
 //      offline recompute of the whole graph.
 //
@@ -53,7 +54,7 @@ void PrintFleet(const ReplicaSet& set) {
                          : set.IsReplicaStale(s, i)  ? "(stale)"
                                                      : "(serving)";
       std::printf(" | replica%d epoch=%llu lag=%llu %s", i,
-                  (unsigned long long)f->applied_epoch(),
+                  (unsigned long long)f->pipeline()->committed_epoch(),
                   (unsigned long long)set.ReplicaLag(s, i), role);
     }
     std::printf("\n");

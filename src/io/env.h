@@ -54,8 +54,8 @@ Status ResetDir(const std::string& path);
 
 // -- Small durable records ---------------------------------------------------
 //
-// The fixed-size records (epoch MANIFEST, PARTMAP/RESHARD, BARRIER, PURGE,
-// the replica's GEN) share one frame: payload ‖ fixed32 crc32(payload).
+// The fixed-size records (epoch MANIFEST, PARTMAP/RESHARD, BARRIER, PURGE)
+// share one frame: payload ‖ fixed32 crc32(payload).
 
 /// Frame `payload` as payload ‖ crc32(payload).
 std::string EncodeCrcRecord(std::string_view payload);

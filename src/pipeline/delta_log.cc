@@ -69,31 +69,32 @@ Status ReadPurgeMark(const std::string& path, uint64_t* watermark) {
   return Status::OK();
 }
 
-bool IsCompressedSegmentPath(const std::string& path) {
+/// Durably write `<dir>/PURGE` = watermark (tmp + rename, synced when
+/// `sync`).
+Status WritePurgeMark(const std::string& dir, uint64_t watermark, bool sync) {
+  std::string payload;
+  PutFixed64(&payload, watermark);
+  return ReplaceFileDurably(JoinPath(dir, kPurgeFile),
+                            EncodeCrcRecord(payload), sync);
+}
+
+}  // namespace
+
+bool IsCompressedDeltaLogSegmentFile(const std::string& path) {
   std::string base = Basename(path);
   return base.size() == 28 && base.rfind("seg-", 0) == 0 &&
          base.compare(base.size() - 4, 4, ".lzd") == 0;
 }
 
-bool IsSegmentPath(const std::string& path) {
+bool IsDeltaLogSegmentFile(const std::string& path) {
   std::string base = Basename(path);
   return (base.size() == 28 && base.rfind("seg-", 0) == 0 &&
           base.compare(base.size() - 4, 4, ".dat") == 0) ||
-         IsCompressedSegmentPath(path);
-}
-
-}  // namespace
-
-bool IsDeltaLogSegmentFile(const std::string& path) {
-  return IsSegmentPath(path);
-}
-
-bool IsCompressedDeltaLogSegmentFile(const std::string& path) {
-  return IsCompressedSegmentPath(path);
+         IsCompressedDeltaLogSegmentFile(path);
 }
 
 uint64_t DeltaLogSegmentFirstSeq(const std::string& path) {
-  if (!IsSegmentPath(path)) return 0;
+  if (!IsDeltaLogSegmentFile(path)) return 0;
   std::string base = Basename(path);
   uint64_t seq = 0;
   for (size_t i = 4; i < 24; ++i) {
@@ -103,12 +104,77 @@ uint64_t DeltaLogSegmentFirstSeq(const std::string& path) {
   return seq;
 }
 
-Status WriteDeltaLogPurgeMark(const std::string& dir, uint64_t watermark,
-                              bool sync) {
-  std::string payload;
-  PutFixed64(&payload, watermark);
-  return ReplaceFileDurably(JoinPath(dir, kPurgeFile),
-                            EncodeCrcRecord(payload), sync);
+StatusOr<uint64_t> InstallDeltaLogSegment(const std::string& dir,
+                                          const std::string& src, bool sync) {
+  const std::string dst = JoinPath(dir, Basename(src));
+  auto src_size = FileSize(src);
+  if (!src_size.ok()) return src_size.status();
+  if (FileExists(dst)) {
+    auto dst_size = FileSize(dst);
+    if (dst_size.ok() && *dst_size == *src_size) return uint64_t{0};
+  }
+  const std::string tmp = dst + ".tmp";
+  I2MR_RETURN_IF_ERROR(CopyFile(src, tmp));
+  I2MR_RETURN_IF_ERROR(RenameFile(tmp, dst));
+  I2MR_RETURN_IF_ERROR(DropDeltaLogSegmentTwins(dir));
+  if (sync) {
+    I2MR_RETURN_IF_ERROR(SyncFile(dst));
+    I2MR_RETURN_IF_ERROR(SyncDir(dir));
+  }
+  return *src_size;
+}
+
+Status DropDeltaLogSegmentTwins(const std::string& dir) {
+  auto files = ListFiles(dir);
+  if (!files.ok()) return files.status();
+  std::set<uint64_t> compressed;
+  for (const auto& f : *files) {
+    if (IsCompressedDeltaLogSegmentFile(f)) {
+      compressed.insert(DeltaLogSegmentFirstSeq(f));
+    }
+  }
+  for (const auto& f : *files) {
+    if (IsDeltaLogSegmentFile(f) && !IsCompressedDeltaLogSegmentFile(f) &&
+        compressed.count(DeltaLogSegmentFirstSeq(f)) > 0) {
+      I2MR_RETURN_IF_ERROR(RemoveAll(f));
+    }
+  }
+  return Status::OK();
+}
+
+std::set<uint64_t> DeltaLogSegmentFirstSeqs(const std::string& dir) {
+  std::set<uint64_t> out;
+  auto files = ListFiles(dir);
+  if (!files.ok()) return out;
+  for (const auto& f : *files) {
+    if (IsDeltaLogSegmentFile(f)) out.insert(DeltaLogSegmentFirstSeq(f));
+  }
+  return out;
+}
+
+Status PurgeDeltaLogSegmentsThrough(const std::string& dir, uint64_t watermark,
+                                    bool sync) {
+  uint64_t mark = 0;
+  if (FileExists(JoinPath(dir, kPurgeFile))) {
+    I2MR_RETURN_IF_ERROR(ReadPurgeMark(JoinPath(dir, kPurgeFile), &mark));
+  }
+  if (watermark <= mark) return Status::OK();
+  // The mark lands before any file goes (the primary's purge order): a log
+  // opened over `dir` uses it to drop consumed records still on disk.
+  I2MR_RETURN_IF_ERROR(WritePurgeMark(dir, watermark, sync));
+  auto files = ListFiles(dir);
+  if (!files.ok()) return files.status();
+  std::vector<std::string> segs;
+  for (const auto& f : *files) {
+    if (IsDeltaLogSegmentFile(f)) segs.push_back(f);  // sorted: sequence order
+  }
+  // A segment holds records strictly below the next one's first seq.
+  for (size_t i = 0; i + 1 < segs.size(); ++i) {
+    if (DeltaLogSegmentFirstSeq(segs[i + 1]) <= watermark + 1) {
+      I2MR_RETURN_IF_ERROR(RemoveAll(segs[i]));
+    }
+  }
+  return Status::OK();
 }
 
 void EncodeLogRecord(uint64_t seq, const DeltaKV& delta, std::string* out) {
@@ -146,7 +212,7 @@ Status DeltaLog::ScanSegment(const std::string& path, bool is_last,
   // into a buffer, large raw segments are memory-mapped (the follower
   // catch-up / big-backlog recovery case), small ones go through the
   // existing buffered read. Only a raw last segment may be truncated.
-  const bool compressed = IsCompressedSegmentPath(path);
+  const bool compressed = IsCompressedDeltaLogSegmentFile(path);
   std::string owned;
   std::unique_ptr<MmapFile> mapped;
   std::string_view data;
@@ -221,6 +287,7 @@ Status DeltaLog::ScanSegment(const std::string& path, bool is_last,
 }
 
 Status DeltaLog::Recover() {
+  I2MR_RETURN_IF_ERROR(DropDeltaLogSegmentTwins(dir_));
   // A half-written PURGE mark from crashed maintenance is never
   // authoritative.
   if (FileExists(JoinPath(dir_, std::string(kPurgeFile) + ".tmp"))) {
@@ -236,7 +303,8 @@ Status DeltaLog::Recover() {
   if (!files.ok()) return files.status();
   std::vector<std::string> segs;
   for (const auto& f : *files) {
-    if (IsSegmentPath(f)) segs.push_back(f);  // ListFiles returns sorted
+    // ListFiles returns sorted.
+    if (IsDeltaLogSegmentFile(f)) segs.push_back(f);
   }
 
   uint64_t max_seq = 0;
@@ -254,7 +322,7 @@ Status DeltaLog::Recover() {
     // (a follower's shipped archive copy) stays sealed and a fresh active
     // segment is opened past it.
     bool can_be_active =
-        i + 1 == segs.size() && !IsCompressedSegmentPath(segs[i]);
+        i + 1 == segs.size() && !IsCompressedDeltaLogSegmentFile(segs[i]);
     if (consumed || empty_sealed) {
       // A crash between the PURGE mark landing and the unlink leaves the
       // consumed segment behind; retire it now, completing the purge.
@@ -509,18 +577,12 @@ std::vector<SeqDelta> DeltaLog::ReadRange(uint64_t after, uint64_t upto) const {
   return std::vector<SeqDelta>(lo, hi);
 }
 
-Status DeltaLog::WritePurgeMarkLocked() {
-  return WriteDeltaLogPurgeMark(
-      dir_, purge_watermark_,
-      options_.durability == DurabilityMode::kPowerFailure);
-}
-
 Status DeltaLog::RetireSegmentFile(const std::string& path) {
   if (!options_.archive_purged) return RemoveAll(path);
   std::string archive = JoinPath(dir_, kArchiveDir);
   I2MR_RETURN_IF_ERROR(CreateDirs(archive));
   std::string base = Basename(path);
-  if (!options_.compress_archive || IsCompressedSegmentPath(path)) {
+  if (!options_.compress_archive || IsCompressedDeltaLogSegmentFile(path)) {
     return RenameFile(path, JoinPath(archive, base));
   }
   // Compact + compress: keep only the segment's valid record prefix (a
@@ -578,7 +640,9 @@ Status DeltaLog::PurgeThrough(uint64_t watermark) {
     // it both to drop consumed records still on disk and to finish an
     // interrupted retirement.
     purge_watermark_ = watermark;
-    I2MR_RETURN_IF_ERROR(WritePurgeMarkLocked());
+    I2MR_RETURN_IF_ERROR(
+        WritePurgeMark(dir_, purge_watermark_,
+                       options_.durability == DurabilityMode::kPowerFailure));
 
     if (SimulateCrashLocked("purge-marked")) {
       return Status::Aborted("simulated crash before segment retirement");
@@ -616,11 +680,18 @@ std::string DeltaLog::path() const {
   return active_path_;
 }
 
-std::vector<std::string> DeltaLog::SealedSegmentPaths() const {
-  std::lock_guard<std::mutex> lock(mu_);
+std::vector<std::string> DeltaLog::ShippableSegmentPaths() const {
   std::vector<std::string> out;
-  out.reserve(sealed_.size());
-  for (const auto& seg : sealed_) out.push_back(seg.path);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& seg : sealed_) out.push_back(seg.path);
+  }
+  auto archived = ListFiles(JoinPath(dir_, kArchiveDir));
+  if (archived.ok()) {
+    for (const auto& path : *archived) {
+      if (IsDeltaLogSegmentFile(path)) out.push_back(path);
+    }
+  }
   return out;
 }
 

@@ -36,6 +36,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -151,9 +152,10 @@ class DeltaLog {
   std::string path() const;
   const std::string& dir() const { return dir_; }
 
-  /// Sealed (immutable, shippable) segment paths in sequence order,
-  /// excluding the active segment and anything already retired.
-  std::vector<std::string> SealedSegmentPaths() const;
+  /// Every immutable segment file a follower may need: the sealed
+  /// segments in sequence order (not the active one), then the archived
+  /// ones (archival mode; raw or compressed).
+  std::vector<std::string> ShippableSegmentPaths() const;
 
   /// Observe segment seals: called with the sealed file's path and the
   /// highest sequence it holds, every time the active segment rotates.
@@ -202,8 +204,6 @@ class DeltaLog {
                         uint64_t active_records);
   /// Seal the active segment and open a fresh one named after next_seq_.
   Status RotateLocked();
-  /// Durably record purge_watermark_ in <dir>/PURGE (tmp + rename).
-  Status WritePurgeMarkLocked();
   /// Unlink or archive a fully consumed segment file.
   Status RetireSegmentFile(const std::string& path);
   /// True when a kind=crash rule (io/fault_env.h) fires at
@@ -256,12 +256,36 @@ bool IsCompressedDeltaLogSegmentFile(const std::string& path);
 /// not a segment file).
 uint64_t DeltaLogSegmentFirstSeq(const std::string& path);
 
-/// Durably write `<dir>/PURGE` = watermark (tmp + rename, synced when
-/// `sync`). Shared with follower replicas, which maintain the same mark
-/// over their shipped segment copies so a promoted follower's recovery
-/// drops exactly the records its applied epoch already consumed.
-Status WriteDeltaLogPurgeMark(const std::string& dir, uint64_t watermark,
-                              bool sync);
+// -- A follower's shipped log ------------------------------------------------
+//
+// A follower replica holds copies of its primary's sealed and archived
+// segments in a log dir no DeltaLog has open; a promotion opens one over
+// it. These functions keep that dir a log the open can recover: one file
+// per sequence span, and a PURGE mark at the follower's applied watermark.
+
+/// Copy the segment file `src` into `dir` (tmp + rename; skipped when a
+/// same-size file of that name is already there), then drop any twin
+/// holding the same span under the other encoding. Returns the bytes
+/// copied (0 when skipped).
+StatusOr<uint64_t> InstallDeltaLogSegment(const std::string& dir,
+                                          const std::string& src, bool sync);
+
+/// Remove every raw `seg-X.dat` whose compressed re-encoding `seg-X.lzd`
+/// is also in `dir`: both cover one seq span, and a recovery scan would
+/// read the pair as a sequence regression. The compressed form — the one
+/// the primary retains — stays. DeltaLog::Open runs this first.
+Status DropDeltaLogSegmentTwins(const std::string& dir);
+
+/// First sequence numbers of the segment files in `dir`: a segment's
+/// identity, whichever encoding holds it.
+std::set<uint64_t> DeltaLogSegmentFirstSeqs(const std::string& dir);
+
+/// Durably advance `dir`'s PURGE mark to `watermark` (no-op unless it
+/// grows), then delete the segments wholly at or below it — the records a
+/// log opened over `dir` would drop at recovery anyway. The last segment
+/// stays: its upper bound is unknown without a scan.
+Status PurgeDeltaLogSegmentsThrough(const std::string& dir, uint64_t watermark,
+                                    bool sync);
 
 }  // namespace i2mr
 

@@ -1,5 +1,6 @@
-// EpochStore: the committed-epoch directory of one pipeline or one follower
-// replica, and the only code that knows its layout:
+// EpochStore: the committed-epoch directory of one pipeline — a primary or
+// a follower replica's read-only one — and the only code that knows its
+// layout:
 //
 //   <dir>/epoch-<E>.tmp/   slot being filled; never authoritative
 //   <dir>/epoch-<E>/       sealed snapshot: per-partition files, serving.dat,
@@ -7,14 +8,14 @@
 //                          [u64 generation] ‖ crc32, 28 bytes)
 //   <dir>/CURRENT          names the committed epoch dir
 //
-// Primary and follower install epochs with one A/B-slot discipline:
+// Every pipeline commits epochs with one A/B-slot discipline:
 //
-//   1. OpenSlot(E), then fill epoch-<E>.tmp — the primary hard-links its
-//      engine files in, a follower copies the primary's committed dir;
+//   1. OpenSlot(E), then fill epoch-<E>.tmp — a primary hard-links its
+//      engine files in, a follower (Pipeline::InstallEpoch) byte-copies
+//      the primary's committed dir;
 //   2. Seal(E): fsync the slot and rename it to epoch-<E>;
-//   3. Flip(E): durably point CURRENT at it — the commit (primary) or the
-//      promotion (follower) — then Publish() the epoch's (epoch, watermark,
-//      ResultStore) triple to readers.
+//   3. Flip(E): durably point CURRENT at it — the commit — then Publish()
+//      the epoch's (epoch, watermark, ResultStore) triple to readers.
 //
 // A crash before step 3 leaves CURRENT on the previous epoch: Recover()
 // reads it back and Collect() removes the leftovers. Readers Pin() the

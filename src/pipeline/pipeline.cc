@@ -12,6 +12,41 @@
 #include "io/fault_env.h"
 
 namespace i2mr {
+namespace {
+
+/// Copy `src` into the empty dir `dst`, returning the bytes copied.
+StatusOr<uint64_t> CopyTreeCounted(const std::string& src,
+                                   const std::string& dst, bool sync) {
+  uint64_t bytes = 0;
+  std::vector<std::string> dirs;  // fsync'd once their entries landed
+  std::error_code ec;
+  std::filesystem::recursive_directory_iterator it(src, ec), end;
+  if (ec) return Status::IOError("iterate " + src + ": " + ec.message());
+  for (; it != end; it.increment(ec)) {
+    if (ec) return Status::IOError("iterate " + src + ": " + ec.message());
+    std::filesystem::path rel =
+        std::filesystem::relative(it->path(), src, ec);
+    if (ec) return Status::IOError("relative " + src + ": " + ec.message());
+    std::string to = JoinPath(dst, rel.string());
+    if (it->is_directory()) {
+      I2MR_RETURN_IF_ERROR(CreateDirs(to));
+      if (sync) dirs.push_back(to);
+    } else if (it->is_regular_file()) {
+      // A real byte copy, not a hard link: a follower must survive loss of
+      // the primary's disk, so installed files never share inodes with the
+      // source (and "shipped bytes" means what it says).
+      I2MR_RETURN_IF_ERROR(CopyFile(it->path().string(), to));
+      if (sync) I2MR_RETURN_IF_ERROR(SyncFile(to));
+      auto sz = FileSize(to);
+      if (!sz.ok()) return sz.status();
+      bytes += *sz;
+    }
+  }
+  for (const auto& dir : dirs) I2MR_RETURN_IF_ERROR(SyncDir(dir));
+  return bytes;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Pipeline
@@ -23,10 +58,7 @@ Pipeline::Pipeline(LocalCluster* cluster, std::string name,
       name_(std::move(name)),
       options_(std::move(options)),
       epochs_(JoinPath(cluster_->root(), "pipeline/" + name_),
-              options_.durability == DurabilityMode::kPowerFailure),
-      availability_(options_.health != nullptr ? options_.health
-                                               : HealthRegistry::Default(),
-                    "pipeline." + name_, &Status::Unavailable) {
+              options_.durability == DurabilityMode::kPowerFailure) {
   // One engine namespace per pipeline: state dirs, checkpoints and job
   // scratch space must never collide across pipelines on a shared cluster.
   options_.spec.name = name_;
@@ -42,26 +74,46 @@ StatusOr<std::unique_ptr<Pipeline>> Pipeline::Open(LocalCluster* cluster,
                                                    const std::string& name,
                                                    PipelineOptions options) {
   std::unique_ptr<Pipeline> p(new Pipeline(cluster, name, std::move(options)));
-  I2MR_RETURN_IF_ERROR(p->OpenImpl());
+  I2MR_RETURN_IF_ERROR(p->OpenImpl(/*writable=*/true));
   return p;
 }
 
-Status Pipeline::OpenImpl() {
+StatusOr<std::unique_ptr<Pipeline>> Pipeline::OpenReadOnly(
+    LocalCluster* cluster, const std::string& name, PipelineOptions options) {
+  std::unique_ptr<Pipeline> p(new Pipeline(cluster, name, std::move(options)));
+  I2MR_RETURN_IF_ERROR(p->OpenImpl(/*writable=*/false));
+  return p;
+}
+
+Status Pipeline::OpenImpl(bool writable) {
   I2MR_RETURN_IF_ERROR(CreateDirs(epochs_.dir()));
-  // The committed epoch is verified (inside RestoreCommitted) before the
-  // log's recovery or any link touches the root: a root with a bad
-  // committed snapshot (say, a follower offered for promotion) is refused
-  // as it was found.
+  // The committed epoch is verified before the log's recovery or any link
+  // touches the root: a bad committed snapshot is refused as it was found.
+  I2MR_RETURN_IF_ERROR(RecoverCommitted(/*restore=*/writable));
+  if (writable) I2MR_RETURN_IF_ERROR(OpenWritable());
+  // Orphan epoch dirs and slots of a crashed commit or install go.
+  return epochs_.Collect();
+}
+
+Status Pipeline::RecoverCommitted(bool restore) {
+  staged_.reset();
   auto committed = epochs_.Recover();
   if (!committed.ok()) return committed.status();
-  if (*committed) {
-    auto store = RestoreCommitted((*committed)->epoch, (*committed)->watermark);
-    if (!store.ok()) return store.status();
-    epochs_.Publish((*committed)->epoch, (*committed)->watermark,
-                    std::make_shared<const ResultStore>(std::move(*store)));
-    bootstrapped_.store(true);
-  }
+  if (!*committed) return Status::OK();  // Bootstrap() must run first
+  const uint64_t epoch = (*committed)->epoch;
+  const uint64_t watermark = (*committed)->watermark;
+  auto store = restore ? RestoreCommitted(epoch, watermark)
+                       : EpochStore::Verify(epochs_.EpochDir(epoch), epoch,
+                                            watermark,
+                                            options_.spec.num_partitions);
+  if (!store.ok()) return store.status();
+  epochs_.Publish(epoch, watermark,
+                  std::make_shared<const ResultStore>(std::move(*store)));
+  bootstrapped_.store(true);
+  return Status::OK();
+}
 
+Status Pipeline::OpenWritable() {
   // One durability promise for the whole pipeline: the log must not claim
   // power-failure safety the commit path doesn't match (or vice versa).
   DeltaLogOptions log_options = options_.log;
@@ -73,11 +125,97 @@ Status Pipeline::OpenImpl() {
   // next append must still get a sequence above the watermark, or it
   // would look already-consumed and never be refreshed.
   log_->EnsureNextSeqAfter(committed_watermark());
-  // Fresh pipeline: nothing committed yet, Bootstrap() must run first.
-  // Either way, orphan epoch dirs and slots of a crashed commit go.
-  I2MR_RETURN_IF_ERROR(epochs_.Collect());
   if (pending() > 0) oldest_pending_ns_.store(NowNanos());
+  availability_.emplace(options_.health != nullptr ? options_.health
+                                                   : HealthRegistry::Default(),
+                        "pipeline." + name_, &Status::Unavailable);
   return Status::OK();
+}
+
+Status Pipeline::CheckWritable(bool writable) const {
+  if ((log_ != nullptr) == writable) return Status::OK();
+  return Status::FailedPrecondition(
+      "pipeline " + name_ + (writable ? " is read-only" : " is writable"));
+}
+
+Status Pipeline::Reload() {
+  std::lock_guard<std::mutex> lock(epoch_mu_);
+  I2MR_RETURN_IF_ERROR(CheckWritable(false));
+  return OpenImpl(/*writable=*/false);
+}
+
+Status Pipeline::Promote() {
+  std::lock_guard<std::mutex> lock(epoch_mu_);
+  I2MR_RETURN_IF_ERROR(CheckWritable(false));
+  if (!bootstrapped_.load()) {
+    return Status::FailedPrecondition("pipeline " + name_ +
+                                      " has no committed epoch to promote");
+  }
+  // The restarted primary's recovery, minus what the read-only open already
+  // did: RestoreCommitted verifies the published epoch's dir again before
+  // any working file is linked (the disk may have changed since it was
+  // installed), so a damaged root is refused untouched and this pipeline
+  // stays a serving follower.
+  auto store = RestoreCommitted(committed_epoch(), committed_watermark());
+  if (!store.ok()) return store.status();
+  staged_.reset();
+  I2MR_RETURN_IF_ERROR(OpenWritable());
+  // An epoch installed but never committed here (a pre-staged slot) goes.
+  if (Status gc = epochs_.Collect(); !gc.ok()) {
+    LOG_WARN << "pipeline " << name_ << ": post-promotion GC failed ("
+             << gc.ToString() << "); stale dirs remain until next commit";
+  }
+  return Status::OK();
+}
+
+StatusOr<uint64_t> Pipeline::InstallEpoch(uint64_t epoch, uint64_t watermark,
+                                          const std::string& src_dir) {
+  std::lock_guard<std::mutex> lock(epoch_mu_);
+  I2MR_RETURN_IF_ERROR(CheckWritable(false));
+  if (bootstrapped_.load() && epoch <= committed_epoch()) return uint64_t{0};
+  if (staged_ && staged_->epoch == epoch && staged_->watermark == watermark) {
+    return uint64_t{0};  // pre-staged
+  }
+  staged_.reset();  // a stale install's dir goes at the next Collect
+  // The one staging discipline: fill the slot, verify it, seal it.
+  const std::string slot = epochs_.SlotDir(epoch);
+  uint64_t bytes = 0;
+  auto fill = [&]() -> StatusOr<ResultStore> {
+    I2MR_RETURN_IF_ERROR(epochs_.OpenSlot(epoch));
+    auto copied = CopyTreeCounted(
+        src_dir, slot, options_.durability == DurabilityMode::kPowerFailure);
+    if (!copied.ok()) return copied.status();
+    bytes = *copied;
+    uint64_t got_epoch = 0, got_watermark = 0, generation = 0;
+    I2MR_RETURN_IF_ERROR(EpochStore::ReadManifest(slot, &got_epoch,
+                                                  &got_watermark, &generation));
+    if (generation != options_.generation) {
+      // State partitioned by another generation's map would serve keys
+      // this shard does not own.
+      return Status::FailedPrecondition(
+          "epoch " + std::to_string(epoch) +
+          " is of partition-map generation " + std::to_string(generation) +
+          ", pipeline " + name_ + " of " +
+          std::to_string(options_.generation));
+    }
+    auto verified = EpochStore::Verify(slot, epoch, watermark,
+                                       options_.spec.num_partitions);
+    if (!verified.ok()) return verified.status();
+    I2MR_RETURN_IF_ERROR(epochs_.Seal(epoch));
+    return verified;
+  };
+  auto verified = fill();
+  if (!verified.ok()) {
+    // Nothing of a failed install stays: its slot or sealed dir goes.
+    if (Status gc = epochs_.Collect(); !gc.ok()) {
+      LOG_WARN << "pipeline " << name_
+               << ": abandoned install not removed: " << gc.ToString();
+    }
+    return verified.status();
+  }
+  staged_ = Staged{epoch, watermark, /*pending_since_ns=*/0,
+                   std::make_unique<ResultStore>(std::move(*verified))};
+  return bytes;
 }
 
 StatusOr<ResultStore> Pipeline::RestoreCommitted(uint64_t epoch,
@@ -171,14 +309,15 @@ StatusOr<uint64_t> Pipeline::Append(const DeltaKV& delta) {
 }
 
 StatusOr<uint64_t> Pipeline::AppendBatch(const std::vector<DeltaKV>& deltas) {
-  Status refused = availability_.Check(Availability::Op::kWrite);
+  I2MR_RETURN_IF_ERROR(CheckWritable(true));
+  Status refused = availability_->Check(Availability::Op::kWrite);
   const bool probe = !refused.ok();
   if (probe && !ElectProbe()) return refused;
   Status last;
   for (int attempt = 0;; ++attempt) {
     auto seq = log_->AppendBatch(deltas);
     if (seq.ok()) {
-      if (probe) availability_.Clear();
+      if (probe) availability_->Clear();
       if (!deltas.empty()) ArmLagTrigger();
       return seq;
     }
@@ -199,7 +338,7 @@ StatusOr<uint64_t> Pipeline::AppendBatch(const std::vector<DeltaKV>& deltas) {
         std::memory_order_relaxed);
     // "log closed" (a failed rollback shut the log) needs a reopen to
     // clear; probes can't fix it, so it reads kFailed, not kDegraded.
-    availability_.Set(last.code() == Status::Code::kFailedPrecondition
+    availability_->Set(last.code() == Status::Code::kFailedPrecondition
                           ? HealthState::kFailed
                           : HealthState::kDegraded,
                       Availability::Refuses::kWrites,
@@ -210,6 +349,7 @@ StatusOr<uint64_t> Pipeline::AppendBatch(const std::vector<DeltaKV>& deltas) {
 }
 
 uint64_t Pipeline::pending() const {
+  if (log_ == nullptr) return 0;  // read-only: nothing is ever pending
   uint64_t last = log_->last_seq();
   uint64_t committed = committed_watermark();
   return last > committed ? last - committed : 0;
@@ -438,7 +578,9 @@ Status Pipeline::CleanupCommittedLocked() {
     LOG_WARN << "pipeline " << name_ << ": post-commit GC failed ("
              << gc.ToString() << "); stale dirs remain until next commit";
   }
-  Status purged = log_->PurgeThrough(committed_watermark());
+  // A follower's shipped log is trimmed by its shipper instead.
+  Status purged = log_ != nullptr ? log_->PurgeThrough(committed_watermark())
+                                  : Status::OK();
   if (!purged.ok()) {
     LOG_WARN << "pipeline " << name_ << ": post-commit log purge failed ("
              << purged.ToString() << "); consumed records retained";
@@ -458,6 +600,7 @@ Status Pipeline::BootstrapPrepare(const std::vector<KV>& structure,
 
 Status Pipeline::BootstrapPrepareLocked(const std::vector<KV>& structure,
                                         const std::vector<KV>& initial_state) {
+  I2MR_RETURN_IF_ERROR(CheckWritable(true));
   if (bootstrapped_.load()) {
     return Status::FailedPrecondition("pipeline already bootstrapped");
   }
@@ -485,6 +628,7 @@ StatusOr<Pipeline::RoundResult> Pipeline::RefreshRoundLocked(
              name_.c_str(), first ? 1 : 0, remote_in.size());
   RoundResult rr;
   if (first) {
+    I2MR_RETURN_IF_ERROR(CheckWritable(true));
     if (!bootstrapped_.load()) {
       return Status::FailedPrecondition("pipeline not bootstrapped");
     }

@@ -40,6 +40,16 @@
 // Point lookups are served from the store's immutable in-memory snapshot
 // of the committed ResultStore, published at commit time, so reads never
 // block on a running refresh.
+//
+// A follower replica (replication/replica_set.h) is a pipeline opened
+// read-only over its own root: OpenReadOnly() runs only the half of Open()
+// every pipeline runs — read CURRENT, verify its epoch, publish it,
+// collect leftovers — and holds no open log, no restored engine, no health
+// entry. Its epochs arrive through the same commit as a primary's:
+// InstallEpoch() fills the slot by byte copy of the primary's committed
+// dir, verifies and seals it, FinalizeStagedEpoch() flips and publishes.
+// Promote() runs the other half of Open() — restore the engine, open the
+// log — and turns the follower into a primary in place.
 #ifndef I2MR_PIPELINE_PIPELINE_H_
 #define I2MR_PIPELINE_PIPELINE_H_
 
@@ -93,8 +103,8 @@ struct PipelineOptions {
 
   /// Partition-map generation this pipeline's shard belongs to (0 for an
   /// unsharded pipeline or a generation-0 fleet). Stamped into every epoch
-  /// MANIFEST so replicas detect that shipped state was partitioned by a
-  /// different map after an elastic reshard.
+  /// MANIFEST; a follower refuses to install an epoch of another
+  /// generation (partitioned by another map).
   uint64_t generation = 0;
 
   // -- Graceful degradation under write failures ----------------------------
@@ -142,6 +152,34 @@ class Pipeline {
                                                   const std::string& name,
                                                   PipelineOptions options);
 
+  /// Open the pipeline read-only (a follower): verify and serve the
+  /// committed epoch, if any, without restoring the engine or opening the
+  /// log. Appends and epochs are refused (FailedPrecondition) until
+  /// Promote().
+  static StatusOr<std::unique_ptr<Pipeline>> OpenReadOnly(
+      LocalCluster* cluster, const std::string& name, PipelineOptions options);
+
+  // -- Read-only pipelines (followers) ----------------------------------------
+
+  /// Install `src_dir` — a primary's sealed epoch dir — as the staged
+  /// epoch: byte-copy it into the slot, refuse it unless its MANIFEST is of
+  /// this pipeline's partition-map generation, verify it, seal it.
+  /// FinalizeStagedEpoch() then commits it here. Returns the bytes copied:
+  /// 0 when `epoch` is already committed, or already staged at
+  /// `watermark`. A failed install leaves no dir behind.
+  StatusOr<uint64_t> InstallEpoch(uint64_t epoch, uint64_t watermark,
+                                  const std::string& src_dir);
+
+  /// Re-run the read-only open's recovery (a restarted follower): drop the
+  /// staged epoch, verify and publish what CURRENT names, collect.
+  Status Reload();
+
+  /// Make a read-only pipeline writable, in place: restore the engine's
+  /// working files from the committed epoch (verified again first), open
+  /// the log past its watermark, register "pipeline.<name>" health. On
+  /// failure the pipeline stays read-only and keeps serving its epoch.
+  Status Promote();
+
   /// Job A1: full computation over the initial structure data, then the
   /// epoch-0 commit — BootstrapPrepare with no exchange round, committed
   /// like a RunEpoch. Appends that raced ahead of Bootstrap stay in the log
@@ -164,11 +202,14 @@ class Pipeline {
   /// True while the pipeline is in degraded read-only mode (appends bounce
   /// until a probe append succeeds; reads keep serving).
   bool degraded() const {
-    return availability_.refuses() != Availability::Refuses::kNothing;
+    return availability_ &&
+           availability_->refuses() != Availability::Refuses::kNothing;
   }
   /// Why the pipeline degraded ("" when healthy) — also the message of
   /// every bounced append and the "pipeline.<name>" health reason.
-  std::string degraded_reason() const { return availability_.reason(); }
+  std::string degraded_reason() const {
+    return availability_ ? availability_->reason() : "";
+  }
 
   /// Deltas logged but not yet consumed by a committed epoch.
   uint64_t pending() const;
@@ -238,8 +279,9 @@ class Pipeline {
   /// record leaves this an orphan dir that recovery garbage-collects.
   Status StageEpoch(uint64_t epoch);
 
-  /// Phase 2: flip CURRENT to the staged epoch and publish the serving
-  /// snapshot. After this returns the epoch is durable on this shard.
+  /// Phase 2: flip CURRENT to the staged epoch (StageEpoch's, or a
+  /// follower's InstallEpoch's) and publish the serving snapshot. After
+  /// this returns the epoch is durable on this shard.
   Status FinalizeStagedEpoch();
 
   /// Post-barrier housekeeping: GC superseded epoch dirs + purge the log
@@ -286,15 +328,27 @@ class Pipeline {
   uint64_t generation() const { return options_.generation; }
   uint64_t committed_watermark() const { return epochs_.watermark(); }
   const std::string& name() const { return name_; }
+  /// `<cluster-root>/pipeline/<name>`: epoch dirs, CURRENT, log/.
+  const std::string& dir() const { return epochs_.dir(); }
   /// Effective options (after Open's name override).
   const PipelineOptions& options() const { return options_; }
+  /// nullptr while read-only.
   DeltaLog* log() { return log_.get(); }
   IncrementalIterativeEngine* engine() { return engine_.get(); }
 
  private:
   Pipeline(LocalCluster* cluster, std::string name, PipelineOptions options);
 
-  Status OpenImpl();
+  /// Open()'s two halves: RecoverCommitted and Collect run for every
+  /// pipeline, OpenWritable only for a writable one.
+  Status OpenImpl(bool writable);
+  /// Read CURRENT, verify its epoch (restoring the engine from it when
+  /// `restore`), publish it. Caller holds epoch_mu_ (or is the open).
+  Status RecoverCommitted(bool restore);
+  /// Open the log past the committed watermark and register health.
+  Status OpenWritable();
+  /// FailedPrecondition unless the pipeline is `writable` (or read-only).
+  Status CheckWritable(bool writable) const;
   /// Link the committed snapshot back over the engine's working dirs
   /// (after verifying it); returns its serving store.
   StatusOr<ResultStore> RestoreCommitted(uint64_t epoch, uint64_t watermark);
@@ -331,7 +385,7 @@ class Pipeline {
   const std::string name_;
   PipelineOptions options_;
 
-  std::unique_ptr<DeltaLog> log_;
+  std::unique_ptr<DeltaLog> log_;  // null while read-only
   std::unique_ptr<IncrementalIterativeEngine> engine_;
 
   std::mutex epoch_mu_;  // serializes Bootstrap / RunEpoch / rounds / recovery
@@ -347,7 +401,7 @@ class Pipeline {
   uint64_t inflight_watermark_ = 0;
   int64_t inflight_drain_ns_ = 0;  // 0 = nothing drained yet
 
-  /// A staged-but-unfinalized epoch (guarded by epoch_mu_).
+  /// A staged (or installed) but unfinalized epoch (guarded by epoch_mu_).
   struct Staged {
     uint64_t epoch = 0;
     uint64_t watermark = 0;
@@ -362,8 +416,9 @@ class Pipeline {
   /// "pipeline.<name>": refuses writes in degraded read-only mode
   /// (persistent append failure; kFailed once the log closed), and
   /// next_probe_ns_ elects one append per probe interval via CAS to try
-  /// the log anyway.
-  Availability availability_;
+  /// the log anyway. Registered when the pipeline becomes writable: a
+  /// follower's construction would reset its primary's entry to healthy.
+  std::optional<Availability> availability_;
   std::atomic<int64_t> next_probe_ns_{0};
   /// Arrival time of the oldest unconsumed delta (0 = none). Updates are
   /// serialized by trigger_mu_ so a commit deciding "nothing pending"

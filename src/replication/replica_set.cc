@@ -60,21 +60,16 @@ Status ReplicaSet::BindShards() {
       std::string root =
           JoinPath(JoinPath(replicas_root_, map.ShardDirName(s)),
                    "replica-" + std::to_string(i));
-      if (options_.reset) I2MR_RETURN_IF_ERROR(RemoveAll(root));
-      FollowerReplicaOptions fo;
-      fo.durability = options_.durability;
-      fo.num_partitions = router_->options().pipeline.spec.num_partitions;
-      fo.metrics = metrics_;
-      fo.metrics_prefix = MetricsPrefix(s) + ".replica" + std::to_string(i);
-      auto f = std::make_unique<FollowerReplica>(root, router_->name(),
-                                                 std::move(fo));
-      I2MR_RETURN_IF_ERROR(f->Open());
+      auto follower =
+          router_->OpenShard(root, options_.reset, map, s, /*writable=*/false);
+      if (!follower.ok()) return follower.status();
+      auto f = std::make_unique<FollowerReplica>(
+          std::move(*follower), metrics_,
+          MetricsPrefix(s) + ".replica" + std::to_string(i));
       auto slot = std::make_unique<Slot>();
       slot->reads = f->reads_served();
       st->slots.push_back(std::move(slot));
       st->followers.push_back(std::move(f));
-      st->enabled.push_back(true);
-      st->shipper_idx.push_back(i);
     }
     StartShipper(*st, s);
     shards_.push_back(std::move(st));
@@ -129,13 +124,10 @@ Status ReplicaSet::Rebind() {
 
 void ReplicaSet::StartShipper(ShardState& st, int shard) {
   std::vector<FollowerReplica*> targets;
-  std::vector<size_t> indices;  // follower index per shipper target
   for (size_t i = 0; i < st.followers.size(); ++i) {
-    st.shipper_idx[i] = -1;
-    if (static_cast<int>(i) == st.promoted_replica) continue;
-    st.shipper_idx[i] = static_cast<int>(targets.size());
-    targets.push_back(st.followers[i].get());
-    indices.push_back(i);
+    if (static_cast<int>(i) != st.promoted_replica) {
+      targets.push_back(st.followers[i].get());
+    }
   }
   ReplicaShipperOptions so;
   so.poll_ms = options_.ship_poll_ms;
@@ -146,23 +138,23 @@ void ReplicaSet::StartShipper(ShardState& st, int shard) {
       "replication." + router_->name() + ".shard" + std::to_string(shard);
   st.shipper =
       std::make_unique<ReplicaShipper>(st.primary, std::move(targets), so);
-  for (size_t t = 0; t < indices.size(); ++t) {
-    st.shipper->SetFollowerEnabled(t, st.enabled[indices[t]]);
-  }
   st.shipper->Start();
 }
 
 uint64_t ReplicaSet::LagLocked(const ShardState& st, int i) const {
   uint64_t committed = st.primary->committed_epoch();
-  uint64_t applied = st.followers[i]->applied_epoch();
+  uint64_t applied = st.followers[i]->pipeline()->committed_epoch();
   return committed > applied ? committed - applied : 0;
 }
 
-bool ReplicaSet::StaleLocked(const ShardState& st, int i) const {
-  if (!st.enabled[i]) return true;
+bool ReplicaSet::ServingLocked(const ShardState& st, int i) const {
   const FollowerReplica* f = st.followers[i].get();
-  if (!f->open() || !f->serving()) return true;
-  return LagLocked(st, i) > options_.max_replica_lag_epochs;
+  return f->in_service() && f->pipeline()->bootstrapped();
+}
+
+bool ReplicaSet::StaleLocked(const ShardState& st, int i) const {
+  return !ServingLocked(st, i) ||
+         LagLocked(st, i) > options_.max_replica_lag_epochs;
 }
 
 int ReplicaSet::SelectSlotLocked(int shard) const {
@@ -181,17 +173,22 @@ int ReplicaSet::SelectSlotLocked(int shard) const {
   // Degraded fallbacks: a live primary even when excluded from rotation,
   // else the freshest follower that can still serve at all.
   if (!dead) return 0;
+  int best = FreshestServingLocked(st);
+  return best < 0 ? -1 : 1 + best;
+}
+
+int ReplicaSet::FreshestServingLocked(const ShardState& st) const {
   int best = -1;
   uint64_t best_epoch = 0;
   for (size_t i = 0; i < st.followers.size(); ++i) {
-    const FollowerReplica* f = st.followers[i].get();
-    if (!st.enabled[i] || !f->open() || !f->serving()) continue;
-    if (best < 0 || f->applied_epoch() > best_epoch) {
+    if (!ServingLocked(st, static_cast<int>(i))) continue;
+    const uint64_t epoch = st.followers[i]->pipeline()->committed_epoch();
+    if (best < 0 || epoch > best_epoch) {
       best = static_cast<int>(i);
-      best_epoch = f->applied_epoch();
+      best_epoch = epoch;
     }
   }
-  return best < 0 ? -1 : 1 + best;
+  return best;
 }
 
 void ReplicaSet::ChargeService(Slot* slot) const {
@@ -316,20 +313,8 @@ Status ReplicaSet::SyncAll() {
 }
 
 Status ReplicaSet::KillReplica(int shard, int i) {
-  FollowerReplica* f = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(route_mu_);
-    ShardState& st = *shards_[shard];
-    st.enabled[i] = false;
-    // Toggle while still holding route_mu_: Promote's StartShipper swaps
-    // st.shipper, so a pointer captured here can dangle once the lock
-    // drops. SetFollowerEnabled only flips a flag — no joins under lock.
-    if (st.shipper != nullptr && st.shipper_idx[i] >= 0) {
-      st.shipper->SetFollowerEnabled(st.shipper_idx[i], false);
-    }
-    f = st.followers[i].get();
-  }
-  f->Close();
+  std::lock_guard<std::mutex> lock(route_mu_);
+  shards_[shard]->followers[i]->set_in_service(false);
   return Status::OK();
 }
 
@@ -343,17 +328,10 @@ Status ReplicaSet::RestartReplica(int shard, int i) {
     }
     f = st.followers[i].get();
   }
-  I2MR_RETURN_IF_ERROR(f->Open());  // disk recovery: not under route_mu_
-  {
-    std::lock_guard<std::mutex> lock(route_mu_);
-    ShardState& st = *shards_[shard];
-    st.enabled[i] = true;
-    // Re-read st.shipper under the lock: a concurrent Promote may have
-    // replaced it (and the follower's index within it) since f->Open().
-    if (st.shipper != nullptr && st.shipper_idx[i] >= 0) {
-      st.shipper->SetFollowerEnabled(st.shipper_idx[i], true);
-    }
-  }
+  // The read-only open's recovery, again (disk work: not under route_mu_);
+  // a pipeline promoted meanwhile refuses it.
+  I2MR_RETURN_IF_ERROR(f->pipeline()->Reload());
+  f->set_in_service(true);
   return Status::OK();
 }
 
@@ -407,15 +385,7 @@ StatusOr<int> ReplicaSet::Promote(int shard) {
           "shard " + std::to_string(shard) +
           " promotion is already in progress");
     }
-    uint64_t best_epoch = 0;
-    for (size_t i = 0; i < st.followers.size(); ++i) {
-      const FollowerReplica* f = st.followers[i].get();
-      if (!st.enabled[i] || !f->open() || !f->serving()) continue;
-      if (best < 0 || f->applied_epoch() > best_epoch) {
-        best = static_cast<int>(i);
-        best_epoch = f->applied_epoch();
-      }
-    }
+    best = FreshestServingLocked(st);
     if (best < 0) {
       return Status::FailedPrecondition(
           "no caught-up replica available to promote");
@@ -438,31 +408,25 @@ StatusOr<int> ReplicaSet::Promote(int shard) {
   } guard{this, &st};
   FollowerReplica* f = st.followers[best].get();
 
-  // A/B promotion: the router opens the shard's pipeline over the
-  // follower's root and swaps it in as the shard's primary. Its CURRENT
-  // names the last epoch the primary durably committed; Pipeline::Open
-  // verifies that epoch end to end (manifest CRC, record-file scans,
-  // serving-store parse) before anything touches the root — a bad root is
-  // refused as found — then restores the engine from it, removes any slot
-  // the dead primary staged but never committed, and replays shipped log
-  // segments past its watermark. The follower keeps serving reads until
-  // the cutover below.
-  auto promoted = router_->PromotePrimary(shard, f->root(), f->applied_epoch());
+  // Promotion in place: the follower's pipeline is already the shard's
+  // slice, opened read-only with the shard's options. Pipeline::Promote
+  // verifies its committed epoch (the last one the dead primary durably
+  // committed) end to end before anything touches the root — a bad root
+  // is refused as found and the follower keeps serving — then restores
+  // the engine from it, opens the shipped log past its watermark and
+  // drops any pre-staged install. The router swaps the slice in.
+  auto promoted = router_->PromotePrimary(shard, f->shard());
   if (!promoted.ok()) return promoted.status();
 
   // Cutover: the promoted pipeline is the shard's primary, the follower
   // leaves the read rotation (its pins keep their stores), and a fresh
   // shipper feeds the surviving followers from the new primary.
+  f->set_in_service(false);
+  f->RetireMetrics();
   {
     std::lock_guard<std::mutex> lock(route_mu_);
     st.primary = *promoted;
     st.promoted_replica = best;
-    st.enabled[best] = false;
-  }
-  f->Close();
-  f->RetireMetrics();
-  {
-    std::lock_guard<std::mutex> lock(route_mu_);
     StartShipper(st, shard);
   }
   failovers_->Increment();

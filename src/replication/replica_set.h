@@ -1,12 +1,14 @@
 // ReplicaSet: read-replica serving + failover over a ShardRouter.
 //
-// For every shard of a sharded computation, the set runs N FollowerReplica
-// instances (roots under `<replicas_root>/shard-NNN/replica-<i>`), each fed
-// by that shard's ReplicaShipper. Reads load-balance round-robin across the
-// shard's primary and its caught-up followers; writes and epochs go through
-// the router (followers are read-only). A follower that is disabled,
-// closed, or lagging more than max_replica_lag_epochs behind the primary's
-// committed epoch is skipped by routing until shipping catches it up.
+// For every shard of a sharded computation, the set runs N followers, each
+// a read-only pipeline (roots under `<replicas_root>/<shard-dir>/
+// replica-<i>`, opened by ShardRouter::OpenShard with the shard's own
+// pipeline options) fed by that shard's ReplicaShipper. Reads load-balance
+// round-robin across the shard's primary and its caught-up followers;
+// writes and epochs go through the router (followers are read-only). A
+// follower out of service (killed, or promoted) or lagging more than
+// max_replica_lag_epochs behind the primary's committed epoch is skipped
+// by routing until shipping catches it up.
 //
 // Snapshot reads reuse the serving layer: PinSnapshot() pins the
 // primaries' uniform cut through ShardGroup's own loop, then takes each
@@ -17,17 +19,18 @@
 // Failover: KillPrimary(s) marks the shard's primary lost in the router —
 // appends to the shard, coordinated epochs and reshards are refused — and
 // stops its shipper; reads continue from followers. Promote(s) then picks
-// the freshest caught-up follower and hands its root to
-// ShardRouter::PromotePrimary, which opens the shard's pipeline over it
-// and swaps it in as the shard's primary. The open is the A/B check: it
-// verifies the epoch CURRENT names (the last one the dead primary durably
-// committed) before anything touches the root, refusing a damaged root as
-// found, then drops any uncommitted pre-staged slot and replays shipped
-// log segments past the manifest watermark. In a fleet of more
-// than one shard the follower must have applied the epoch every other
-// shard committed. Writes and epochs resume, a new shipper feeds the
-// surviving followers, and pins taken before the promotion keep serving
-// untouched.
+// the freshest caught-up follower and hands its slice to
+// ShardRouter::PromotePrimary, which promotes the open pipeline in place
+// (Pipeline::Promote) and swaps it in as the shard's primary. Promote()
+// is the check: it verifies the epoch the follower serves (the last one
+// the dead primary durably committed) before anything touches the root,
+// refusing a damaged root as found — the follower keeps serving — then
+// restores the engine, drops any uncommitted pre-staged install and
+// replays shipped log segments past the epoch's watermark. In a fleet of
+// more than one shard the follower must have committed the epoch every
+// other shard committed. Writes and epochs resume, a new shipper feeds
+// the surviving followers, and pins taken before the promotion keep
+// serving untouched.
 //
 // Each backend slot publishes under
 // "serving.<name>.shard<s>.replica<i>.*" (shipped_bytes, applied_epochs,
@@ -60,10 +63,9 @@ struct ReplicaSetOptions {
   int ship_poll_ms = 20;
 
   /// Wipe the replica roots on Open (fresh deployment) vs re-attach.
+  /// (Followers take every pipeline option, durability included, from
+  /// the router's shard options.)
   bool reset = true;
-
-  /// Follower durability (the primary's own durability is the router's).
-  DurabilityMode durability = DurabilityMode::kProcessCrash;
 
   /// Simulated per-backend service time per point read, charged under the
   /// backend's slot mutex (the CostModel idiom: capacity is modeled by
@@ -83,7 +85,7 @@ struct ReplicaSetOptions {
 
 class ReplicaSet {
  public:
-  /// Build + Open() the followers, start the per-shard shippers. The
+  /// Open the followers, start the per-shard shippers. The
   /// router must outlive the set; the router should already be
   /// bootstrapped (shipping begins from its current committed state).
   static StatusOr<std::unique_ptr<ReplicaSet>> Open(ShardRouter* router,
@@ -120,7 +122,8 @@ class ReplicaSet {
 
   /// Take follower (shard, i) out of service: shipping and routing skip it.
   Status KillReplica(int shard, int i);
-  /// Reopen a killed follower; the shipper catches it back up.
+  /// Re-run a killed follower's recovery (Pipeline::Reload) and put it
+  /// back in service; the shipper catches it back up.
   Status RestartReplica(int shard, int i);
 
   /// Kill shard `shard`'s primary: the router marks it lost (writes to the
@@ -130,8 +133,8 @@ class ReplicaSet {
   bool primary_dead(int shard) const;
 
   /// Promote the freshest caught-up follower of a dead-primary shard to
-  /// primary (ShardRouter::PromotePrimary over its root, which verifies
-  /// it).
+  /// primary (ShardRouter::PromotePrimary, which promotes its pipeline in
+  /// place after verifying it).
   /// Returns the promoted follower's index. Writes and epochs succeed
   /// again after this returns.
   StatusOr<int> Promote(int shard);
@@ -154,7 +157,7 @@ class ReplicaSet {
   /// Lag of follower (shard, i) behind the shard's primary, in epochs (0
   /// for the follower promoted to primary: its root IS the primary).
   uint64_t ReplicaLag(int shard, int i) const;
-  /// Skipped by routing: killed, closed, not serving, or lag beyond max.
+  /// Skipped by routing: out of service, not serving, or lag beyond max.
   /// False for the promoted follower, which serves as the shard's primary.
   bool IsReplicaStale(int shard, int i) const;
   /// True when follower (shard, i) was promoted to the shard's primary.
@@ -171,7 +174,6 @@ class ReplicaSet {
   /// The shard's current primary (the router's promoted pipeline after
   /// failover).
   Pipeline* primary(int shard) const;
-  ShardRouter* router() const { return router_; }
 
  private:
   /// One read-serving slot: a backend plus its simulated service capacity.
@@ -185,18 +187,14 @@ class ReplicaSet {
     Pipeline* primary = nullptr;
     /// A KillPrimary/Promote transition is in flight (set/cleared under
     /// route_mu_). Serializes failover steps that must run outside the
-    /// lock: concurrent promotions of one shard would both open a pipeline
-    /// over the chosen follower's root, and a promotion racing KillPrimary
-    /// could swap st.shipper out from under the Stop() in progress.
+    /// lock: concurrent promotions of one shard would both hand a follower
+    /// slice to the router, and a promotion racing KillPrimary could swap
+    /// st.shipper out from under the Stop() in progress.
     bool transitioning = false;
     int promoted_replica = -1;
     std::vector<std::unique_ptr<FollowerReplica>> followers;
-    std::vector<bool> enabled;
     /// Stopped while the primary is dead; Promote starts a new one.
     std::unique_ptr<ReplicaShipper> shipper;
-    /// Maps follower index -> index in the live shipper's follower list
-    /// (-1 after that follower was promoted out).
-    std::vector<int> shipper_idx;
     /// slots[0] = primary, slots[1 + i] = follower i.
     std::vector<std::unique_ptr<Slot>> slots;
     std::atomic<uint64_t> rr{0};
@@ -217,7 +215,11 @@ class ReplicaSet {
   /// Epochs follower i trails the shard primary's committed epoch (which
   /// freezes while the primary is dead).
   uint64_t LagLocked(const ShardState& st, int i) const;
+  /// Follower i is in service and has a committed epoch to serve.
+  bool ServingLocked(const ShardState& st, int i) const;
   bool StaleLocked(const ShardState& st, int i) const;
+  /// The serving follower with the highest committed epoch (-1: none).
+  int FreshestServingLocked(const ShardState& st) const;
   /// Round-robin pick of an eligible backend slot index for shard `shard`
   /// (0 = primary, 1 + i = follower i); -1 when nothing can serve.
   int SelectSlotLocked(int shard) const;

@@ -16,8 +16,7 @@ ReplicaShipper::ReplicaShipper(Pipeline* primary,
                                ReplicaShipperOptions options)
     : primary_(primary),
       followers_(std::move(followers)),
-      options_(options),
-      enabled_(followers_.size(), true) {}
+      options_(options) {}
 
 ReplicaShipper::~ReplicaShipper() { Stop(); }
 
@@ -123,10 +122,6 @@ void ReplicaShipper::ThreadMain() {
   }
 }
 
-Status ReplicaShipper::SyncNow() {
-  return ShipPass();
-}
-
 Status ReplicaShipper::ShipPass() {
   std::lock_guard<std::mutex> pass_lock(pass_mu_);
   // Pinning the committed epoch keeps its dir on disk for the whole pass,
@@ -134,41 +129,32 @@ Status ReplicaShipper::ShipPass() {
   EpochPin pin = primary_->PinServing();
   if (!pin.valid()) return Status::OK();  // not bootstrapped yet
 
-  std::vector<std::string> segments = primary_->log()->SealedSegmentPaths();
-  auto archived = ListFiles(JoinPath(primary_->log()->dir(), "archive"));
-  if (archived.ok()) {
-    for (const auto& path : *archived) {
-      if (IsDeltaLogSegmentFile(path)) segments.push_back(path);
-    }
-  }
+  const std::vector<std::string> segments =
+      primary_->log()->ShippableSegmentPaths();
 
   Status first_error = Status::OK();
-  const uint64_t generation = primary_->generation();
-  for (size_t i = 0; i < followers_.size(); ++i) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!enabled_[i]) continue;
-    }
-    FollowerReplica* f = followers_[i];
-    if (!f->open()) continue;
-    // Generation binding comes FIRST: after a reshard bumped the primary's
-    // partition-map generation, the follower wipes its old-generation
-    // state here — before any segment install, whose first-seq dedup
-    // would otherwise skip re-shipped spans as "already held".
-    Status st = f->EnsureGeneration(generation);
-    if (st.ok()) st = ShipToFollower(f, pin, segments);
+  for (FollowerReplica* f : followers_) {
+    if (!f->in_service()) continue;
+    Status st = ShipToFollower(f, pin, segments);
     if (!st.ok() && first_error.ok()) first_error = st;
     uint64_t committed = primary_->committed_epoch();
-    uint64_t applied = f->applied_epoch();
-    f->SetLagEpochs(committed > applied ? committed - applied : 0);
+    uint64_t applied = f->pipeline()->committed_epoch();
+    f->lag_epochs()->Set(
+        static_cast<int64_t>(committed > applied ? committed - applied : 0));
   }
   return first_error;
 }
 
-Status ReplicaShipper::ShipToFollower(FollowerReplica* f, const EpochPin& pin,
-                                      const std::vector<std::string>& segments) {
+Status ReplicaShipper::ShipToFollower(
+    FollowerReplica* f, const EpochPin& pin,
+    const std::vector<std::string>& segments) {
+  Pipeline* follower = f->pipeline();
   TRACE_SPAN("replica.ship", "epoch=%llu follower=%s",
-             static_cast<unsigned long long>(pin.epoch()), f->root().c_str());
+             static_cast<unsigned long long>(pin.epoch()),
+             follower->dir().c_str());
+  const bool sync = follower->options().durability ==
+                    DurabilityMode::kPowerFailure;
+  const std::string log_dir = JoinPath(follower->dir(), "log");
   // 1. Log shipping: land every sealed/archived segment the follower
   // doesn't hold. A segment can be retired (renamed into archive/, or
   // re-encoded as .lzd) between listing and copy — that install fails,
@@ -178,34 +164,40 @@ Status ReplicaShipper::ShipToFollower(FollowerReplica* f, const EpochPin& pin,
   // that kept the earlier raw copy already holds those records — shipping
   // the compressed twin too would make a later promotion's recovery scan
   // see the same seq span twice and fail as a sequence regression.
-  std::set<uint64_t> have = f->SegmentFirstSeqs();
+  I2MR_RETURN_IF_ERROR(CreateDirs(log_dir));
+  std::set<uint64_t> have = DeltaLogSegmentFirstSeqs(log_dir);
   for (const auto& seg : segments) {
     if (have.count(DeltaLogSegmentFirstSeq(seg)) > 0) continue;
     if (!FileExists(seg)) continue;
-    Status st = f->InstallSegment(seg, nullptr);
-    if (st.ok()) {
+    auto bytes = InstallDeltaLogSegment(log_dir, seg, sync);
+    if (bytes.ok()) {
       have.insert(DeltaLogSegmentFirstSeq(seg));
+      f->shipped_bytes()->Add(static_cast<int64_t>(*bytes));
     } else {
-      LOG_WARN << "segment ship " << seg << " -> " << f->root()
-               << " failed (will retry): " << st.ToString();
+      LOG_WARN << "segment ship " << seg << " -> " << log_dir
+               << " failed (will retry): " << bytes.status().ToString();
     }
   }
 
   // 2. Epoch shipping: only the primary's durably committed epoch is ever
-  // promoted at the follower.
-  if (!f->serving() || pin.epoch() > f->applied_epoch()) {
-    I2MR_RETURN_IF_ERROR(
-        f->StageEpoch(pin.epoch(), pin.watermark(), pin.dir(), nullptr));
-    I2MR_RETURN_IF_ERROR(f->PromoteStaged(pin.epoch(), pin.watermark()));
+  // committed at the follower.
+  if (!follower->bootstrapped() || pin.epoch() > follower->committed_epoch()) {
+    I2MR_RETURN_IF_ERROR(Install(f, pin.epoch(), pin.watermark(), pin.dir()));
+    TRACE_SPAN("replica.apply", "epoch=%llu",
+               static_cast<unsigned long long>(pin.epoch()));
+    I2MR_RETURN_IF_ERROR(follower->FinalizeStagedEpoch());
+    I2MR_RETURN_IF_ERROR(follower->CleanupCommitted());
+    f->applied_epochs()->Increment();
   }
 
-  // 3. Trim shipped history the follower's applied epoch has consumed.
-  I2MR_RETURN_IF_ERROR(f->PurgeShippedBelow(f->applied_watermark()));
+  // 3. Trim shipped history the follower's committed epoch has consumed.
+  I2MR_RETURN_IF_ERROR(PurgeDeltaLogSegmentsThrough(
+      log_dir, follower->committed_watermark(), sync));
 
   // 4. Pre-stage a newer staged-but-uncommitted epoch so the eventual
-  // commit is promoted with a rename instead of a copy. Best-effort: a
-  // barrier abort removes the staged dir, and the stale slot is simply
-  // discarded by the next real promotion.
+  // commit is installed with a rename instead of a copy. Best-effort: a
+  // barrier abort removes the staged dir, and the stale install is simply
+  // replaced by the next real one.
   uint64_t hint_epoch = 0;
   std::string hint_dir;
   {
@@ -216,7 +208,7 @@ Status ReplicaShipper::ShipToFollower(FollowerReplica* f, const EpochPin& pin,
   if (hint_epoch > pin.epoch() && FileExists(hint_dir)) {
     uint64_t e = 0, w = 0;
     if (EpochStore::ReadManifest(hint_dir, &e, &w).ok() && e == hint_epoch) {
-      if (Status st = f->StageEpoch(e, w, hint_dir, nullptr); !st.ok()) {
+      if (Status st = Install(f, e, w, hint_dir); !st.ok()) {
         LOG_DEBUG << "pre-stage hint for epoch " << e
                   << " not taken: " << st.ToString();
       }
@@ -225,11 +217,14 @@ Status ReplicaShipper::ShipToFollower(FollowerReplica* f, const EpochPin& pin,
   return Status::OK();
 }
 
-void ReplicaShipper::SetFollowerEnabled(size_t i, bool enabled) {
-  std::lock_guard<std::mutex> lock(mu_);
-  enabled_[i] = enabled;
-  dirty_ = true;
-  cv_.notify_all();
+Status ReplicaShipper::Install(FollowerReplica* f, uint64_t epoch,
+                               uint64_t watermark, const std::string& dir) {
+  TRACE_SPAN("replica.verify", "epoch=%llu",
+             static_cast<unsigned long long>(epoch));
+  auto bytes = f->pipeline()->InstallEpoch(epoch, watermark, dir);
+  if (!bytes.ok()) return bytes.status();
+  f->shipped_bytes()->Add(static_cast<int64_t>(*bytes));
+  return Status::OK();
 }
 
 }  // namespace i2mr

@@ -5,23 +5,25 @@
 // pipeline's EpochListener (staged dirs may be pre-staged at followers;
 // committed epochs may be served) and the delta log's seal listener (a
 // rotated segment is immutable and shippable), and each notification wakes
-// the ship thread for a pass. A pass, per enabled follower:
+// the ship thread for a pass. A pass, per follower in service:
 //
 //   1. installs sealed/archived segments the follower doesn't hold yet
 //      (compressed `.lzd` archives ship as-is — the follower's recovery
 //      scan reads them transparently),
-//   2. stages + promotes the primary's committed epoch when the follower
-//      is behind (never past the committed epoch: a staged-only epoch is
-//      at most pre-staged, so a follower cannot serve data the primary
+//   2. commits the primary's committed epoch at a follower that is behind,
+//      through the follower pipeline's own InstallEpoch + FinalizeStaged-
+//      Epoch (never past the committed epoch: a staged-only epoch is at
+//      most pre-staged, so a follower cannot serve data the primary
 //      hasn't durably committed),
-//   3. advances the follower's purge mark to its own applied watermark,
+//   3. advances the follower log's purge mark to its committed watermark,
 //      trimming segments a promotion would not need, and
 //   4. publishes the follower's lag gauge.
 //
 // Passes are idempotent: every step re-derives what is missing from disk
 // state, so a crashed/raced pass is healed by the next one. Whether a
 // follower is fresh enough to serve is ReplicaSet's routing decision
-// (ReplicaLag / IsReplicaStale), not the shipper's.
+// (ReplicaLag / IsReplicaStale), not the shipper's; both skip a follower
+// out of service.
 #ifndef I2MR_REPLICATION_REPLICA_SHIPPER_H_
 #define I2MR_REPLICATION_REPLICA_SHIPPER_H_
 
@@ -62,7 +64,7 @@ struct ReplicaShipperOptions {
 class ReplicaShipper {
  public:
   /// Ships from `primary` to `followers` (borrowed; must outlive the
-  /// shipper or its Stop()). Followers must be Open().
+  /// shipper or its Stop()).
   ReplicaShipper(Pipeline* primary, std::vector<FollowerReplica*> followers,
                  ReplicaShipperOptions options = {});
   ~ReplicaShipper();
@@ -77,35 +79,30 @@ class ReplicaShipper {
 
   /// Run one ship pass inline and return its status (tests and promotion
   /// use this to reach a known-shipped state without sleeping).
-  Status SyncNow();
-
-  /// Enable/disable shipping to follower `i`. Used to simulate a dead
-  /// replica.
-  void SetFollowerEnabled(size_t i, bool enabled);
-
-  FollowerReplica* follower(size_t i) const { return followers_[i]; }
-  Pipeline* primary() const { return primary_; }
+  Status SyncNow() { return ShipPass(); }
 
  private:
   void ThreadMain();
-  /// One full pass over all enabled followers. Serialized by pass_mu_
+  /// One full pass over the followers in service. Serialized by pass_mu_
   /// (ship thread vs SyncNow); takes no other shipper lock while calling
   /// into the pipeline/log/followers.
   Status ShipPass();
   Status ShipToFollower(FollowerReplica* f, const EpochPin& pin,
                         const std::vector<std::string>& segments);
+  /// InstallEpoch at follower `f`, counting the bytes copied.
+  Status Install(FollowerReplica* f, uint64_t epoch, uint64_t watermark,
+                 const std::string& dir);
 
   Pipeline* const primary_;
   const std::vector<FollowerReplica*> followers_;
   const ReplicaShipperOptions options_;
 
-  /// Wakeup + enable flags (leaf lock: never held across ship work).
+  /// Wakeup state (leaf lock: never held across ship work).
   mutable std::mutex mu_;
   std::condition_variable cv_;
   bool dirty_ = false;
   bool stop_ = false;
   bool started_ = false;
-  std::vector<bool> enabled_;
   /// Freshest staged-but-uncommitted epoch observed (0 = none): passes
   /// pre-stage it at followers so the commit-time promote is a rename.
   uint64_t staged_hint_epoch_ = 0;

@@ -247,7 +247,7 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
 
 StatusOr<std::unique_ptr<ShardRouter::Shard>> ShardRouter::OpenShard(
     const std::string& cluster_root, bool reset, const PartitionMap& map,
-    int s) const {
+    int s, bool writable) const {
   auto shard = std::make_unique<Shard>();
   shard->cluster = std::make_unique<LocalCluster>(
       cluster_root, options_.workers_per_shard, options_.cost, reset);
@@ -263,7 +263,11 @@ StatusOr<std::unique_ptr<ShardRouter::Shard>> ShardRouter::OpenShard(
       return map.ShardOf(key) == s;
     };
   }
-  auto pipeline = Pipeline::Open(shard->cluster.get(), name_, std::move(popts));
+  popts.generation = map.generation;
+  auto pipeline =
+      writable ? Pipeline::Open(shard->cluster.get(), name_, std::move(popts))
+               : Pipeline::OpenReadOnly(shard->cluster.get(), name_,
+                                        std::move(popts));
   if (!pipeline.ok()) return pipeline.status();
   shard->pipeline = std::move(*pipeline);
   return shard;
@@ -937,9 +941,8 @@ bool ShardRouter::primary_lost(int shard) const {
              Availability::Refuses::kNothing;
 }
 
-StatusOr<Pipeline*> ShardRouter::PromotePrimary(int shard,
-                                                const std::string& root,
-                                                uint64_t epoch) {
+StatusOr<Pipeline*> ShardRouter::PromotePrimary(
+    int shard, std::unique_ptr<Shard>* follower) {
   std::lock_guard<std::mutex> coord(coord_mu_);
   TopologyView view = topology();
   const int n = view.map->num_shards;
@@ -952,6 +955,7 @@ StatusOr<Pipeline*> ShardRouter::PromotePrimary(int shard,
   // exactly that epoch, or the vector stops being uniform (a behind
   // follower would also miss boundary contributions the other shards
   // already folded in).
+  const uint64_t epoch = (*follower)->pipeline->committed_epoch();
   for (int s = 0; s < n; ++s) {
     const uint64_t committed = view.pipelines[s]->committed_epoch();
     if (s != shard && committed != epoch) {
@@ -961,15 +965,8 @@ StatusOr<Pipeline*> ShardRouter::PromotePrimary(int shard,
           " committed epoch " + std::to_string(committed));
     }
   }
-  auto opened = OpenShard(root, /*reset=*/false, *view.map, shard);
-  if (!opened.ok()) return opened.status();
-  std::unique_ptr<Shard> promoted = std::move(*opened);
-  if (promoted->pipeline->committed_epoch() != epoch) {
-    return Status::Corruption(
-        "promoted pipeline recovered epoch " +
-        std::to_string(promoted->pipeline->committed_epoch()) +
-        " instead of the follower's applied epoch " + std::to_string(epoch));
-  }
+  I2MR_RETURN_IF_ERROR((*follower)->pipeline->Promote());
+  std::unique_ptr<Shard> promoted = std::move(*follower);
   Pipeline* pipeline = promoted->pipeline.get();
   // The swap, like AdoptTopology's: pins retry around it, and the lost
   // slice retires alive so pins taken from it keep serving. The exclusive

@@ -30,8 +30,9 @@
 //
 // Per-shard failover (driven by replication/replica_set.h): a lost
 // primary refuses appends routed to its shard, coordinated epochs and
-// reshards until PromotePrimary() swaps a caught-up follower's root in as
-// that shard's pipeline — the router owns every shard's primary.
+// reshards until PromotePrimary() promotes a caught-up follower — a
+// read-only slice opened by OpenShard — in place and swaps it in as that
+// shard's pipeline: the router owns every shard's primary.
 //
 // Refusals: the router ("serving.<name>") and each shard
 // ("serving.<name>.shard<s>") hold one Availability (common/health.h),
@@ -249,16 +250,34 @@ class ShardRouter {
   Status MarkPrimaryLost(int shard);
   bool primary_lost(int shard) const;
 
-  /// Replace lost shard `shard`'s primary with a pipeline opened over
-  /// `root` (a follower's replicated root, its CURRENT naming `epoch`)
-  /// with the shard's own pipeline options. In a fleet of more than one
-  /// shard, `epoch` must equal the other shards' committed epoch — any
-  /// other follower would break the uniform epoch vector. The swap is
-  /// bracketed by the barrier-flip seqlock like a reshard cutover; the
-  /// retired pipeline stays alive so pins taken from it keep serving.
-  /// Returns the new primary.
-  StatusOr<Pipeline*> PromotePrimary(int shard, const std::string& root,
-                                     uint64_t epoch);
+  /// One shard slice: a LocalCluster over the slice's root and the
+  /// shard's pipeline on it.
+  struct Shard {
+    std::unique_ptr<LocalCluster> cluster;
+    std::unique_ptr<Pipeline> pipeline;  // destroyed before its cluster
+  };
+
+  /// Open shard `s`'s slice of generation `map` over cluster root
+  /// `cluster_root` (wiped first when `reset`): the shard's pipeline
+  /// options own exactly the keys the map assigns to `s` (on a map of more
+  /// than one shard) and carry the map's generation. A primary is opened
+  /// writable; a follower read-only (Pipeline::OpenReadOnly) over its own
+  /// root, with the same options, so promoting it needs no reopen.
+  StatusOr<std::unique_ptr<Shard>> OpenShard(const std::string& cluster_root,
+                                             bool reset,
+                                             const PartitionMap& map, int s,
+                                             bool writable = true) const;
+
+  /// Replace lost shard `shard`'s primary with `*follower`, a read-only
+  /// slice: Pipeline::Promote() makes it writable in place and the router
+  /// takes it (on failure it stays, still serving). In a fleet of more
+  /// than one shard its committed epoch must equal the other shards' —
+  /// any other would break the uniform epoch vector. The swap is bracketed
+  /// by the barrier-flip seqlock like a reshard cutover; the retired
+  /// pipeline stays alive so pins taken from it keep serving. Returns the
+  /// new primary.
+  StatusOr<Pipeline*> PromotePrimary(int shard,
+                                     std::unique_ptr<Shard>* follower);
 
   const std::string& name() const { return name_; }
   const std::string& tenant() const { return options_.tenant; }
@@ -271,21 +290,7 @@ class ShardRouter {
  private:
   friend class ReshardCoordinator;
 
-  struct Shard {
-    std::unique_ptr<LocalCluster> cluster;
-    std::unique_ptr<Pipeline> pipeline;  // destroyed before its cluster
-  };
-
   ShardRouter(std::string name, std::string root, ShardRouterOptions options);
-
-  /// Open shard `s`'s slice of generation `map` over cluster root
-  /// `cluster_root` (wiped first when `reset`): the shard's pipeline
-  /// options own exactly the keys the map assigns to `s` (on a map of more
-  /// than one shard).
-  StatusOr<std::unique_ptr<Shard>> OpenShard(const std::string& cluster_root,
-                                             bool reset,
-                                             const PartitionMap& map,
-                                             int s) const;
 
   /// RefreshCoordinated body; caller holds coord_mu_ (the reshard
   /// coordinator drains donors while holding the lock for the whole move).

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -26,6 +27,7 @@
 #include "data/graph_gen.h"
 #include "io/compress.h"
 #include "io/env.h"
+#include "io/fault_env.h"
 #include "pipeline/delta_log.h"
 #include "replication/replica_set.h"
 #include "serving/reshard.h"
@@ -47,6 +49,7 @@ class ReplicationTest : public ::testing::Test {
     ASSERT_TRUE(ResetDir(root_).ok());
     ASSERT_TRUE(ResetDir(replicas_).ok());
   }
+  void TearDown() override { fault::FaultInjector::Instance()->Reset(); }
 
   void AppendDelta(ShardRouter* router, std::vector<KV>* graph,
                    const GraphGenOptions& gen, int seed) {
@@ -88,8 +91,9 @@ TEST_F(ReplicationTest, ShipsCommittedEpochsAndServesThemFromFollowers) {
   // honest shipped bytes, and reports zero lag.
   for (int s = 0; s < 2; ++s) {
     FollowerReplica* f = (*set)->replica(s, 0);
-    EXPECT_EQ(f->applied_epoch(), (*router)->shard(s)->committed_epoch());
-    EXPECT_EQ(f->applied_watermark(),
+    EXPECT_EQ(f->pipeline()->committed_epoch(),
+              (*router)->shard(s)->committed_epoch());
+    EXPECT_EQ(f->pipeline()->committed_watermark(),
               (*router)->shard(s)->committed_watermark());
     EXPECT_GT(f->shipped_bytes()->value(), 0);
     EXPECT_TRUE((*set)->ReplicaLag(s, 0) == 0 &&
@@ -113,7 +117,7 @@ TEST_F(ReplicationTest, ShipsCommittedEpochsAndServesThemFromFollowers) {
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   EXPECT_EQ(snap->epochs(), (*router)->CommittedEpochs());
   for (int s = 0; s < 2; ++s) {
-    EXPECT_EQ((*set)->replica(s, 0)->applied_epoch(),
+    EXPECT_EQ((*set)->replica(s, 0)->pipeline()->committed_epoch(),
               (*router)->shard(s)->committed_epoch());
     EXPECT_GT((*set)->replica(s, 0)->applied_epochs()->value(), 1);
   }
@@ -132,15 +136,23 @@ TEST_F(ReplicationTest, PinnedSnapshotNeverMixesEpochs) {
   ASSERT_TRUE(set.ok()) << set.status().ToString();
   ASSERT_TRUE((*set)->SyncAll().ok());
 
-  // Shard 0's follower stops receiving epochs (its shipper skips it; an
-  // in-flight pass is waited out) but stays in the set's read rotation:
-  // one epoch behind is within max_replica_lag_epochs.
-  (*set)->shipper(0)->SetFollowerEnabled(0, false);
+  // Shard 0's follower stops receiving epochs — every copy into its epoch
+  // slots fails on its disk (an in-flight pass is waited out first) — but
+  // stays in the set's read rotation: one epoch behind is within
+  // max_replica_lag_epochs.
   ASSERT_TRUE((*set)->shipper(0)->SyncNow().ok());
+  fault::FaultRule rule;
+  rule.ops = fault::kLink;
+  rule.path_substr =
+      JoinPath(replicas_, "shard-000/replica-0/pipeline/pr/epoch-");
+  rule.kind = fault::FaultKind::kEIO;
+  rule.times = -1;
+  fault::FaultInjector::Instance()->AddRule(rule);
   AppendDelta(router->get(), &graph, gen, 43);
   ASSERT_TRUE((*router)->DrainAll().ok());
-  ASSERT_TRUE((*set)->SyncAll().ok());
-  ASSERT_EQ((*set)->replica(0, 0)->applied_epoch() + 1,
+  EXPECT_FALSE((*set)->shipper(0)->SyncNow().ok());
+  ASSERT_TRUE((*set)->shipper(1)->SyncNow().ok());
+  ASSERT_EQ((*set)->replica(0, 0)->pipeline()->committed_epoch() + 1,
             (*router)->shard(0)->committed_epoch());
   ASSERT_FALSE((*set)->IsReplicaStale(0, 0));
 
@@ -152,22 +164,61 @@ TEST_F(ReplicationTest, PinnedSnapshotNeverMixesEpochs) {
   }
 }
 
-TEST_F(ReplicationTest, GarbledGenerationRecordFailsOpenAsCorruption) {
-  FollowerReplica follower(replicas_, "pr", FollowerReplicaOptions{});
-  ASSERT_TRUE(follower.Open().ok());
-  ASSERT_TRUE(follower.EnsureGeneration(3).ok());
-  follower.Close();
-  ASSERT_TRUE(follower.Open().ok());
-  EXPECT_EQ(follower.generation(), 3u);
-  follower.Close();
+TEST_F(ReplicationTest, InstallRefusesAnEpochOfAnotherGeneration) {
+  GraphGenOptions gen;
+  gen.num_vertices = 120;
+  gen.avg_degree = 4;
+  auto graph = GenGraph(gen);
 
-  // A garbled GEN must not read as some other generation (0, or a
-  // truncated number): the replica would keep state partitioned by a map
-  // that no longer exists.
-  ASSERT_TRUE(WriteStringToFile(JoinPath(follower.PipelineDir(), "GEN"),
-                                "not-a-generation")
-                  .ok());
-  EXPECT_TRUE(follower.Open().IsCorruption());
+  auto router = ShardRouter::Open(root_, "pr", PageRankShards(2));
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  ASSERT_TRUE((*router)->Bootstrap(graph, UnitState(graph)).ok());
+  auto set = ReplicaSet::Open(router->get(), replicas_, ReplicaSetOptions{});
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ASSERT_TRUE((*set)->SyncAll().ok());
+  Pipeline* follower = (*set)->replica(0, 0)->pipeline();
+  const uint64_t served = follower->committed_epoch();
+  ASSERT_EQ(follower->generation(), 0u);
+
+  // The primary's committed epoch, re-sealed as the next epoch and stamped
+  // with partition-map generation `generation`.
+  EpochPin pin = (*router)->shard(0)->PinServing();
+  const uint64_t next = pin.epoch() + 1;
+  auto restamp = [&](uint64_t generation) {
+    EpochStore store(root_ + "_gen" + std::to_string(generation), false);
+    EXPECT_TRUE(ResetDir(store.dir()).ok());
+    EXPECT_TRUE(store.OpenSlot(next).ok());
+    std::filesystem::copy(pin.dir(), store.SlotDir(next),
+                          std::filesystem::copy_options::recursive);
+    EXPECT_TRUE(store.WriteManifest(next, pin.watermark(), generation).ok());
+    EXPECT_TRUE(store.Seal(next).ok());
+    return store.EpochDir(next);
+  };
+
+  // Another generation's state was partitioned by another map: refused,
+  // nothing of it left behind, the served epoch untouched.
+  auto refused = follower->InstallEpoch(next, pin.watermark(), restamp(7));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), Status::Code::kFailedPrecondition)
+      << refused.status().ToString();
+  EXPECT_NE(refused.status().ToString().find("generation 7"), std::string::npos)
+      << refused.status().ToString();
+  EXPECT_FALSE(
+      FileExists(JoinPath(follower->dir(), EpochStore::EpochDirName(next))));
+  EXPECT_FALSE(FileExists(
+      JoinPath(follower->dir(), EpochStore::EpochDirName(next) + ".tmp")));
+  EXPECT_FALSE(follower->FinalizeStagedEpoch().ok());  // nothing staged
+  EXPECT_EQ(follower->committed_epoch(), served);
+  EpochPin after = (*set)->replica(0, 0)->PinServing();
+  ASSERT_TRUE(after.valid());
+  EXPECT_EQ(after.epoch(), served);
+
+  // The same epoch of the follower's own generation installs.
+  auto installed = follower->InstallEpoch(next, pin.watermark(), restamp(0));
+  ASSERT_TRUE(installed.ok()) << installed.status().ToString();
+  EXPECT_GT(*installed, 0u);
+  ASSERT_TRUE(follower->FinalizeStagedEpoch().ok());
+  EXPECT_EQ(follower->committed_epoch(), next);
 }
 
 TEST_F(ReplicationTest, ShipsCompressedArchiveSegmentsTransparently) {
@@ -199,11 +250,11 @@ TEST_F(ReplicationTest, ShipsCompressedArchiveSegmentsTransparently) {
   // the shipper landed (some of) them at the followers unmodified.
   bool saw_compressed = false;
   for (int s = 0; s < 2; ++s) {
-    for (const auto& base : (*set)->replica(s, 0)->SegmentBasenames()) {
-      if (base.size() > 4 &&
-          base.compare(base.size() - 4, 4, ".lzd") == 0) {
-        saw_compressed = true;
-      }
+    auto held =
+        ListFiles(JoinPath((*set)->replica(s, 0)->pipeline()->dir(), "log"));
+    ASSERT_TRUE(held.ok());
+    for (const auto& seg : *held) {
+      if (IsCompressedDeltaLogSegmentFile(seg)) saw_compressed = true;
     }
   }
   EXPECT_TRUE(saw_compressed) << "no compressed archive segment was shipped";
@@ -253,7 +304,8 @@ TEST_F(ReplicationTest, ArchivedTwinOfShippedRawSegmentNeverBlocksPromotion) {
   // copy, since both cover the same seq range and a promoted root's
   // recovery scan rejects a duplicated span as a sequence regression).
   FollowerReplica* f = (*set)->replica(0, 0);
-  auto held = ListFiles(f->LogDir());
+  const std::string log_dir = JoinPath(f->pipeline()->dir(), "log");
+  auto held = ListFiles(log_dir);
   ASSERT_TRUE(held.ok());
   std::string scratch = root_ + "_twin_scratch";
   ASSERT_TRUE(ResetDir(scratch).ok());
@@ -270,16 +322,21 @@ TEST_F(ReplicationTest, ArchivedTwinOfShippedRawSegmentNeverBlocksPromotion) {
     std::string lzd =
         JoinPath(scratch, base.substr(0, base.size() - 4) + ".lzd");
     ASSERT_TRUE(WriteStringToFile(lzd, compressed, false).ok());
-    ASSERT_TRUE(f->InstallSegment(lzd, nullptr).ok()) << lzd;
+    ASSERT_TRUE(InstallDeltaLogSegment(log_dir, lzd, false).ok()) << lzd;
     ++twins;
   }
   ASSERT_GT(twins, 0) << "no raw shipped segment to re-encode";
-  EXPECT_EQ(f->SegmentBasenames().size(), f->SegmentFirstSeqs().size())
+  auto after = ListFiles(log_dir);
+  ASSERT_TRUE(after.ok());
+  const size_t segment_files = std::count_if(
+      after->begin(), after->end(),
+      [](const std::string& path) { return IsDeltaLogSegmentFile(path); });
+  EXPECT_EQ(segment_files, DeltaLogSegmentFirstSeqs(log_dir).size())
       << "follower holds twin raw+compressed copies of a segment";
 
   // The promoted pipeline's recovery scans every held segment file; with
   // exactly one form per span it replays the shipped backlog cleanly.
-  uint64_t pre_crash_applied = f->applied_epoch();
+  uint64_t pre_crash_applied = f->pipeline()->committed_epoch();
   auto promoted = (*set)->Promote(0);
   ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
   EXPECT_EQ((*set)->primary(0)->committed_epoch(), pre_crash_applied);
@@ -352,7 +409,7 @@ TEST_F(ReplicationTest, KillReplicaKeepsReadsServingAndLagRecovers) {
   for (int s = 0; s < 2; ++s) {
     EXPECT_EQ((*set)->ReplicaLag(s, 0), 0u);
     EXPECT_FALSE((*set)->IsReplicaStale(s, 0));
-    EXPECT_EQ((*set)->replica(s, 0)->applied_epoch(),
+    EXPECT_EQ((*set)->replica(s, 0)->pipeline()->committed_epoch(),
               (*router)->shard(s)->committed_epoch());
   }
 
@@ -454,7 +511,7 @@ TEST_F(ReplicationTest, PromoteOnPrimaryDeathServesExactCommittedState) {
 
   ExpectWholeGraphRanks(ShardedSnapshot(**router), graph);
   int survivor = *promoted == 0 ? 1 : 0;
-  EXPECT_EQ((*set)->replica(0, survivor)->applied_epoch(),
+  EXPECT_EQ((*set)->replica(0, survivor)->pipeline()->committed_epoch(),
             (*set)->primary(0)->committed_epoch());
   EXPECT_FALSE((*set)->IsReplicaStale(0, survivor));
   // The promoted follower's closed slot reports as the primary it became,
@@ -484,10 +541,10 @@ TEST_F(ReplicationTest, PromoteRefusesACorruptFollowerRootUntouched) {
   // Garble the first length prefix of the follower's applied state.dat
   // (rewritten as a fresh file, so no hard link shares the damage).
   FollowerReplica* f = (*set)->replica(0, 0);
-  const std::string pdir = JoinPath(f->root(), "pipeline/pr");
+  const uint64_t applied = f->pipeline()->committed_epoch();
+  const std::string pdir = f->pipeline()->dir();
   const std::string state =
-      JoinPath(JoinPath(JoinPath(pdir, EpochStore::EpochDirName(
-                                           f->applied_epoch())),
+      JoinPath(JoinPath(JoinPath(pdir, EpochStore::EpochDirName(applied)),
                         EpochStore::PartDirName(0)),
                "state.dat");
   auto bytes = ReadFileToString(state);
@@ -499,9 +556,9 @@ TEST_F(ReplicationTest, PromoteRefusesACorruptFollowerRootUntouched) {
   auto log_before = ListFiles(JoinPath(pdir, "log"));
   ASSERT_TRUE(log_before.ok());
 
-  // Promotion opens a pipeline over the follower's root, which verifies
-  // the applied epoch before anything touches the root: refused as
-  // Corruption, the shard stays lost, and the follower's log is as found.
+  // Promotion verifies the follower's committed epoch on disk before
+  // anything touches the root: refused as Corruption, the shard stays
+  // lost, and the follower's log is as found.
   ASSERT_TRUE((*set)->KillPrimary(0).ok());
   auto promoted = (*set)->Promote(0);
   ASSERT_FALSE(promoted.ok());
@@ -511,6 +568,89 @@ TEST_F(ReplicationTest, PromoteRefusesACorruptFollowerRootUntouched) {
   auto log_after = ListFiles(JoinPath(pdir, "log"));
   ASSERT_TRUE(log_after.ok());
   EXPECT_EQ(*log_after, *log_before);
+
+  // The refused follower is still a follower serving its published epoch
+  // (from memory: the damage is on disk), and reads of the dead shard go
+  // on through it.
+  EpochPin pin = f->PinServing();
+  ASSERT_TRUE(pin.valid());
+  EXPECT_EQ(pin.epoch(), applied);
+  EXPECT_FALSE((*set)->IsReplicaStale(0, 0));
+  EXPECT_FALSE((*set)->IsReplicaPromoted(0, 0));
+  int shard0_reads = 0;
+  for (const auto& kv : graph) {
+    if ((*router)->ShardOf(kv.key) != 0) continue;
+    auto v = (*set)->Get(kv.key);
+    ASSERT_TRUE(v.ok()) << kv.key << ": " << v.status().ToString();
+    auto frozen = pin.Lookup(kv.key);
+    ASSERT_TRUE(frozen.ok()) << kv.key;
+    EXPECT_EQ(*v, *frozen) << kv.key;
+    ++shard0_reads;
+  }
+  EXPECT_GT(shard0_reads, 0);
+}
+
+// A follower is a pipeline that registers no "pipeline.<name>" health
+// entry until it is promoted: constructing one resets the entry to
+// healthy, which would hide a degraded primary of the same name.
+TEST_F(ReplicationTest, FollowersLeaveTheDegradedPrimaryHealthEntryAlone) {
+  GraphGenOptions gen;
+  gen.num_vertices = 120;
+  gen.avg_degree = 4;
+  auto graph = GenGraph(gen);
+  MetricsRegistry metrics;
+  HealthRegistry health(&metrics);
+  ShardRouterOptions options = PageRankShards(2);
+  options.metrics = &metrics;
+  options.health = &health;
+  auto router = ShardRouter::Open(root_, "pr", options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  ASSERT_TRUE((*router)->Bootstrap(graph, UnitState(graph)).ok());
+
+  // Shard 0's primary runs out of space: its appends exhaust the retries
+  // and it degrades to read-only.
+  fault::FaultRule rule;
+  rule.ops = fault::kAppend;
+  rule.path_substr = JoinPath(root_, "shard-000/pipeline/pr/log");
+  rule.kind = fault::FaultKind::kENOSPC;
+  rule.times = -1;
+  fault::FaultInjector::Instance()->AddRule(rule);
+  std::string key0;
+  for (const auto& kv : graph) {
+    if ((*router)->ShardOf(kv.key) == 0) {
+      key0 = kv.key;
+      break;
+    }
+  }
+  ASSERT_FALSE(key0.empty());
+  EXPECT_FALSE((*router)->Append(DeltaKV{DeltaOp::kInsert, key0, "1"}).ok());
+  ASSERT_TRUE((*router)->shard(0)->degraded());
+  ASSERT_EQ(health.state("pipeline.pr"), HealthState::kDegraded);
+
+  ReplicaSetOptions ro;
+  ro.replicas_per_shard = 1;
+  auto set = ReplicaSet::Open(router->get(), replicas_, ro);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  EXPECT_EQ(health.state("pipeline.pr"), HealthState::kDegraded)
+      << "opening the followers";
+  ASSERT_TRUE((*set)->SyncAll().ok());
+  EXPECT_EQ((*set)->replica(0, 0)->pipeline()->committed_epoch(),
+            (*router)->shard(0)->committed_epoch());
+  EXPECT_EQ(health.state("pipeline.pr"), HealthState::kDegraded)
+      << "a ship pass";
+  ASSERT_TRUE((*set)->KillReplica(0, 0).ok());
+  ASSERT_TRUE((*set)->RestartReplica(0, 0).ok());
+  EXPECT_EQ(health.state("pipeline.pr"), HealthState::kDegraded)
+      << "restarting a follower";
+  EXPECT_TRUE((*router)->shard(0)->degraded());
+
+  // Promotion is where a follower becomes a writable pipeline and
+  // registers the entry, as a freshly opened primary does.
+  ASSERT_TRUE((*set)->KillPrimary(0).ok());
+  auto promoted = (*set)->Promote(0);
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  EXPECT_EQ(health.state("pipeline.pr"), HealthState::kHealthy);
+  EXPECT_FALSE((*set)->primary(0)->degraded());
 }
 
 // ---------------------------------------------------------------------------
@@ -594,7 +734,7 @@ TEST_F(ReplicationTest, LostPrimaryRefusesWritesEpochsAndReshardsNotReads) {
   // promoting it would break the uniform vector, so Promote refuses.
   ASSERT_TRUE((*set)->KillReplica(0, 1).ok());
   ASSERT_TRUE((*set)->RestartReplica(0, 0).ok());
-  ASSERT_EQ((*set)->replica(0, 0)->applied_epoch(), 0u);
+  ASSERT_EQ((*set)->replica(0, 0)->pipeline()->committed_epoch(), 0u);
   auto stale = (*set)->Promote(0);
   ASSERT_FALSE(stale.ok());
   EXPECT_EQ(stale.status().code(), Status::Code::kFailedPrecondition);
